@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .construct import (
@@ -230,8 +229,6 @@ def build_parser():
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_BUDGET)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
     sub = p.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="build a named family and write its table")
@@ -240,8 +237,6 @@ def build_parser():
     fam.add_argument("--transversal", action="store_true")
     fam.add_argument("--toeplitz", action="store_true")
     fam.add_argument("--field-multiply", dest="field_multiply", action="store_true")
-    fam.add_argument("--full-H", dest="full_h", action="store_true",
-                     help="transversal with H = F_q (the default)")
     fam.add_argument("--H", dest="h_subset", default=None,
                      help="comma-separated H subset for the transversal family")
     fam.add_argument("--infinity", action="store_true")
@@ -267,8 +262,6 @@ def build_parser():
     con.add_argument("--point-ext", dest="point_ext", action="store_true")
     con.add_argument("--double-ext", dest="double_ext", action="store_true")
     con.add_argument("--concat", action="store_true")
-    con.add_argument("--cyclic", action="store_true",
-                     help="use the cyclic quasigroup on the value set (default)")
     con.add_argument("--latin", default=None, help="latin square JSON file")
     con.set_defaults(func=cmd_construct)
 
@@ -284,7 +277,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.rng_seed)
     try:
         return args.func(args)
     except TheoremViolation as exc:

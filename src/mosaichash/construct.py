@@ -11,6 +11,7 @@ from .errors import (
     DomainMismatch,
     NotBalanced,
     NotLatinSquare,
+    TheoremViolation,
 )
 from .families import (
     DEFAULT_TABLE_BUDGET,
@@ -19,6 +20,7 @@ from .families import (
     decode_label,
     encode_label,
 )
+from .verify import _op_table, _pair_max, _table_array
 from .verify import min_epsilon, regularity_check
 
 
@@ -177,31 +179,17 @@ def concatenate(f1: HashFamily, f2: HashFamily) -> HashFamily:
 def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     """Least eps with |{h : a(y,h) - a(y',h) = b}| <= eps|H| for all y != y', b.
 
-    Needs an abelian group on the value set only.  Returns (eps, witness).
+    Needs an abelian group on the value set only.  Returns (eps, witness);
+    the witness (y, y', b) is the first strict maximum in label order.
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
-    T = a.to_table(budget)
-    grp = a.a_group
-    nh = a.s_size
-    best = -1
-    witness = None
-    rows = [
-        [a.a_labels[e] for e in row] for row in T.entries
-    ]
-    for i, y in enumerate(a.x_labels):
-        for j, y2 in enumerate(a.x_labels):
-            if i >= j:
-                continue
-            counts = {}
-            for u, v in zip(rows[i], rows[j]):
-                d = grp.sub(u, v)
-                counts[d] = counts.get(d, 0) + 1
-            for b in a.a_labels:
-                c = counts.get(b, 0)
-                if c > best:
-                    best, witness = c, (y, y2, b)
-    return Fraction(best, nh), witness
+    sub = _op_table(a.a_labels, a.a_index, a.a_group.sub)
+    best, where = _pair_max(_table_array(a, budget), sub, a.a_size)
+    if where is None:
+        return Fraction(best, a.s_size), None
+    i, j, b = where
+    return Fraction(best, a.s_size), (a.x_labels[i], a.x_labels[j], a.a_labels[b])
 
 
 def krawczyk_lift(g: HashFamily, eps=None, budget=DEFAULT_TABLE_BUDGET):
@@ -219,7 +207,10 @@ def krawczyk_lift(g: HashFamily, eps=None, budget=DEFAULT_TABLE_BUDGET):
         eps = bal_eps
     lifted = seed_extension(g, group_quasigroup(g.a_group))
     asu_eps, _ = min_epsilon(lifted, "ASU", budget)
-    assert asu_eps <= eps, "balanced lift exceeded its ASU guarantee"
+    if asu_eps > eps:
+        raise TheoremViolation(
+            f"lift of {g.name} is only {asu_eps}-ASU, above its guarantee {eps}"
+        )
     return lifted, eps
 
 

@@ -89,6 +89,7 @@ class HashFamily:
         self.a_index = {a: i for i, a in enumerate(self.a_labels)}
         self.x_group = x_group
         self.a_group = a_group
+        self._table = None
 
     @property
     def x_size(self):
@@ -113,15 +114,20 @@ class HashFamily:
         return a
 
     def to_table(self, budget: int = DEFAULT_TABLE_BUDGET) -> "FunctionTable":
+        """The full table, evaluated once and kept; every call checks budget."""
         if self.x_size * self.s_size > budget:
             raise BudgetExceeded(
                 f"{self.x_size} x {self.s_size} table exceeds budget {budget}"
             )
-        entries = [
-            [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
-            for x in self.x_labels
-        ]
-        return FunctionTable(self.x_labels, self.s_labels, self.a_labels, entries)
+        if self._table is None:
+            entries = [
+                [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
+                for x in self.x_labels
+            ]
+            self._table = FunctionTable(
+                self.x_labels, self.s_labels, self.a_labels, entries
+            )
+        return self._table
 
     def transpose(self) -> "HashFamily":
         """Swap point and seed roles (the dual function)."""
@@ -179,10 +185,6 @@ class FunctionTable:
             [decode_label(a) for a in obj["a_labels"]],
             obj["rows"],
         )
-
-
-def table_from_family(f: HashFamily, budget: int = DEFAULT_TABLE_BUDGET):
-    return f.to_table(budget)
 
 
 # ---------------------------------------------------------------------------

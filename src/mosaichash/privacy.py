@@ -21,7 +21,7 @@ from .errors import (
     ZeroMassKeyValue,
 )
 from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label
-from .verify import min_epsilon, regularity_check
+from .verify import min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
 
@@ -257,10 +257,13 @@ class PAResult:
 
 
 def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PAResult:
-    """Full pipeline; raises TheoremViolation if the security bound fails."""
+    """Full pipeline; raises TheoremViolation if the security bound fails
+    or the key depends on Z.  An irregular ``f`` (no (ACFU1)) raises
+    NotRegular once the joint is built, so a zero-mass key value raises
+    ZeroMassKeyValue first.
+    """
     joint = pa_joint(src, f, budget)
     dist, witness = security_distance(joint)
-    reg = regularity_check(f, budget)
     eps, _ = min_epsilon(f, "ACFU", budget)
     h2, inner = renyi2_conditional(src)
     rad = theorem_radicand(eps, f.a_size, inner)
@@ -272,7 +275,7 @@ def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PARe
             f"security distance {dist} exceeds the bound for {f.name}; "
             f"radicand {rad}, joint {joint.p}"
         )
-    if reg.regular and not joint.independence_verified:
+    if not joint.independence_verified:
         raise TheoremViolation(
             f"(ACFU1)-regular {f.name} produced a key dependent on Z at "
             f"{joint.independence_witness!r}"

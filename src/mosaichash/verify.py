@@ -1,7 +1,14 @@
 """Exhaustive verification: minimal epsilon per hash class and seed bounds.
 
-All epsilons and bound values are exact ``Fraction``s; equality against
-the lower bounds is therefore decidable with zero tolerance.
+Every check reads the family's integer table T[x, s] (built once by
+``HashFamily.to_table``) through two counters: ``_row_counts``, the
+histogram #{s : T[x, s] = a}, for regularity and BALANCED; and
+``_pair_max``, the histogram #{s : code[T[x, s], T[x', s]] = c} over
+x < x', for AU, ACFU, ASU and ``construct.balanced_epsilon``, each with
+its own code table on value pairs.  A witness is the first strict maximum
+in the scan order x, x', a, a' (label order).  All epsilons and bound
+values are exact ``Fraction``s, so equality against the lower bounds is
+decidable with zero tolerance.
 """
 
 from __future__ import annotations
@@ -16,9 +23,50 @@ from .families import DEFAULT_TABLE_BUDGET, HashFamily
 
 CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
 
+# entries that one bincount of _pair_max reads or counts, unless one row is larger
+_BLOCK = 1 << 15
+
 
 def _table_array(f: HashFamily, budget=DEFAULT_TABLE_BUDGET):
-    return np.array(f.to_table(budget).entries, dtype=np.int64)
+    entries = f.to_table(budget).entries
+    return np.array(entries, dtype=np.int64).reshape(f.x_size, f.s_size)
+
+
+def _op_table(labels, index, op):
+    """table[u, v] = index[op(labels[u], labels[v])]."""
+    rows = [[index[op(u, v)] for v in labels] for u in labels]
+    return np.array(rows, dtype=np.int64)
+
+
+def _row_counts(T, na):
+    """counts[x, a] = #{s : T[x, s] = a}."""
+    nx = T.shape[0]
+    keys = T + na * np.arange(nx)[:, None]
+    return np.bincount(keys.ravel(), minlength=nx * na).reshape(nx, na)
+
+
+def _pair_max(T, code, ncodes):
+    """First strict maximum of #{s : code[T[x, s], T[x', s]] = c} over
+    x < x' and c < ncodes in (x, x', c) order, as (count, (x, x', c)), or
+    (-1, None) without a pair.  A code of ncodes is not counted.  Each
+    bincount counts a block of rows x' of about _BLOCK entries and bins.
+    """
+    nx, ns = T.shape
+    width = ncodes + 1
+    step = max(1, _BLOCK // max(ns, width))
+    best, where = -1, None
+    for i in range(nx - 1):
+        row = T[i] * len(code)
+        for j in range(i + 1, nx, step):
+            keys = code.take(row + T[j:j + step])
+            m = keys.shape[0]
+            keys += width * np.arange(m)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=m * width)
+            counts = counts.reshape(m, width)[:, :ncodes]
+            k = int(counts.argmax())
+            if counts.flat[k] > best:
+                best, where = int(counts.flat[k]), (i, j + k // ncodes, k % ncodes)
+    return best, where
 
 
 @dataclass
@@ -30,115 +78,77 @@ class RegularityResult:
 
 def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityResult:
     """Check property (ACFU1): every value is hit |S|/|A| times in each row."""
-    T = _table_array(f, budget)
-    na = f.a_size
-    counts = {}
-    for i, x in enumerate(f.x_labels):
-        hist = np.bincount(T[i], minlength=na)
-        for k, a in enumerate(f.a_labels):
-            counts[(x, a)] = int(hist[k])
-    if f.s_size % na == 0:
-        block = f.s_size // na
-        if all(c == block for c in counts.values()):
-            return RegularityResult(True, block, counts)
-    return RegularityResult(False, None, counts)
+    hist = _row_counts(_table_array(f, budget), f.a_size)
+    keys = ((x, a) for x in f.x_labels for a in f.a_labels)
+    counts = dict(zip(keys, hist.ravel().tolist()))
+    block, rest = divmod(f.s_size, f.a_size)
+    regular = rest == 0 and bool((hist == block).all())
+    return RegularityResult(regular, block if regular else None, counts)
 
 
 def _homomorphic_in_x(f: HashFamily, T) -> bool:
+    """Whether f(x + y, s) = f(x, s) + f(y, s); stops at the first failing x."""
     g, ga = f.x_group, f.a_group
     if g is None or ga is None:
         return False
-    xi = f.x_index
-    ai = f.a_index
-    for x in f.x_labels:
-        for y in f.x_labels:
-            row = tuple(
-                ai[ga.add(f.a_labels[u], f.a_labels[v])]
-                for u, v in zip(T[xi[x]], T[xi[y]])
-            )
-            if row != tuple(T[xi[g.add(x, y)]]):
-                return False
+    add = _op_table(f.a_labels, f.a_index, ga.add)
+    for i, x in enumerate(f.x_labels):
+        sums = [f.x_index[g.add(x, y)] for y in f.x_labels]
+        if not np.array_equal(add[T[i], T], T[sums]):
+            return False
     return True
 
 
 def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
-    """Least epsilon of the given class, with a lexicographically first witness.
+    """Least epsilon of the given class, with its first witness.
 
-    Returns (epsilon, witness).  Witness tuples use domain labels:
-    AU -> (x, x'), ACFU -> (x, x', a), ASU -> (x, x', a, a'),
-    BALANCED -> (x, a).
+    With N(x, x', a, a') = #{s : f(x, s) = a, f(x', s) = a'} over x < x',
+    AU is max sum_a N(x, x', a, a) / |S|, ACFU max N(x, x', a, a) and ASU
+    max N(x, x', a, a'), both over |S|/|A|; the latter two raise
+    NotRegular without (ACFU1).  BALANCED is max #{s : f(x, s) = a} / |S|
+    over x != 0 and raises NotHomomorphic unless f is linear in x.
+
+    Returns (epsilon, witness): the first strict maximum in the scan order
+    (x, x', a, a'), in domain labels: AU -> (x, x'), ACFU -> (x, x', a),
+    ASU -> (x, x', a, a'), BALANCED -> (x, a); (0, None) if there is none.
     """
     if hash_class not in CLASSES:
         raise ValueError(f"unknown hash class {hash_class!r}")
-    T = _table_array(f, budget)
-    nx, ns, na = f.x_size, f.s_size, f.a_size
-
     if hash_class in ("ACFU", "ASU"):
         reg = regularity_check(f, budget)
         if not reg.regular:
             raise NotRegular(
                 f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable"
             )
-        norm = reg.block_size
-    elif hash_class == "AU":
-        norm = ns
-    else:  # BALANCED
+    T = _table_array(f, budget)
+    X, A, na = f.x_labels, f.a_labels, f.a_size
+
+    if hash_class == "BALANCED":
         if not _homomorphic_in_x(f, T):
             raise NotHomomorphic(
                 f"{f.name} lacks group structure or is not linear in x"
             )
-        norm = ns
+        hist = _row_counts(T, na)
+        hist[[x == f.x_group.zero for x in X]] = -1
+        best = int(hist.max(initial=-1))
+        if best < 0:
+            return Fraction(0), None
+        i, k = divmod(int(hist.argmax()), na)
+        return Fraction(best, f.s_size), (X[i], A[k])
 
-    best = -1
-    witness = None
-
-    if nx < 2 and hash_class != "BALANCED":
-        return Fraction(0), None
-
+    eye = np.eye(na, dtype=bool)
     if hash_class == "AU":
-        for i in range(nx):
-            for j in range(i + 1, nx):
-                c = int((T[i] == T[j]).sum())
-                if c > best:
-                    best, witness = c, (f.x_labels[i], f.x_labels[j])
+        best, where = _pair_max(T, np.where(eye, 0, 1), 1)
     elif hash_class == "ACFU":
-        for i in range(nx):
-            for j in range(i + 1, nx):
-                eq = T[i] == T[j]
-                hist = np.bincount(T[i][eq], minlength=na)
-                for k in range(na):
-                    c = int(hist[k])
-                    if c > best:
-                        best = c
-                        witness = (f.x_labels[i], f.x_labels[j], f.a_labels[k])
-    elif hash_class == "ASU":
-        for i in range(nx):
-            for j in range(i + 1, nx):
-                hist = np.zeros((na, na), dtype=np.int64)
-                np.add.at(hist, (T[i], T[j]), 1)
-                for k in range(na):
-                    for l in range(na):
-                        c = int(hist[k, l])
-                        if c > best:
-                            best = c
-                            witness = (
-                                f.x_labels[i], f.x_labels[j],
-                                f.a_labels[k], f.a_labels[l],
-                            )
-    else:  # BALANCED, per the bound |{s : f(x,s)=a}| <= eps|S| for x != e
-        e = f.x_group.zero
-        for i, x in enumerate(f.x_labels):
-            if x == e:
-                continue
-            hist = np.bincount(T[i], minlength=na)
-            for k in range(na):
-                c = int(hist[k])
-                if c > best:
-                    best, witness = c, (x, f.a_labels[k])
-
-    if best < 0:
+        best, where = _pair_max(T, np.where(eye, np.arange(na), na), na)
+    else:
+        best, where = _pair_max(T, np.arange(na * na).reshape(na, na), na * na)
+    if where is None:
         return Fraction(0), None
-    return Fraction(best, norm), witness
+    i, j, c = where
+    norm = f.s_size if hash_class == "AU" else reg.block_size
+    values = {"AU": (), "ACFU": (c,), "ASU": divmod(c, na)}[hash_class]
+    return Fraction(best, norm), (X[i], X[j], *(A[k] for k in values))
 
 
 def optimal_epsilon(x_size: int, a_size: int) -> Fraction:

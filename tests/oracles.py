@@ -63,6 +63,84 @@ def oracle_eps_asu(f):
     return Fraction(best * len(f.a_labels), len(f.s_labels))
 
 
+def _oracle_homomorphic(f):
+    g, ga = f.x_group, f.a_group
+    if g is None or ga is None:
+        return False
+    return all(
+        ga.add(f.evaluate(x, s), f.evaluate(y, s)) == f.evaluate(g.add(x, y), s)
+        for x in f.x_labels
+        for y in f.x_labels
+        for s in f.s_labels
+    )
+
+
+def _first_max(candidates, norm):
+    """(best / norm, witness) of the first strict maximum; (0, None) if empty."""
+    best, witness = -1, None
+    for w, c in candidates:
+        if c > best:
+            best, witness = c, w
+    if best < 0:
+        return Fraction(0), None
+    return Fraction(best, norm), witness
+
+
+def oracle_witness(f, hash_class):
+    """(epsilon, witness) of ``hash_class``, scanning x < x', then a, then
+    a' in label order; None where the class does not apply (ACFU and ASU
+    of an irregular family, BALANCED of a family not linear in x)."""
+    X, S, A = f.x_labels, f.s_labels, f.a_labels
+    ev = f.evaluate
+    if hash_class == "BALANCED":
+        if not _oracle_homomorphic(f):
+            return None
+        cands = (
+            ((x, a), sum(1 for s in S if ev(x, s) == a))
+            for x in X
+            if x != f.x_group.zero
+            for a in A
+        )
+        return _first_max(cands, len(S))
+    if hash_class != "AU" and not oracle_regular(f):
+        return None
+    pairs = [(x, y) for i, x in enumerate(X) for y in X[i + 1:]]
+    if hash_class == "AU":
+        cands = (
+            ((x, y), sum(1 for s in S if ev(x, s) == ev(y, s))) for x, y in pairs
+        )
+        return _first_max(cands, len(S))
+    if hash_class == "ACFU":
+        cands = (
+            ((x, y, a), sum(1 for s in S if ev(x, s) == a == ev(y, s)))
+            for x, y in pairs
+            for a in A
+        )
+    else:
+        cands = (
+            ((x, y, a, b), sum(1 for s in S if ev(x, s) == a and ev(y, s) == b))
+            for x, y in pairs
+            for a in A
+            for b in A
+        )
+    return _first_max(cands, len(S) // len(A))
+
+
+def oracle_balanced_epsilon(f):
+    """(eps, witness) of construct.balanced_epsilon for a family with two or
+    more points: the first strict maximum of #{s : f(y,s) - f(y',s) = b}
+    over y < y', then b, in label order."""
+    X, S = f.x_labels, f.s_labels
+    sub = f.a_group.sub
+    cands = (
+        ((y, y2, b), sum(1 for s in S if sub(f.evaluate(y, s), f.evaluate(y2, s)) == b))
+        for i, y in enumerate(X)
+        for y2 in X[i + 1:]
+        for b in f.a_labels
+    )
+    return _first_max(cands, len(S))
+
+
 def oracle_security_distance(src, f):
     """Max l1 distance between conditionals p_{ZS|A=a}, by direct summation."""
     ns = len(f.s_labels)

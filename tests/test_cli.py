@@ -1,7 +1,16 @@
 import json
 from fractions import Fraction
 
-from mosaichash import FunctionTable, JointSource, Mosaic, affine, uniform_source
+import pytest
+
+from mosaichash import (
+    FunctionTable,
+    JointSource,
+    Mosaic,
+    affine,
+    toeplitz,
+    uniform_source,
+)
 from mosaichash.cli import main
 from util import flip_source
 
@@ -176,6 +185,27 @@ def test_pa_iid_decay(tmp_path, capsys):
     assert code == 0
     d2 = Fraction(json.loads(out)["security_distance"])
     assert d2 <= d1
+
+
+def test_pa_irregular_family_exits_2(tmp_path, capsys):
+    fam, _ = family_file(tmp_path, capsys, "--toeplitz", "q=2", "m=1", "n=2")
+    src = tmp_path / "src.json"
+    src.write_text(uniform_source(toeplitz(2, 1, 2).x_labels).to_json())
+    code, _, err = run(capsys, "pa", str(src), str(fam))
+    assert code == 2 and "ACFU1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "2", "verify", "{f}"],
+    ["--rng-seed", "1", "verify", "{f}"],
+    ["family", "--transversal", "--full-H", "q=2"],
+    ["construct", "{f}", "--seed-ext", "--cyclic"],
+])
+def test_removed_flags_exit_2(tmp_path, capsys, argv):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=path) for a in argv])
+    assert exc.value.code == 2
 
 
 def test_pa_zero_mass_key_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import mosaichash.construct as construct
 from mosaichash import (
     HashFamily,
     Quasigroup,
@@ -30,6 +31,7 @@ from mosaichash.errors import (
     NotBalanced,
     NotHomomorphic,
     NotLatinSquare,
+    TheoremViolation,
 )
 from util import random_latin, random_regular_table, random_table
 
@@ -138,6 +140,18 @@ def test_krawczyk_lift_is_asu():
     assert lifted.s_size == g.s_size * g.a_size
     with pytest.raises(NotBalanced):
         krawczyk_lift(g, eps=Fraction(1, 4))  # tighter than g can deliver
+
+
+def test_krawczyk_lift_raises_when_the_lift_misses_its_guarantee(monkeypatch):
+    real = construct.min_epsilon
+
+    def inflated(f, hash_class, budget):
+        eps, w = real(f, hash_class, budget)
+        return (eps + Fraction(1, 8), w) if hash_class == "ASU" else (eps, w)
+
+    monkeypatch.setattr(construct, "min_epsilon", inflated)
+    with pytest.raises(TheoremViolation):
+        krawczyk_lift(toeplitz(2, 1, 2))
 
 
 def test_krawczyk_lift_needs_linearity():

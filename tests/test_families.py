@@ -60,6 +60,13 @@ def test_table_budget():
         f.to_table(budget=1)
 
 
+def test_cached_table_still_checks_budget():
+    f = affine(2, 2)
+    assert f.to_table() is f.to_table()
+    with pytest.raises(BudgetExceeded):
+        f.to_table(budget=f.x_size * f.s_size - 1)
+
+
 def test_function_table_json_roundtrip():
     T = transversal(2).to_table()
     T2 = FunctionTable.from_json(T.to_json())

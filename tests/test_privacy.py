@@ -14,6 +14,7 @@ from mosaichash import (
     security_distance,
     theorem_bound,
     theorem_radicand,
+    toeplitz,
     transversal,
     uniform_source,
 )
@@ -21,6 +22,7 @@ from mosaichash.errors import (
     AlphabetMismatch,
     BudgetExceeded,
     NegativeRadicand,
+    NotRegular,
     ZeroMassKeyValue,
 )
 from oracles import oracle_renyi_inner, oracle_security_distance
@@ -140,6 +142,12 @@ def test_run_pa_uniform_collapses_to_zero():
     assert res.key_marginal == [Fraction(1, 2), Fraction(1, 2)]
     d = res.to_dict()
     assert d["security_distance"] == "0/1"
+
+
+def test_run_pa_rejects_irregular_family():
+    f = toeplitz(2, 1, 2)  # the zero seed breaks (ACFU1)
+    with pytest.raises(NotRegular):
+        run_pa(uniform_source(f.x_labels), f)
 
 
 def test_run_pa_single_value_family():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mosaichash import (
     HashFamily,
     affine,
+    balanced_epsilon,
     classify,
     dual_affine,
     field_multiply,
@@ -22,8 +24,17 @@ from mosaichash.errors import (
     NotRegular,
     TrivialDomain,
 )
+from mosaichash import verify
+from mosaichash.families import Group
 from mosaichash.verify import rational_str
-from oracles import oracle_eps_acfu, oracle_eps_asu, oracle_eps_au, oracle_regular
+from oracles import (
+    oracle_balanced_epsilon,
+    oracle_eps_acfu,
+    oracle_eps_asu,
+    oracle_eps_au,
+    oracle_regular,
+    oracle_witness,
+)
 from util import random_regular_table, random_table
 
 
@@ -59,6 +70,47 @@ def test_min_epsilon_builtins_match_oracles():
         if regularity_check(f).regular:
             assert min_epsilon(f, "ACFU")[0] == oracle_eps_acfu(f)
             assert min_epsilon(f, "ASU")[0] == oracle_eps_asu(f)
+
+
+def _cyclic_group(n):
+    return Group(range(n), lambda a, b: (a + b) % n, lambda a: -a % n, 0)
+
+
+@pytest.mark.parametrize("block", [1, verify._BLOCK])  # one x' per count, or all
+def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    fams = [affine(2, 2), dual_affine(2, 2), transversal(2), toeplitz(2, 1, 2),
+            field_multiply(2, 3, 1)]
+    rng = random.Random(23)
+    for _ in range(30):
+        nx, na = rng.randrange(2, 7), rng.randrange(2, 5)
+        f = random_regular_table(rng, nx, na * rng.randrange(1, 4), na)
+        f.x_group, f.a_group = _cyclic_group(nx), _cyclic_group(na)
+        fams.append(f)
+    for f in fams:
+        for cls in ("AU", "ACFU", "ASU", "BALANCED"):
+            want = oracle_witness(f, cls)
+            if want is None:
+                err = NotHomomorphic if cls == "BALANCED" else NotRegular
+                with pytest.raises(err):
+                    min_epsilon(f, cls)
+            else:
+                assert min_epsilon(f, cls) == want, (f.name, cls)
+        assert balanced_epsilon(f) == oracle_balanced_epsilon(f), f.name
+
+
+def test_classify_evaluates_each_entry_once():
+    base = affine(3, 2)
+    calls = Counter()
+
+    def fn(x, s):
+        calls[x, s] += 1
+        return base.evaluate(x, s)
+
+    f = HashFamily("counted", base.x_labels, base.s_labels, base.a_labels, fn,
+                   x_group=base.x_group, a_group=base.a_group)
+    assert classify(f).regular
+    assert calls == Counter({(x, s): 1 for x in f.x_labels for s in f.s_labels})
 
 
 def test_epsilon_ordering_on_random_regular_tables():
