@@ -20,7 +20,7 @@ from .families import (
     decode_label,
     encode_label,
 )
-from .verify import _op_table, _pair_max, _table_array
+from .verify import _op_table, _pair_max
 from .verify import min_epsilon, regularity_check
 
 
@@ -185,9 +185,9 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
     sub = _op_table(a.a_labels, a.a_index, a.a_group.sub)
-    best, where = _pair_max(_table_array(a, budget), sub, a.a_size)
+    best, where = _pair_max(a.to_table(budget)._array, sub, a.a_size)
     if where is None:
-        return Fraction(best, a.s_size), None
+        return Fraction(0), None
     i, j, b = where
     return Fraction(best, a.s_size), (a.x_labels[i], a.x_labels[j], a.a_labels[b])
 

@@ -116,7 +116,7 @@ class Mosaic:
 
 
 def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:
-    T = np.array(f.to_table(budget).entries)
+    T = f.to_table(budget)._array
     members = [
         IncidenceStructure((T == k).astype(np.int8), f.x_labels, f.s_labels)
         for k in range(f.a_size)

@@ -3,12 +3,20 @@
 A family carries ordered, duplicate-free label sets for its three
 domains plus an evaluator.  Labels are ints, strings, or (nested)
 tuples, so they round-trip through JSON as nested arrays.
+
+A named family is one formula over its field's integer add, neg and mul
+tables, value index = formula(x index, s index).  ``to_table`` checks the
+budget, then runs it once on the whole index grid and keeps the table;
+``evaluate`` runs it on one index pair, so it works above the budget.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -17,7 +25,7 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedSize,
 )
-from .fields import Field, field_for_order, field_new, is_prime, truncate
+from .fields import Field, field_for_order, field_new, is_prime
 
 DEFAULT_TABLE_BUDGET = 10**7
 
@@ -84,6 +92,7 @@ class HashFamily:
             if len(set(labels)) != len(labels):
                 raise DomainError(f"duplicate labels in domain {which}")
         self._fn = fn
+        self._index_fn = None
         self.x_index = {x: i for i, x in enumerate(self.x_labels)}
         self.s_index = {s: i for i, s in enumerate(self.s_labels)}
         self.a_index = {a: i for i, a in enumerate(self.a_labels)}
@@ -120,13 +129,16 @@ class HashFamily:
                 f"{self.x_size} x {self.s_size} table exceeds budget {budget}"
             )
         if self._table is None:
-            entries = [
-                [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
-                for x in self.x_labels
-            ]
-            self._table = FunctionTable(
-                self.x_labels, self.s_labels, self.a_labels, entries
-            )
+            if self._index_fn is None:
+                entries = [
+                    [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
+                    for x in self.x_labels
+                ]
+            else:
+                shape = self.x_size, self.s_size
+                values = self._index_fn(*np.indices(shape, sparse=True))
+                entries = np.broadcast_to(values, shape).tolist()
+            self._table = FunctionTable(self.x_labels, self.s_labels, self.a_labels, entries)
         return self._table
 
     def transpose(self) -> "HashFamily":
@@ -157,6 +169,13 @@ class FunctionTable:
         if any(not 0 <= e < na for r in rows for e in r):
             raise DomainError("table entry out of range")
         object.__setattr__(self, "entries", rows)
+
+    @cached_property
+    def _array(self):
+        """The rows as one read-only int64 array, built on first use."""
+        array = np.array(self.entries, dtype=np.int64)
+        array.flags.writeable = False
+        return array.reshape(len(self.x_labels), len(self.s_labels))
 
     def to_family(self, name="table") -> HashFamily:
         xi = {x: i for i, x in enumerate(self.x_labels)}
@@ -202,22 +221,42 @@ def normalized_vectors(field: Field, t: int):
     return out
 
 
+def _formula_family(name, x_labels, s_labels, a_labels, index_fn, **groups):
+    """Family with value index index_fn(x index, s index) on ints or broadcasting arrays."""
+    f = HashFamily(name, x_labels, s_labels, a_labels, None, **groups)
+    xi, si, labels = f.x_index, f.s_index, f.a_labels
+    f._fn = lambda x, s: labels[int(index_fn(xi[x], si[s]))]
+    f._index_fn = index_fn
+    return f
+
+
+def _digits(index, q: int, t: int):
+    """The t components (first one most significant) of vector indices over F_q."""
+    return [index // q ** (t - 1 - i) % q for i in range(t)]
+
+
+def _dot(field: Field, u, v):
+    """Index of sum_i u_i v_i in the field, over element indices or index arrays."""
+    acc = field.zero
+    for a, b in zip(u, v):
+        acc = field._add_array[acc, field._mul_array[a, b]]
+    return acc
+
+
 def affine(q: int, t: int) -> HashFamily:
     """f(x; h, beta) = sum_i h_i x_i + beta on X = F_q^t."""
     field = field_for_order(q)
     hs = normalized_vectors(field, t)
     x_labels = _all_vectors(field, t)
     s_labels = [(h, b) for h in hs for b in field.elements()]
+    h_columns = np.array(hs, dtype=np.int64).reshape(len(hs), t).T
 
-    def fn(x, s):
-        h, b = s
-        acc = field.zero
-        for hi, xi in zip(h, x):
-            acc = field.add(acc, field.mul(hi, xi))
-        return field.add(acc, b)
+    def index_fn(xi, si):
+        acc = _dot(field, h_columns[:, si // q], _digits(xi, q, t))
+        return field._add_array[acc, si % q]
 
-    return HashFamily(
-        f"affine({q},{t})", x_labels, s_labels, field.elements(), fn,
+    return _formula_family(
+        f"affine({q},{t})", x_labels, s_labels, field.elements(), index_fn,
         x_group=vector_group(field, t), a_group=field_group(field),
     )
 
@@ -225,15 +264,14 @@ def affine(q: int, t: int) -> HashFamily:
 def dual_affine(q: int, t: int) -> HashFamily:
     """The affine family with point and seed roles swapped."""
     base = affine(q, t)
-    g = base.transpose()
-    return HashFamily(
-        f"dual_affine({q},{t})", g.x_labels, g.s_labels, g.a_labels, g._fn,
-        a_group=base.a_group,
+    return _formula_family(
+        f"dual_affine({q},{t})", base.s_labels, base.x_labels, base.a_labels,
+        lambda xi, si: base._index_fn(si, xi), a_group=base.a_group,
     )
 
 
 def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFamily:
-    """f(h, y; s1, s2) = s2 - h*s1 + y, optionally with the infinity rows."""
+    """f(h, y; s1, s2) = s2 - h*s1 + y, optionally with the infinity rows s1 + y."""
     field = field_for_order(q)
     if h_subset is None:
         h_subset = list(field.elements())
@@ -247,16 +285,16 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
     if include_infinity:
         x_labels += [(INFINITY, y) for y in field.elements()]
     s_labels = [(s1, s2) for s1 in field.elements() for s2 in field.elements()]
+    # coefficients of (s1, s2) in point row r: (-h, 1) for h = h_subset[r], (1, 0) at infinity
+    c1 = np.array([field.neg(h) for h in h_subset] + [field.one], dtype=np.int64)
+    c2 = np.array([field.one] * len(h_subset) + [field.zero], dtype=np.int64)
 
-    def fn(x, s):
-        h, y = x
-        s1, s2 = s
-        if h == INFINITY:
-            return field.add(s1, y)
-        return field.add(field.sub(s2, field.mul(h, s1)), y)
+    def index_fn(xi, si):
+        r, y = xi // q, xi % q
+        return field._add_array[_dot(field, (c1[r], c2[r]), (si // q, si % q)), y]
 
-    return HashFamily(
-        f"transversal({q})", x_labels, s_labels, field.elements(), fn,
+    return _formula_family(
+        f"transversal({q})", x_labels, s_labels, field.elements(), index_fn,
         a_group=field_group(field),
     )
 
@@ -274,17 +312,15 @@ def toeplitz(q: int, m: int, n: int) -> HashFamily:
     s_labels = _all_vectors(field, m + n - 1)
     a_labels = _all_vectors(field, m)
 
-    def fn(x, h):
-        out = []
-        for i in range(m):
-            acc = field.zero
-            for j in range(n):
-                acc = field.add(acc, field.mul(h[i - j + n - 1], x[j]))
-            out.append(acc)
-        return tuple(out)
+    def index_fn(xi, si):
+        h, x = _digits(si, q, m + n - 1), _digits(xi, q, n)
+        value = 0
+        for i in range(m):  # row i reads h[i + n - 1], ..., h[i] against x[0], ..., x[n-1]
+            value = value * q + _dot(field, h[i:i + n][::-1], x)
+        return value
 
-    return HashFamily(
-        f"toeplitz({q},{m},{n})", x_labels, s_labels, a_labels, fn,
+    return _formula_family(
+        f"toeplitz({q},{m},{n})", x_labels, s_labels, a_labels, index_fn,
         x_group=vector_group(field, n), a_group=vector_group(field, m),
     )
 
@@ -299,13 +335,11 @@ def field_multiply(q: int, n: int, m: int, exclude_zero: bool = False) -> HashFa
     base = field_new(q)
     x_labels = list(big.elements())
     s_labels = [h for h in big.elements() if not (exclude_zero and h == big.zero)]
-
-    def fn(x, h):
-        return truncate(big, big.mul(h, x), m)
-
+    first, shift = int(exclude_zero), q ** (n - m)  # seed index -> h; the first m digits
     name = f"field_multiply({q},{n},{m}{',*' if exclude_zero else ''})"
-    return HashFamily(
-        name, x_labels, s_labels, _all_vectors(base, m), fn,
+    return _formula_family(
+        name, x_labels, s_labels, _all_vectors(base, m),
+        lambda xi, si: big._mul_array[si + first, xi] // shift,
         x_group=field_group(big), a_group=vector_group(base, m),
     )
 

@@ -4,11 +4,17 @@ Elements are referred to by their index in the fixed lexicographic
 enumeration of coefficient vectors (lowest degree first), so index
 arithmetic is what the rest of the library uses.  Coefficient-vector
 views are available through ``coeffs`` / ``index``.
+
+A field with q <= 64 builds integer add, neg and mul tables once: numpy
+arrays for the named families' formulas, Python lists for the scalar
+operations.  Larger fields (user modulus only) use coefficient vectors.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import BadLength, NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse
 
@@ -125,8 +131,7 @@ class Field:
             self.modulus = modulus
         self.zero = 0
         self.one = self.index((1,) + (0,) * (m - 1))
-        self._mul_table = None
-        self._inv_table = None
+        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
         if q <= BUILTIN_MAX_Q:
             self._build_tables()
 
@@ -153,14 +158,19 @@ class Field:
     # arithmetic on element indices ------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][b]
         ca, cb = self.coeffs(a), self.coeffs(b)
         return self.index(tuple((x + y) % self.p for x, y in zip(ca, cb)))
 
     def sub(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.index(tuple((x - y) % self.p for x, y in zip(ca, cb)))
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
         return self.index(tuple((-x) % self.p for x in self.coeffs(a)))
 
     def mul(self, a: int, b: int) -> int:
@@ -194,16 +204,17 @@ class Field:
         return result
 
     def _build_tables(self):
-        self._mul_table = [
-            [self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)
-        ]
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if self._mul_table[a][b] == self.one:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        p, q = self.p, self.q
+        weights = p ** np.arange(self.m - 1, -1, -1)
+        digits = np.arange(q)[:, None] // weights % p
+        self._add_array = (digits[:, None] + digits) % p @ weights
+        self._neg_array = -digits % p @ weights
+        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
+        self._mul_array = np.array(self._mul_table, dtype=np.int64)
+        self._add_table = self._add_array.tolist()
+        self._neg_table = self._neg_array.tolist()
+        # inv[0] = 0 is never read: inv raises ZeroInverse first
+        self._inv_table = [0] + (self._mul_array[1:] == self.one).argmax(axis=1).tolist()
 
     def __repr__(self):
         return f"Field(GF({self.q}))"

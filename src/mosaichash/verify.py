@@ -27,11 +27,6 @@ CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
 _BLOCK = 1 << 15
 
 
-def _table_array(f: HashFamily, budget=DEFAULT_TABLE_BUDGET):
-    entries = f.to_table(budget).entries
-    return np.array(entries, dtype=np.int64).reshape(f.x_size, f.s_size)
-
-
 def _op_table(labels, index, op):
     """table[u, v] = index[op(labels[u], labels[v])]."""
     rows = [[index[op(u, v)] for v in labels] for u in labels]
@@ -78,7 +73,7 @@ class RegularityResult:
 
 def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityResult:
     """Check property (ACFU1): every value is hit |S|/|A| times in each row."""
-    hist = _row_counts(_table_array(f, budget), f.a_size)
+    hist = _row_counts(f.to_table(budget)._array, f.a_size)
     keys = ((x, a) for x in f.x_labels for a in f.a_labels)
     counts = dict(zip(keys, hist.ravel().tolist()))
     block, rest = divmod(f.s_size, f.a_size)
@@ -120,7 +115,7 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
             raise NotRegular(
                 f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable"
             )
-    T = _table_array(f, budget)
+    T = f.to_table(budget)._array
     X, A, na = f.x_labels, f.a_labels, f.a_size
 
     if hash_class == "BALANCED":

@@ -199,3 +199,116 @@ def gf8_mul_table():
 
     elems = [(c0, c1, c2) for c0 in (0, 1) for c1 in (0, 1) for c2 in (0, 1)]
     return {(a, b): mul(a, b) for a in elems for b in elems}
+
+
+# ---------------------------------------------------------------------------
+# Reference fields and named families, by hand.  Nothing here reads
+# mosaichash.fields or the family builders: element index i stands for the
+# coefficient tuple (c0, ..., c_{m-1}) of c0 + c1 x + ..., the base-p digits
+# of i with c0 the most significant, and every product is a hand rule.
+# ---------------------------------------------------------------------------
+
+#: q -> (p, m, modulus low degree first) of the reference fields
+REF_FIELDS = {
+    2: (2, 1, None),
+    3: (3, 1, None),
+    5: (5, 1, None),
+    7: (7, 1, None),
+    4: (2, 2, (1, 1, 1)),  # x^2 + x + 1
+    8: (2, 3, (1, 1, 0, 1)),  # x^3 + x + 1, the rules of gf8_mul_table
+    9: (3, 2, (1, 0, 1)),  # x^2 + 1
+}
+
+
+class RefField:
+    def __init__(self, q):
+        self.p, self.m, self.modulus = REF_FIELDS[q]
+        self.q = q
+        self.elems = [()]
+        for _ in range(self.m):
+            self.elems = [e + (c,) for e in self.elems for c in range(self.p)]
+        self.idx = {e: i for i, e in enumerate(self.elems)}
+        self.one = self.idx[(1,) + (0,) * (self.m - 1)]
+        self._gf8 = gf8_mul_table() if q == 8 else None
+
+    def add(self, a, b):
+        ca, cb = self.elems[a], self.elems[b]
+        return self.idx[tuple((x + y) % self.p for x, y in zip(ca, cb))]
+
+    def neg(self, a):
+        return self.idx[tuple(-x % self.p for x in self.elems[a])]
+
+    def mul(self, a, b):
+        p, ca, cb = self.p, self.elems[a], self.elems[b]
+        if self.m == 1:
+            return ca[0] * cb[0] % p
+        if self.q == 8:
+            return self.idx[self._gf8[(ca, cb)]]
+        (a0, a1), (b0, b1) = ca, cb
+        if self.q == 4:  # x^2 = x + 1
+            c = (a0 * b0 + a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
+        else:  # q == 9: x^2 = -1
+            c = (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+        return self.idx[tuple(v % p for v in c)]
+
+    def dot(self, u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+
+def _ref_vectors(q, t):
+    vecs = [()]
+    for _ in range(t):
+        vecs = [v + (c,) for v in vecs for c in range(q)]
+    return vecs
+
+
+def _ref_family(X, S, A, value):
+    """(labels, rows of values) of a family, for comparison with to_table."""
+    return (X, S, A), [[value(x, s) for s in S] for x in X]
+
+
+def ref_affine(q, t):
+    F = RefField(q)
+    H = [h for h in _ref_vectors(q, t) if any(h) and next(c for c in h if c) == F.one]
+    S = [(h, b) for h in H for b in range(q)]
+    return _ref_family(_ref_vectors(q, t), S, list(range(q)),
+                       lambda x, s: F.add(F.dot(s[0], x), s[1]))
+
+
+def ref_dual_affine(q, t):
+    (X, S, A), rows = ref_affine(q, t)
+    return (S, X, A), [list(col) for col in zip(*rows)]
+
+
+def ref_transversal(q, h_subset=None, include_infinity=False):
+    F = RefField(q)
+    H = list(range(q)) if h_subset is None else list(h_subset)
+    X = [(h, y) for h in H for y in range(q)]
+    X += [("inf", y) for y in range(q)] if include_infinity else []
+
+    def value(x, s):
+        (h, y), (s1, s2) = x, s
+        if h == "inf":
+            return F.add(s1, y)
+        return F.add(F.add(s2, F.neg(F.mul(h, s1))), y)
+
+    return _ref_family(X, [(a, b) for a in range(q) for b in range(q)], list(range(q)), value)
+
+
+def ref_toeplitz(q, m, n):
+    F = RefField(q)
+
+    def value(x, h):
+        return tuple(F.dot([h[i - j + n - 1] for j in range(n)], x) for i in range(m))
+
+    return _ref_family(_ref_vectors(q, n), _ref_vectors(q, m + n - 1), _ref_vectors(q, m), value)
+
+
+def ref_field_multiply(q, n, m, exclude_zero=False):
+    big = RefField(q**n)
+    S = list(range(1 if exclude_zero else 0, big.q))
+    return _ref_family(list(range(big.q)), S, _ref_vectors(q, m),
+                       lambda x, h: big.elems[big.mul(h, x)][:m])

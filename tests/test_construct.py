@@ -14,6 +14,7 @@ from mosaichash import (
     cyclic_quasigroup,
     double_extension,
     double_extension_parts,
+    field_for_order,
     field_multiply,
     group_quasigroup,
     krawczyk_lift,
@@ -33,6 +34,7 @@ from mosaichash.errors import (
     NotLatinSquare,
     TheoremViolation,
 )
+from mosaichash.families import field_group
 from util import random_latin, random_regular_table, random_table
 
 
@@ -130,6 +132,13 @@ def test_balanced_epsilon_values():
     plain = random_table(random.Random(1), 3, 4, 2)
     with pytest.raises(NotBalanced):
         balanced_epsilon(plain)
+
+
+def test_balanced_epsilon_of_one_point_family_is_zero():
+    field = field_for_order(3)
+    f = HashFamily("one point", [0], field.elements(), field.elements(),
+                   lambda x, s: s, a_group=field_group(field))
+    assert balanced_epsilon(f) == (Fraction(0), None)
 
 
 def test_krawczyk_lift_is_asu():

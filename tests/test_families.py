@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -20,10 +22,18 @@ from mosaichash.errors import (
     UnsupportedParameters,
 )
 from mosaichash.families import (
+    DEFAULT_TABLE_BUDGET,
     INFINITY,
     decode_label,
     encode_label,
     normalized_vectors,
+)
+from oracles import (
+    ref_affine,
+    ref_dual_affine,
+    ref_field_multiply,
+    ref_toeplitz,
+    ref_transversal,
 )
 
 
@@ -177,3 +187,68 @@ def test_transpose_roundtrip():
     for x in f.x_labels:
         for s in f.s_labels:
             assert g.evaluate(s, x) == f.evaluate(x, s)
+
+
+# p = 2 and odd p, m > 1, both transversal variants, a proper H, exclude_zero, m >= 2
+NAMED_CASES = [
+    ("affine", ref_affine, dict(q=2, t=3)),
+    ("affine", ref_affine, dict(q=3, t=2)),
+    ("affine", ref_affine, dict(q=4, t=2)),
+    ("affine", ref_affine, dict(q=9, t=1)),
+    ("dual_affine", ref_dual_affine, dict(q=5, t=2)),
+    ("dual_affine", ref_dual_affine, dict(q=4, t=2)),
+    ("transversal", ref_transversal, dict(q=2)),
+    ("transversal", ref_transversal, dict(q=7, include_infinity=True)),
+    ("transversal", ref_transversal, dict(q=8, include_infinity=True)),
+    ("transversal", ref_transversal, dict(q=4, h_subset=[3, 0], include_infinity=True)),
+    ("transversal", ref_transversal, dict(q=9, h_subset=[5, 1, 7])),
+    ("toeplitz", ref_toeplitz, dict(q=2, m=1, n=3)),
+    ("toeplitz", ref_toeplitz, dict(q=2, m=3, n=2)),
+    ("toeplitz", ref_toeplitz, dict(q=3, m=2, n=2)),
+    ("toeplitz", ref_toeplitz, dict(q=4, m=2, n=1)),
+    ("field_multiply", ref_field_multiply, dict(q=2, n=3, m=1)),
+    ("field_multiply", ref_field_multiply, dict(q=2, n=3, m=2, exclude_zero=True)),
+    ("field_multiply", ref_field_multiply, dict(q=2, n=2, m=2)),
+    ("field_multiply", ref_field_multiply, dict(q=3, n=2, m=1, exclude_zero=True)),
+    ("field_multiply", ref_field_multiply, dict(q=7, n=1, m=1)),
+]
+
+
+@pytest.mark.parametrize("kind, ref, params", NAMED_CASES,
+                         ids=[f"{k}{sorted(p.items())}" for k, _, p in NAMED_CASES])
+def test_named_family_matches_reference_formula(kind, ref, params):
+    (X, S, A), rows = ref(**params)
+    f = build_named(kind, **params)
+    assert (list(f.x_labels), list(f.s_labels), list(f.a_labels)) == (X, S, A)
+    assert [[f.evaluate(x, s) for s in S] for x in X] == rows
+    assert [[f.a_labels[e] for e in row] for row in f.to_table().entries] == rows
+
+
+def test_table_array_holds_the_entries():
+    f = transversal(3, include_infinity=True)
+    T = f.to_table()
+    assert f.to_table()._array is T._array and not T._array.flags.writeable
+    assert T._array.tolist() == [list(r) for r in T.entries]
+    assert all(type(e) is int for r in T.entries for e in r)
+
+
+def test_large_named_family_is_lazy_and_evaluates_above_budget():
+    field_for_order(64)
+    tracemalloc.start()
+    try:
+        f = transversal(64, include_infinity=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.x_size * f.s_size > DEFAULT_TABLE_BUDGET
+    assert peak < f.x_size * f.s_size  # not even one byte per table entry
+    with pytest.raises(BudgetExceeded):
+        f.to_table()
+    # in GF(2^6) adding element indices is XOR; the element 1 has index 2^5,
+    # because c0 is the most significant digit, and -1 * s1 = s1
+    rng = random.Random(3)
+    for _ in range(200):
+        h, y, s1, s2 = rng.choice([0, 32, INFINITY]), *(rng.randrange(64) for _ in range(3))
+        want = {0: s2 ^ y, 32: s2 ^ s1 ^ y, INFINITY: s1 ^ y}[h]
+        assert f.evaluate((h, y), (s1, s2)) == want
+    assert f._table is None

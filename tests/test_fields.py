@@ -8,7 +8,7 @@ from mosaichash.errors import (
     UnsupportedSize,
     ZeroInverse,
 )
-from oracles import gf8_mul_table
+from oracles import REF_FIELDS, RefField, gf8_mul_table
 
 
 def test_prime_field_matches_modular_arithmetic():
@@ -99,9 +99,28 @@ def test_large_field_with_user_modulus():
     # x * x^6 = x^7 = x + 1
     assert f.coeffs(f.mul(x, x6)) == (1, 1) + (0,) * 5
     assert f.mul(x, f.inv(x)) == f.one
+    # no tables above q = 64: add, sub and neg work on coefficient vectors
+    assert f.add(x, x6) == f.sub(x, x6) == x ^ x6 and f.neg(x) == x
 
 
 def test_field_caching_and_equality():
     assert field_new(2, 3) is field_new(2, 3)
     assert field_for_order(8) == field_new(2, 3)
     assert field_for_order(9).q == 9
+
+
+@pytest.mark.parametrize("q", sorted(REF_FIELDS))
+def test_field_tables_match_hand_arithmetic(q):
+    ref, f = RefField(q), field_for_order(q)
+    if ref.m > 1:
+        assert f.modulus == ref.modulus  # the hand rules use the canonical modulus
+    n = range(q)
+    assert f._add_array.tolist() == [[ref.add(a, b) for b in n] for a in n]
+    assert f._neg_array.tolist() == [ref.neg(a) for a in n]
+    assert f._mul_array.tolist() == [[ref.mul(a, b) for b in n] for a in n]
+    for a in n:
+        assert f.neg(a) == ref.neg(a) and type(f.neg(a)) is int
+        for b in n:
+            got = (f.add(a, b), f.sub(a, b), f.mul(a, b))
+            assert got == (ref.add(a, b), ref.add(a, ref.neg(b)), ref.mul(a, b))
+            assert all(type(v) is int for v in got)
