@@ -129,16 +129,18 @@ class HashFamily:
                 f"{self.x_size} x {self.s_size} table exceeds budget {budget}"
             )
         if self._table is None:
+            labels = self.x_labels, self.s_labels, self.a_labels
             if self._index_fn is None:
-                entries = [
+                self._table = FunctionTable(*labels, [
                     [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
                     for x in self.x_labels
-                ]
+                ])
             else:
-                shape = self.x_size, self.s_size
-                values = self._index_fn(*np.indices(shape, sparse=True))
-                entries = np.broadcast_to(values, shape).tolist()
-            self._table = FunctionTable(self.x_labels, self.s_labels, self.a_labels, entries)
+                array = np.empty((self.x_size, self.s_size), dtype=np.int64)
+                array[...] = self._index_fn(*np.indices(array.shape, sparse=True))
+                array.flags.writeable = False
+                self._table = FunctionTable(*labels, array.tolist())
+                self._table.__dict__["_array"] = array  # seeds the cached_property
         return self._table
 
     def transpose(self) -> "HashFamily":
@@ -239,7 +241,7 @@ def _dot(field: Field, u, v):
     """Index of sum_i u_i v_i in the field, over element indices or index arrays."""
     acc = field.zero
     for a, b in zip(u, v):
-        acc = field._add_array[acc, field._mul_array[a, b]]
+        acc = field._add_ix(acc, field._mul_ix(a, b))
     return acc
 
 
@@ -253,7 +255,7 @@ def affine(q: int, t: int) -> HashFamily:
 
     def index_fn(xi, si):
         acc = _dot(field, h_columns[:, si // q], _digits(xi, q, t))
-        return field._add_array[acc, si % q]
+        return field._add_ix(acc, si % q)
 
     return _formula_family(
         f"affine({q},{t})", x_labels, s_labels, field.elements(), index_fn,
@@ -273,14 +275,9 @@ def dual_affine(q: int, t: int) -> HashFamily:
 def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFamily:
     """f(h, y; s1, s2) = s2 - h*s1 + y, optionally with the infinity rows s1 + y."""
     field = field_for_order(q)
-    if h_subset is None:
-        h_subset = list(field.elements())
-    else:
-        h_subset = list(h_subset)
-        if len(set(h_subset)) != len(h_subset) or any(
-            not 0 <= h < q for h in h_subset
-        ):
-            raise UnsupportedParameters("H must be a duplicate-free subset of F_q")
+    h_subset = list(field.elements() if h_subset is None else h_subset)
+    if len(set(h_subset)) != len(h_subset) or any(not 0 <= h < q for h in h_subset):
+        raise UnsupportedParameters("H must be a duplicate-free subset of F_q")
     x_labels = [(h, y) for h in h_subset for y in field.elements()]
     if include_infinity:
         x_labels += [(INFINITY, y) for y in field.elements()]
@@ -291,7 +288,7 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
 
     def index_fn(xi, si):
         r, y = xi // q, xi % q
-        return field._add_array[_dot(field, (c1[r], c2[r]), (si // q, si % q)), y]
+        return field._add_ix(_dot(field, (c1[r], c2[r]), (si // q, si % q)), y)
 
     return _formula_family(
         f"transversal({q})", x_labels, s_labels, field.elements(), index_fn,
@@ -339,7 +336,7 @@ def field_multiply(q: int, n: int, m: int, exclude_zero: bool = False) -> HashFa
     name = f"field_multiply({q},{n},{m}{',*' if exclude_zero else ''})"
     return _formula_family(
         name, x_labels, s_labels, _all_vectors(base, m),
-        lambda xi, si: big._mul_array[si + first, xi] // shift,
+        lambda xi, si: big._mul_ix(si + first, xi) // shift,
         x_group=field_group(big), a_group=vector_group(base, m),
     )
 
@@ -381,7 +378,5 @@ def build_named(kind: str, **params) -> HashFamily:
         raise UnsupportedParameters(f"unknown family kind {kind!r}")
     try:
         return _BUILDERS[kind](**params)
-    except TypeError as exc:
-        raise UnsupportedParameters(str(exc)) from exc
-    except (UnsupportedSize, NotPrime) as exc:
+    except (TypeError, UnsupportedSize, NotPrime) as exc:
         raise UnsupportedParameters(str(exc)) from exc

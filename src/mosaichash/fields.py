@@ -7,7 +7,9 @@ views are available through ``coeffs`` / ``index``.
 
 A field with q <= 64 builds integer add, neg and mul tables once: numpy
 arrays for the named families' formulas, Python lists for the scalar
-operations.  Larger fields (user modulus only) use coefficient vectors.
+operations.  Larger fields use coefficient vectors; there ``_add_ix`` and
+``_mul_ix``, the formulas' arithmetic, work mod p on a prime field and
+entry by entry through the scalar operations otherwise.
 """
 
 from __future__ import annotations
@@ -71,12 +73,7 @@ def _is_irreducible(poly, p):
         return False
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
-            div = []
-            k = idx
-            for _ in range(d):
-                div.append(k % p)
-                k //= p
-            div.append(1)  # monic
+            div = [idx // p**i % p for i in range(d)] + [1]  # monic
             if not _poly_trim(_poly_mod(poly, div, p)):
                 return False
     return True
@@ -84,12 +81,7 @@ def _is_irreducible(poly, p):
 
 def _canonical_modulus(p, m):
     for idx in range(p**m):
-        coeffs = []
-        k = idx
-        for _ in range(m):
-            coeffs.append(k % p)
-            k //= p
-        poly = coeffs + [1]
+        poly = [idx // p**i % p for i in range(m)] + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)
     raise UnsupportedSize(f"no irreducible polynomial found for GF({p}^{m})")
@@ -164,8 +156,6 @@ class Field:
         return self.index(tuple((x + y) % self.p for x, y in zip(ca, cb)))
 
     def sub(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][self._neg_table[b]]
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
@@ -202,6 +192,18 @@ class Field:
             base = self._mul_slow(base, base)
             e >>= 1
         return result
+
+    def _add_ix(self, a, b):
+        """add on element indices or broadcasting index arrays."""
+        if self._add_table is None:
+            return (a + b) % self.p if self.m == 1 else np.frompyfunc(self.add, 2, 1)(a, b)
+        return self._add_array[a, b]
+
+    def _mul_ix(self, a, b):
+        """mul on element indices or broadcasting index arrays."""
+        if self._mul_table is None:
+            return a * b % self.p if self.m == 1 else np.frompyfunc(self.mul, 2, 1)(a, b)
+        return self._mul_array[a, b]
 
     def _build_tables(self):
         p, q = self.p, self.q
@@ -243,7 +245,7 @@ def field_new(p: int, m: int = 1, modulus=None) -> Field:
 
 @lru_cache(maxsize=None)
 def field_for_order(q: int) -> Field:
-    """Field of order q for a prime power q <= 64 with the canonical modulus."""
+    """Field of order q with the canonical modulus: a prime power q <= 64 or a prime."""
     for p in range(2, q + 1):
         if is_prime(p) and q % p == 0:
             m = 0

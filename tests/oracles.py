@@ -214,6 +214,7 @@ REF_FIELDS = {
     3: (3, 1, None),
     5: (5, 1, None),
     7: (7, 1, None),
+    67: (67, 1, None),  # above the table size: the formulas compute mod p
     4: (2, 2, (1, 1, 1)),  # x^2 + x + 1
     8: (2, 3, (1, 1, 0, 1)),  # x^3 + x + 1, the rules of gf8_mul_table
     9: (3, 2, (1, 0, 1)),  # x^2 + 1

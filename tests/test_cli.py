@@ -36,6 +36,15 @@ def test_family_writes_table(tmp_path, capsys):
     assert json.loads(out)["s_size"] == 6
 
 
+def test_family_over_a_prime_above_the_table_size(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=67", "t=1")
+    T = FunctionTable.from_json(path.read_text())
+    assert T.s_labels[5] == ((1,), 5) and T.a_labels == tuple(range(67))
+    assert [list(r) for r in T.entries] == [
+        [(x[0] + b) % 67 for (_, b) in T.s_labels] for x in T.x_labels
+    ]
+
+
 def test_family_requires_one_kind(capsys):
     code, _, err = run(capsys, "family", "q=2", "t=2")
     assert code == 2 and "family kind" in err

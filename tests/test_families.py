@@ -211,6 +211,11 @@ NAMED_CASES = [
     ("field_multiply", ref_field_multiply, dict(q=2, n=2, m=2)),
     ("field_multiply", ref_field_multiply, dict(q=3, n=2, m=1, exclude_zero=True)),
     ("field_multiply", ref_field_multiply, dict(q=7, n=1, m=1)),
+    # a prime above the table size: no add/mul tables, the formulas compute mod p
+    ("affine", ref_affine, dict(q=67, t=1)),
+    ("dual_affine", ref_dual_affine, dict(q=67, t=1)),
+    ("toeplitz", ref_toeplitz, dict(q=67, m=1, n=1)),
+    ("field_multiply", ref_field_multiply, dict(q=67, n=1, m=1)),
 ]
 
 
@@ -222,6 +227,17 @@ def test_named_family_matches_reference_formula(kind, ref, params):
     assert (list(f.x_labels), list(f.s_labels), list(f.a_labels)) == (X, S, A)
     assert [[f.evaluate(x, s) for s in S] for x in X] == rows
     assert [[f.a_labels[e] for e in row] for row in f.to_table().entries] == rows
+
+
+def test_transversal_over_a_prime_above_the_table_size():
+    f = transversal(67, h_subset=[0, 1, 66], include_infinity=True)
+    T = f.to_table()
+    rng = random.Random(5)
+    for _ in range(500):
+        x, s = rng.choice(f.x_labels), rng.choice(f.s_labels)
+        (h, y), (s1, s2) = x, s
+        want = (s1 + y) % 67 if h == INFINITY else (s2 - h * s1 + y) % 67
+        assert f.evaluate(x, s) == T.a_labels[T.entries[f.x_index[x]][f.s_index[s]]] == want
 
 
 def test_table_array_holds_the_entries():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mosaichash import Field, field_arith, field_for_order, field_new, truncate
@@ -8,6 +9,7 @@ from mosaichash.errors import (
     UnsupportedSize,
     ZeroInverse,
 )
+from mosaichash.fields import BUILTIN_MAX_Q
 from oracles import REF_FIELDS, RefField, gf8_mul_table
 
 
@@ -101,6 +103,11 @@ def test_large_field_with_user_modulus():
     assert f.mul(x, f.inv(x)) == f.one
     # no tables above q = 64: add, sub and neg work on coefficient vectors
     assert f.add(x, x6) == f.sub(x, x6) == x ^ x6 and f.neg(x) == x
+    # the formulas' arithmetic goes entry by entry through add and mul
+    a, b = np.arange(128)[:, None], np.array([0, 1, x, x6, 127])
+    assert f._add_ix(a, b).tolist() == (a ^ b).tolist()
+    assert f._mul_ix(a, b).tolist() == [[f.mul(i, j) for j in b.tolist()] for i in range(128)]
+    assert f._mul_ix(x, x6) == f.mul(x, x6)
 
 
 def test_field_caching_and_equality():
@@ -114,10 +121,11 @@ def test_field_tables_match_hand_arithmetic(q):
     ref, f = RefField(q), field_for_order(q)
     if ref.m > 1:
         assert f.modulus == ref.modulus  # the hand rules use the canonical modulus
-    n = range(q)
-    assert f._add_array.tolist() == [[ref.add(a, b) for b in n] for a in n]
-    assert f._neg_array.tolist() == [ref.neg(a) for a in n]
-    assert f._mul_array.tolist() == [[ref.mul(a, b) for b in n] for a in n]
+    n, grid = range(q), np.indices((q, q), sparse=True)
+    assert f._add_ix(*grid).tolist() == [[ref.add(a, b) for b in n] for a in n]
+    assert f._mul_ix(*grid).tolist() == [[ref.mul(a, b) for b in n] for a in n]
+    if q <= BUILTIN_MAX_Q:
+        assert f._neg_array.tolist() == [ref.neg(a) for a in n]
     for a in n:
         assert f.neg(a) == ref.neg(a) and type(f.neg(a)) is int
         for b in n:
