@@ -140,7 +140,7 @@ class HashFamily:
                 array[...] = self._index_fn(*np.indices(array.shape, sparse=True))
                 array.flags.writeable = False
                 self._table = FunctionTable(*labels, array.tolist())
-                self._table.__dict__["_array"] = array  # seeds the cached_property
+                self._table.__dict__["_array"] = array  # not rebuilt from entries
         return self._table
 
     def transpose(self) -> "HashFamily":
