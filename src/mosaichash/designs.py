@@ -178,25 +178,33 @@ class DesignParams:
         }
 
 
+def _off_diagonal_values(g):
+    """Sorted distinct off-diagonal entries of a square float64 count matrix."""
+    g = g.astype(np.int64)
+    counts = np.bincount(g.ravel(), minlength=1)
+    counts -= np.bincount(np.diagonal(g), minlength=len(counts))
+    return tuple(np.flatnonzero(counts).tolist())
+
+
 def analyze_structure(d: IncidenceStructure) -> DesignParams:
-    """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting."""
-    m = d.matrix.astype(np.int64)
+    """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting.
+
+    The pair counts m m^T and block intersections m^T m are float64 BLAS
+    products, exact because every count is at most max(v, b) < 2^53.
+    """
+    m = d.matrix.astype(np.float64)
     v, b = m.shape
-    col_sums = m.sum(axis=0)
-    row_sums = m.sum(axis=1)
+    col_sums = d.matrix.sum(axis=0)
+    row_sums = d.matrix.sum(axis=1)
     constant_k = bool((col_sums == col_sums[0]).all()) if b else False
     constant_r = bool((row_sums == row_sums[0]).all()) if v else False
     k = int(col_sums[0]) if constant_k else None
     r = int(row_sums[0]) if constant_r else None
 
-    pair = m @ m.T  # (x, x') -> number of common blocks
-    off = pair[~np.eye(v, dtype=bool)]
-    constant_lambda = bool((off == off[0]).all()) if off.size else False
-    lam = int(off[0]) if constant_lambda else None
-
-    inter = m.T @ m  # (s, s') -> block intersection sizes
-    inter_off = inter[~np.eye(b, dtype=bool)]
-    numbers = tuple(sorted(set(int(x) for x in inter_off))) if inter_off.size else ()
+    lams = _off_diagonal_values(m @ m.T)  # (x, x') -> number of common blocks
+    constant_lambda = len(lams) == 1
+    lam = lams[0] if constant_lambda else None
+    numbers = _off_diagonal_values(m.T @ m)  # (s, s') -> block intersection sizes
 
     is_bibd = constant_k and constant_lambda and k is not None and lam is not None \
         and lam >= 1 and k >= 1
@@ -235,10 +243,14 @@ class NotResolvable:
 def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     """Backtracking partition of block indices into parallel classes.
 
-    Returns the lexicographically first Resolution (classes explored in
-    block-index order) or NotResolvable after exhausting the search.
+    Returns the lexicographically first Resolution (each class opens with
+    the first unused block and adds later blocks in index order) or
+    NotResolvable after exhausting the search.  The search keeps its own
+    stack, so its depth is not bounded by Python's recursion limit.  Every
+    partial class tried is a node; past node_budget nodes it raises
+    SearchBudgetExceeded stating the nodes used and the budget.
     """
-    m = d.matrix.astype(np.int64)
+    m = d.matrix
     v, b = m.shape
     row_sums = m.sum(axis=1)
     if v == 0 or b == 0:
@@ -250,49 +262,47 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
         return NotResolvable(f"block count {b} not divisible into {r} classes")
     class_size = b // r
     full = (1 << v) - 1
-    masks = [int(sum(1 << i for i in range(v) if m[i, j])) for j in range(b)]
+    packed = np.packbits(m.T, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     nodes = 0
     used = [False] * b
     classes = []
+    # one frame per node: [members, cover, next block to try, block opening the next class]
+    stack = []
 
-    def build_class(start, members, cover):
+    def push(members, cover):
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetExceeded(f"resolution search exceeded {node_budget} nodes")
-        if len(members) == class_size:
-            if cover != full:
-                return False
-            classes.append(tuple(members))
-            if solve():
-                return True
-            classes.pop()
-            return False
-        for j in range(start, b):
-            if used[j] or (cover & masks[j]):
+            raise SearchBudgetExceeded(
+                f"resolution search used {nodes} nodes, over its node_budget of {node_budget}"
+            )
+        used[members[-1]] = True
+        stack.append([members, cover, members[-1] + 1, None])
+
+    push((0,), masks[0])
+    while stack:
+        frame = stack[-1]
+        members, cover, j, opened = frame
+        if len(members) == class_size and cover == full and opened is None:
+            classes.append(members)
+            if all(used):
+                return Resolution(tuple(classes))
+            frame[3] = used.index(False)
+            push((frame[3],), masks[frame[3]])
+            continue
+        if len(members) < class_size:
+            while j < b and (used[j] or cover & masks[j]):
+                j += 1
+            if j < b:
+                frame[2] = j + 1
+                push(members + (j,), cover | masks[j])
                 continue
-            used[j] = True
-            members.append(j)
-            if build_class(j + 1, members, cover | masks[j]):
-                return True
-            members.pop()
-            used[j] = False
-        return False
-
-    def solve():
-        try:
-            first = used.index(False)
-        except ValueError:
-            return True
-        used[first] = True
-        ok = build_class(first + 1, [first], masks[first])
-        if not ok:
-            used[first] = False
-        return ok
-
-    if solve():
-        return Resolution(tuple(classes))
+        if opened is not None:
+            classes.pop()
+        used[members[-1]] = False
+        stack.pop()
     return NotResolvable("exhaustive search found no resolution")
 
 
@@ -341,81 +351,86 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
 # ---------------------------------------------------------------------------
 
 
-def _refine(m):
-    """Stable row/column colorings by iterated signature refinement."""
-    v, b = m.shape
-    row_colors = np.zeros(v, dtype=np.int64)
-    col_colors = np.zeros(b, dtype=np.int64)
-    for _ in range(v + b):
-        row_sigs = [
-            (row_colors[i], tuple(sorted(zip(m[i], col_colors)))) for i in range(v)
-        ]
-        col_sigs = [
-            (col_colors[j], tuple(sorted(zip(m[:, j], row_colors)))) for j in range(b)
-        ]
-        new_rows = _canon_ids(row_sigs)
-        new_cols = _canon_ids(col_sigs)
-        if (new_rows == row_colors).all() and (new_cols == col_colors).all():
-            break
-        row_colors, col_colors = new_rows, new_cols
-    return row_colors, col_colors
+def _split(m, own, other, trace):
+    """Recolour the rows of m by their colour and incidence counts per column colour.
+
+    New colours are the ranks of the distinct signatures, so they depend on
+    the colourings alone, not on the order of rows and columns; the distinct
+    signatures and their counts go on the trace.
+    """
+    sig = np.column_stack([own, m @ np.eye(other.max() + 1)[other]]).astype(np.int64)
+    uniq, new, counts = np.unique(sig, axis=0, return_inverse=True, return_counts=True)
+    trace += [uniq.tobytes(), counts.tobytes()]
+    return new.ravel()
 
 
-def _canon_ids(sigs):
-    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return np.array([order[s] for s in sigs], dtype=np.int64)
+def _refine(m, rows, cols):
+    """Coarsest equitable refinement of a row and column colouring of m, and its trace."""
+    trace = []
+    while True:
+        sizes = rows.max() + 1, cols.max() + 1
+        rows = _split(m, rows, cols, trace)
+        cols = _split(m.T, cols, rows, trace)
+        if (rows.max() + 1, cols.max() + 1) == sizes:
+            return rows, cols, trace
 
 
-def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure) -> bool:
-    """Exact isomorphism test: signature refinement plus backtracking row match."""
-    A, B = a.matrix.astype(np.int8), b.matrix.astype(np.int8)
+def _individualise(rows, i):
+    rows = rows.copy()
+    rows[i] = rows.max() + 1
+    return rows
+
+
+def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
+                  node_budget=DEFAULT_NODE_BUDGET) -> bool:
+    """Exact test for row and column permutations taking a's matrix to b's.
+
+    Cheap invariants first: the shape, the sorted row and column sums and
+    the sorted entries of A A^T and A^T A.  Then individualisation-refinement
+    on the point-block incidence graph (McKay & Piperno 2014): A follows one
+    path that individualises the first point of its first largest row cell,
+    and B tries every point of the matching cell, pruning on any mismatch of
+    the refinement traces.  (Largest, not smallest: on a plane the smallest
+    cell keeps the search on one line, where most candidates fail only deep
+    down; the largest reaches a frame first.)  At a leaf every row has its
+    own colour and the trace lists each column's incidences over them, so
+    equal traces there mean equal column multisets: an isomorphism.  Every
+    refinement of B is a node; past node_budget nodes it raises
+    SearchBudgetExceeded stating the nodes used and the budget.
+    """
+    A, B = a.matrix.astype(np.float64), b.matrix.astype(np.float64)
     if A.shape != B.shape:
         return False
-    v = A.shape[0]
-    ra, ca = _refine(A)
-    rb, cb = _refine(B)
-    if sorted(ra.tolist()) != sorted(rb.tolist()) or sorted(ca.tolist()) != sorted(
-        cb.tolist()
-    ):
-        return False
-
-    AAt = A @ A.T
-    BBt = B @ B.T
-    mapping = [-1] * v
-    used = [False] * v
-
-    def feasible(i, t):
-        if ra[i] != rb[t]:
+    for inv in (lambda m: m.sum(axis=0), lambda m: m.sum(axis=1),
+                lambda m: m @ m.T, lambda m: m.T @ m):
+        if not np.array_equal(np.sort(inv(A), axis=None), np.sort(inv(B), axis=None)):
             return False
-        for j in range(i):
-            if AAt[i, j] != BBt[t, mapping[j]]:
-                return False
+    if A.size == 0:
         return True
-
-    def columns_match():
-        # row i of A maps to row mapping[i] of B
-        reordered = np.empty_like(A)
-        for i in range(v):
-            reordered[mapping[i]] = A[i]
-        cols_a = sorted(map(tuple, reordered.T.tolist()))
-        cols_b = sorted(map(tuple, B.T.tolist()))
-        return cols_a == cols_b
-
-    def backtrack(i):
-        if i == v:
-            return columns_match()
-        for t in range(v):
-            if used[t] or not feasible(i, t):
-                continue
-            mapping[i] = t
-            used[t] = True
-            if backtrack(i + 1):
-                return True
-            used[t] = False
-            mapping[i] = -1
-        return False
-
-    return backtrack(0)
+    start = np.zeros(A.shape[0], dtype=np.int64), np.zeros(A.shape[1], dtype=np.int64)
+    path = [_refine(A, *start)]  # A's colourings and trace at each depth
+    stack = [(0, start)]  # B's nodes: depth and colouring before refinement
+    nodes = 0
+    while stack:
+        depth, colouring = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"isomorphism search used {nodes} nodes, over its node_budget of {node_budget}"
+            )
+        rows, cols, trace = _refine(B, *colouring)
+        ra, ca, trace_a = path[depth]
+        if trace != trace_a:
+            continue
+        sizes = np.bincount(ra)
+        if (sizes == 1).all():
+            return True
+        cell = np.argmax(sizes)
+        if len(path) == depth + 1:
+            path.append(_refine(A, _individualise(ra, np.flatnonzero(ra == cell)[0]), ca))
+        for t in np.flatnonzero(rows == cell)[::-1]:
+            stack.append((depth + 1, (_individualise(rows, t), cols)))
+    return False
 
 
 # ---------------------------------------------------------------------------

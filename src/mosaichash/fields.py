@@ -211,8 +211,13 @@ class Field:
         digits = np.arange(q)[:, None] // weights % p
         self._add_array = (digits[:, None] + digits) % p @ weights
         self._neg_array = -digits % p @ weights
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._mul_array = np.array(self._mul_table, dtype=np.int64)
+        # coefficient c of a*b is sum_ij a_i b_j (x^(i+j) mod the modulus)_c, mod p
+        m = self.m
+        powers = [(_poly_mod([0] * k + [1], list(self.modulus), p) + [0] * m)[:m]
+                  for k in range(2 * m - 1)]
+        red = np.array(powers)[np.add.outer(np.arange(m), np.arange(m))]
+        self._mul_array = np.einsum("ai,bj,ijc->abc", digits, digits, red) % p @ weights
+        self._mul_table = self._mul_array.tolist()
         self._add_table = self._add_array.tolist()
         self._neg_table = self._neg_array.tolist()
         # inv[0] = 0 is never read: inv raises ZeroInverse first

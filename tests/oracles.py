@@ -5,6 +5,7 @@ is computed with plain Python loops directly over ``evaluate``.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 
 def oracle_regular(f):
@@ -313,3 +314,90 @@ def ref_field_multiply(q, n, m, exclude_zero=False):
     S = list(range(1 if exclude_zero else 0, big.q))
     return _ref_family(list(range(big.q)), S, _ref_vectors(q, m),
                        lambda x, h: big.elems[big.mul(h, x)][:m])
+
+
+def oracle_is_isomorphic(a_rows, b_rows):
+    """Brute-force isomorphism of two 0/1 matrices given as lists of rows:
+    try every row permutation; for each, some column permutation matches
+    exactly when the two column multisets are equal."""
+    if len(a_rows) != len(b_rows) or [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        return False
+    b_cols = sorted(zip(*b_rows))
+    return any(sorted(zip(*[a_rows[i] for i in perm])) == b_cols
+               for perm in permutations(range(len(a_rows))))
+
+
+def oracle_find_resolution(rows):
+    """The first recursive resolution search, without its budget: its classes
+    (None when there is no resolution) and the nodes it used.  It raises
+    RecursionError on large structures."""
+    v, b = len(rows), len(rows[0])
+    r = sum(rows[0])
+    if any(sum(row) != r for row in rows) or r == 0 or b % r:
+        return None, 0
+    class_size = b // r
+    full = (1 << v) - 1
+    masks = [sum(1 << i for i in range(v) if rows[i][j]) for j in range(b)]
+    nodes = 0
+    used = [False] * b
+    classes = []
+
+    def build_class(start, members, cover):
+        nonlocal nodes
+        nodes += 1
+        if len(members) == class_size:
+            if cover != full:
+                return False
+            classes.append(tuple(members))
+            if solve():
+                return True
+            classes.pop()
+            return False
+        for j in range(start, b):
+            if used[j] or (cover & masks[j]):
+                continue
+            used[j] = True
+            members.append(j)
+            if build_class(j + 1, members, cover | masks[j]):
+                return True
+            members.pop()
+            used[j] = False
+        return False
+
+    def solve():
+        try:
+            first = used.index(False)
+        except ValueError:
+            return True
+        used[first] = True
+        ok = build_class(first + 1, [first], masks[first])
+        if not ok:
+            used[first] = False
+        return ok
+
+    return (tuple(classes) if solve() else None), nodes
+
+
+def oracle_design_params(rows):
+    """DesignParams.to_dict() of a 0/1 matrix, by plain integer loops."""
+    v, b = len(rows), len(rows[0]) if rows else 0
+    k_set = {sum(rows[i][j] for i in range(v)) for j in range(b)}
+    r_set = {sum(row) for row in rows}
+    lam_set = {sum(rows[x][j] * rows[y][j] for j in range(b))
+               for x in range(v) for y in range(v) if x != y}
+    numbers = sorted({sum(rows[i][s] * rows[i][t] for i in range(v))
+                      for s in range(b) for t in range(b) if s != t})
+    k = k_set.pop() if len(k_set) == 1 else None
+    r = r_set.pop() if len(r_set) == 1 else None
+    lam = lam_set.pop() if len(lam_set) == 1 else None
+    is_bibd = k is not None and lam is not None and lam >= 1 and k >= 1
+    relations_ok = (k is None or r is None or b * k == v * r) and not (
+        is_bibd and r is not None and lam * (v - 1) != r * (k - 1))
+    return {
+        "v": v, "b": b, "k": k, "r": r, "lambda": lam, "is_bibd": is_bibd,
+        "intersection_numbers": numbers,
+        "symmetric": is_bibd and len(numbers) == 1,
+        "quasi_symmetric": is_bibd and len(numbers) == 2,
+        "relations_ok": relations_ok,
+        "affine_block_count": r is not None and b == v + r - 1,
+    }

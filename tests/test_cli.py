@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from mosaichash import (
     toeplitz,
     uniform_source,
 )
+from mosaichash import cli, designs
 from mosaichash.cli import main
 from util import flip_source
 
@@ -99,6 +101,27 @@ def test_design_resolve(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert len(rep["resolution"]) == 6
+
+
+def test_design_resolve_transversal_16(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--transversal", "--infinity", "q=16")
+    code, out, err = run(capsys, "design", str(path), "--resolve")
+    assert code == 0 and err == ""
+    classes = json.loads(out)["resolution"]
+    assert len(classes) == 256 and {len(c) for c in classes} == {16}
+    assert sorted(j for c in classes for j in c) == list(range(256 * 16))
+    rows = FunctionTable.from_json(path.read_text()).entries
+    for c in classes:  # block j of the sum is (seed j // 16, value j % 16)
+        assert sorted(x for x, row in enumerate(rows) for j in c
+                      if row[j // 16] == j % 16) == list(range(len(rows)))
+
+
+def test_design_resolve_budget_exhausted(tmp_path, capsys, monkeypatch):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=3")
+    monkeypatch.setattr(cli, "find_resolution", partial(designs.find_resolution, node_budget=3))
+    code, out, err = run(capsys, "design", str(path), "--resolve")
+    assert code == 2 and out == ""
+    assert err == "error: resolution search used 4 nodes, over its node_budget of 3\n"
 
 
 def test_design_dual_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -20,8 +21,14 @@ from mosaichash import (
     mosaic_from_function,
     mosaic_from_resolution,
     sum_mosaic,
+    transversal,
 )
 from mosaichash.errors import BadLabeling, NotAMosaic, SearchBudgetExceeded
+from oracles import (
+    oracle_design_params,
+    oracle_find_resolution,
+    oracle_is_isomorphic,
+)
 from util import random_table
 
 FANO = [
@@ -216,3 +223,162 @@ def test_structure_theorems_silent_for_plain_tables():
     f = random_table(rng, 4, 5, 3)
     rep = check_structure_theorems(f)
     assert rep.implications == [] and rep.ok
+
+
+def _permuted(rng, m):
+    return m[rng.sample(range(m.shape[0]), m.shape[0])][:, rng.sample(range(m.shape[1]), m.shape[1])]
+
+
+def _switched(rng, m):
+    """m with one 2x2 switch: row and column sums stay, the constant pair count breaks."""
+    v, b = m.shape
+    while True:
+        i, j = rng.sample(range(v), 2)
+        s, t = rng.sample(range(b), 2)
+        if (m[i, s], m[i, t], m[j, s], m[j, t]) == (1, 0, 0, 1):
+            c = m.copy()
+            c[i, s], c[i, t], c[j, s], c[j, t] = 0, 1, 1, 0
+            pairs = (c.astype(np.int64) @ c.T)[~np.eye(v, dtype=bool)]
+            if len(set(pairs.tolist())) > 1:
+                return c
+
+
+def _random_01(rng, v, b):
+    return np.array([[rng.randrange(2) for _ in range(b)] for _ in range(v)], dtype=np.int8)
+
+
+def test_is_isomorphic_matches_brute_force_oracle():
+    rng = random.Random(11)
+    answers_with_equal_sums = set()
+    for n in range(240):
+        v, b = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_01(rng, v, b)
+        if n % 3 == 0:
+            other = _random_01(rng, v, b)
+        else:  # a permuted copy, every other one with a switch that keeps the sums
+            other = _permuted(rng, a)
+            switches = [(i, j, s, t) for i in range(v) for j in range(v)
+                        for s in range(b) for t in range(b)
+                        if (other[i, s], other[i, t], other[j, s], other[j, t]) == (1, 0, 0, 1)]
+            if n % 3 == 2 and switches:
+                i, j, s, t = rng.choice(switches)
+                other[i, s], other[i, t], other[j, s], other[j, t] = 0, 1, 1, 0
+        want = oracle_is_isomorphic(a.tolist(), other.tolist())
+        assert is_isomorphic(IncidenceStructure(a), IncidenceStructure(other)) == want
+        if sorted(a.sum(0)) == sorted(other.sum(0)) and sorted(a.sum(1)) == sorted(other.sum(1)):
+            answers_with_equal_sums.add(want)
+    assert answers_with_equal_sums == {True, False}
+
+
+AFFINE_MEMBERS = [(4, 2), (2, 4), (3, 3), (5, 2), (8, 2)]
+
+
+@pytest.mark.parametrize("q,t", AFFINE_MEMBERS)
+def test_is_isomorphic_recognises_permuted_affine_members(q, t):
+    rng = random.Random(q * 10 + t)
+    member = mosaic_from_function(affine(q, t)).members[rng.randrange(q)]
+    for _ in range(3):
+        copy = IncidenceStructure(_permuted(rng, member.matrix))
+        start = time.perf_counter()
+        assert is_isomorphic(member, copy)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("q,t", AFFINE_MEMBERS)
+def test_is_isomorphic_rejects_switched_affine_members(q, t):
+    rng = random.Random(q * 10 + t)
+    member = mosaic_from_function(affine(q, t)).members[0]
+    for _ in range(3):
+        copy = _switched(rng, _permuted(rng, member.matrix))
+        # the cheap invariants reject the copy before the search takes a node
+        assert not is_isomorphic(member, IncidenceStructure(copy), node_budget=0)
+
+
+def test_is_isomorphic_budget():
+    rng = random.Random(3)
+    member = mosaic_from_function(affine(4, 2)).members[1]
+    copy = IncidenceStructure(_permuted(rng, member.matrix))
+    with pytest.raises(SearchBudgetExceeded, match="used 3 nodes, over its node_budget of 2"):
+        is_isomorphic(member, copy, node_budget=2)
+
+
+def test_resolution_budget_states_nodes_and_limit():
+    total = sum_mosaic(mosaic_from_function(affine(2, 3)))
+    with pytest.raises(SearchBudgetExceeded, match="used 4 nodes, over its node_budget of 3"):
+        find_resolution(total, node_budget=3)
+
+
+def _sum(f):
+    return sum_mosaic(mosaic_from_function(f))
+
+
+@pytest.mark.parametrize("structure", [
+    *[lambda q=q, t=t: _sum(affine(q, t)) for q, t in [(2, 2), (4, 2), (2, 3), (3, 3), (4, 3), (8, 2)]],
+    lambda: _sum(transversal(8, include_infinity=True)),
+    lambda: IncidenceStructure(FANO),
+])
+def test_find_resolution_matches_the_recursive_search(structure):
+    _assert_same_search(structure())
+
+
+def _assert_same_search(d):
+    """Same answer as the recursive search, with the same node count."""
+    want, nodes = oracle_find_resolution(d.matrix.tolist())
+    got = find_resolution(d, node_budget=nodes)
+    assert (got.classes if isinstance(got, Resolution) else None) == want
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded, match=f"used {nodes} nodes"):
+            find_resolution(d, node_budget=nodes - 1)
+
+
+def test_find_resolution_matches_the_recursive_search_on_random_structures():
+    """Shuffled unions of random parallel classes, some with a block moved,
+    so the search backtracks across finished classes and sometimes fails."""
+    rng = random.Random(8)
+    for n in range(150):
+        v, size, r = rng.choice([(4, 2, 3), (6, 2, 4), (6, 3, 3), (8, 2, 3), (8, 4, 4)])
+        blocks = []
+        for _ in range(r):
+            points = rng.sample(range(v), v)
+            blocks += [points[i:i + size] for i in range(0, v, size)]
+        rng.shuffle(blocks)
+        m = np.zeros((v, len(blocks)), dtype=np.int8)
+        for j, blk in enumerate(blocks):
+            m[blk, j] = 1
+        if n % 3 == 0:  # swap one point between two blocks: sums stay, classes may break
+            j, k = rng.sample(range(len(blocks)), 2)
+            x = rng.choice(np.flatnonzero(m[:, j] & ~m[:, k] & 1).tolist() or [None])
+            y = rng.choice(np.flatnonzero(m[:, k] & ~m[:, j] & 1).tolist() or [None])
+            if x is not None and y is not None:
+                m[[x, y], j], m[[x, y], k] = (0, 1), (1, 0)
+        _assert_same_search(IncidenceStructure(m))
+
+
+def _assert_resolution(d, classes):
+    m = d.matrix.astype(np.int64)
+    for cls in classes:
+        assert (m[:, list(cls)].sum(axis=1) == 1).all()
+    assert sorted(j for cls in classes for j in cls) == list(range(d.b))
+
+
+@pytest.mark.parametrize("family", [
+    lambda: affine(16, 2), lambda: transversal(16, include_infinity=True),
+])
+def test_find_resolution_of_large_sums(family):
+    total = _sum(family())
+    res = find_resolution(total)
+    assert isinstance(res, Resolution)
+    _assert_resolution(total, res.classes)
+
+
+def _structures(q, t):
+    mos = mosaic_from_function(affine(q, t))
+    return mos.members + dual_mosaic(mos).members + [sum_mosaic(mos)]
+
+
+def test_analyze_structure_matches_integer_loops():
+    rng = random.Random(4)
+    structures = [d for q, t in [(2, 2), (3, 2), (2, 3)] for d in _structures(q, t)]
+    structures += [IncidenceStructure(FANO), IncidenceStructure(_random_01(rng, 9, 12))]
+    for d in structures:
+        assert analyze_structure(d).to_dict() == oracle_design_params(d.matrix.tolist())
