@@ -332,8 +332,9 @@ def _assert_same_search(d):
 
 
 def test_find_resolution_matches_the_recursive_search_on_random_structures():
-    """Shuffled unions of random parallel classes, some with a block moved,
-    so the search backtracks across finished classes and sometimes fails."""
+    """Shuffled unions of random parallel classes, a third with one point
+    swapped between two blocks, so the search backtracks across finished
+    classes (31 of 150) and sometimes finds no resolution (11)."""
     rng = random.Random(8)
     for n in range(150):
         v, size, r = rng.choice([(4, 2, 3), (6, 2, 4), (6, 3, 3), (8, 2, 3), (8, 4, 4)])
