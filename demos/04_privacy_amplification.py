@@ -11,6 +11,7 @@ the security bound can be checked with zero tolerance.
 from fractions import Fraction
 
 from mosaichash import (
+    FunctionTable,
     JointSource,
     affine,
     iid_extend,
@@ -18,7 +19,6 @@ from mosaichash import (
     run_pa,
     uniform_source,
 )
-from mosaichash.families import HashFamily
 
 # with a uniform, independent source the extracted key is perfect:
 # the distance and the bound both collapse to exactly zero
@@ -41,10 +41,7 @@ print(f"flip-{p} source: H2(X|Z) = {h2:.4f} bits per letter")
 def relabel(fam, labels):
     # rename the point set positionally so it matches the product source
     T = fam.to_table()
-    xi = {x: i for i, x in enumerate(labels)}
-    si = {s: i for i, s in enumerate(T.s_labels)}
-    return HashFamily(fam.name, labels, T.s_labels, T.a_labels,
-                      lambda x, s: T.a_labels[T.entries[xi[x]][si[s]]])
+    return FunctionTable(labels, T.s_labels, T.a_labels, T.entries).to_family(fam.name)
 
 
 # extract one bit from n observations; the exact security distance and

@@ -167,6 +167,9 @@ def cmd_design(args):
 
 
 def cmd_construct(args):
+    want = "two family files" if args.concat else "one family file"
+    if len(args.inputs) != 1 + args.concat:
+        raise MosaicHashError(f"this construction takes {want}, got {len(args.inputs)}")
     if args.concat:
         f1 = _load_family(args.inputs[0])
         f2 = _load_family(args.inputs[1])
@@ -188,17 +191,13 @@ def cmd_construct(args):
         elif args.point_ext:
             fam = point_extension(g, q, args.budget)
         elif args.double_ext:
-            n = len(g.a_labels)
-            labels = list(g.a_labels)
-            idx = {a: i for i, a in enumerate(labels)}
-            grp = Group(
+            labels, idx, n = g.a_labels, g.a_index, g.a_size
+            g.a_group = Group(  # the cyclic group on the value labels, in their order
                 labels,
                 add=lambda a, b: labels[(idx[a] + idx[b]) % n],
                 neg=lambda a: labels[(-idx[a]) % n],
                 zero=labels[0],
             )
-            g = HashFamily(g.name, g.x_labels, g.s_labels, g.a_labels,
-                           g.evaluate, a_group=grp)
             fam = double_extension(g, budget=args.budget)
         else:
             raise MosaicHashError("choose a construction")

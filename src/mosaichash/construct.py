@@ -1,10 +1,19 @@
-"""Constructions: seed extension, point extension, concatenation, lifts."""
+"""Constructions: seed extension, point extension, concatenation, lifts.
+
+Each construction is an index formula over its parts' formulas: a pair
+index splits by // and % into a part's index and a carrier element's,
+and the quasigroup or group operation is a small index table, rows in
+the part's value order.  Concatenation maps f1's value index to f2's
+point index through a permutation array.
+"""
 
 from __future__ import annotations
 
 import json
 import warnings
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     CarrierMismatch,
@@ -17,6 +26,7 @@ from .families import (
     DEFAULT_TABLE_BUDGET,
     Group,
     HashFamily,
+    _formula_family,
     decode_label,
     encode_label,
 )
@@ -122,13 +132,10 @@ def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
     """f(x; h, b) = g(x, h) o b.  Always satisfies (ACFU1)."""
     _require_carrier(g, q)
     s_labels = [(h, b) for h in g.s_labels for b in q.labels]
-
-    def fn(x, s):
-        h, b = s
-        return q.mul(g.evaluate(x, h), b)
-
-    return HashFamily(
-        f"seed_ext({g.name})", g.x_labels, s_labels, g.a_labels, fn,
+    gi, n, mul = g._index_fn, q.order, _op_table(g.a_labels, g.a_index, q.mul, q.labels)
+    return _formula_family(
+        f"seed_ext({g.name})", g.x_labels, s_labels, g.a_labels,
+        lambda xi, si: mul[gi(xi, si // n), si % n],
         x_group=g.x_group, a_group=g.a_group,
     )
 
@@ -143,14 +150,10 @@ def point_extension(g: HashFamily, q: Quasigroup,
             stacklevel=2,
         )
     x_labels = [(y, b) for y in g.x_labels for b in q.labels]
-
-    def fn(x, s):
-        y, b = x
-        return q.mul(g.evaluate(y, s), b)
-
-    return HashFamily(
-        f"point_ext({g.name})", x_labels, g.s_labels, g.a_labels, fn,
-        a_group=g.a_group,
+    gi, n, mul = g._index_fn, q.order, _op_table(g.a_labels, g.a_index, q.mul, q.labels)
+    return _formula_family(
+        f"point_ext({g.name})", x_labels, g.s_labels, g.a_labels,
+        lambda xi, si: mul[gi(xi // n, si), xi % n], a_group=g.a_group,
     )
 
 
@@ -165,13 +168,11 @@ def concatenate(f1: HashFamily, f2: HashFamily) -> HashFamily:
             f"value set of {f1.name} does not match the point set of {f2.name}"
         )
     s_labels = [(s1, s2) for s1 in f1.s_labels for s2 in f2.s_labels]
-
-    def fn(x, s):
-        s1, s2 = s
-        return f2.evaluate(f1.evaluate(x, s1), s2)
-
-    return HashFamily(
-        f"concat({f1.name},{f2.name})", f1.x_labels, s_labels, f2.a_labels, fn,
+    point = np.array([f2.x_index[a] for a in f1.a_labels], dtype=np.int64)
+    f1i, f2i, n = f1._index_fn, f2._index_fn, f2.s_size
+    return _formula_family(
+        f"concat({f1.name},{f2.name})", f1.x_labels, s_labels, f2.a_labels,
+        lambda xi, si: f2i(point[f1i(xi, si // n)], si % n),
         x_group=f1.x_group, a_group=f2.a_group,
     )
 
@@ -220,37 +221,26 @@ def double_extension(a: HashFamily, allow_trivial: bool = False,
     eps, _ = balanced_epsilon(a, budget)
     if eps == 1 and a.x_size > 1 and not allow_trivial:
         raise NotBalanced(f"{a.name} is only trivially (eps = 1) balanced")
-    grp = a.a_group
-    x_labels = [(y, b) for y in a.x_labels for b in grp.labels]
-    s_labels = [(h, c) for h in a.s_labels for c in grp.labels]
-
-    def fn(x, s):
-        y, b = x
-        h, c = s
-        return grp.add(grp.add(a.evaluate(y, h), b), c)
-
-    return HashFamily(
-        f"double_ext({a.name})", x_labels, s_labels, grp.labels, fn, a_group=grp
+    g1, _ = double_extension_parts(a)
+    grp, g1i, n = a.a_group, g1._index_fn, g1.a_size
+    add = _op_table(g1.a_labels, g1.a_index, grp.add)
+    return _formula_family(
+        f"double_ext({a.name})", g1.x_labels,
+        [(h, c) for h in a.s_labels for c in grp.labels], grp.labels,
+        lambda xi, si: add[g1i(xi, si // n), si % n], a_group=grp,
     )
 
 
 def double_extension_parts(a: HashFamily):
     """The pair (g1, g2) with double_extension(a) = seed_ext(g1) = point_ext(g2)."""
-    grp = a.a_group
-    g1 = HashFamily(
-        f"g1({a.name})",
-        [(y, b) for y in a.x_labels for b in grp.labels],
-        a.s_labels,
-        grp.labels,
-        lambda x, h: grp.add(a.evaluate(x[0], h), x[1]),
-        a_group=grp,
+    grp, ai, n = a.a_group, a._index_fn, len(a.a_group.labels)
+    add = _op_table(a.a_labels, {c: i for i, c in enumerate(grp.labels)}, grp.add, grp.labels)
+    g1 = _formula_family(
+        f"g1({a.name})", [(y, b) for y in a.x_labels for b in grp.labels],
+        a.s_labels, grp.labels, lambda xi, si: add[ai(xi // n, si), xi % n], a_group=grp,
     )
-    g2 = HashFamily(
-        f"g2({a.name})",
-        a.x_labels,
-        [(h, c) for h in a.s_labels for c in grp.labels],
-        grp.labels,
-        lambda y, s: grp.add(a.evaluate(y, s[0]), s[1]),
-        a_group=grp,
+    g2 = _formula_family(
+        f"g2({a.name})", a.x_labels, [(h, c) for h in a.s_labels for c in grp.labels],
+        grp.labels, lambda xi, si: add[ai(xi, si // n), si % n], a_group=grp,
     )
     return g1, g2

@@ -126,8 +126,7 @@ def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:
 
 def function_from_mosaic(m: Mosaic, name="mosaic") -> HashFamily:
     stack = np.stack([d.matrix for d in m.members])
-    entries = stack.argmax(axis=0)
-    table = FunctionTable(m.points, m.block_indices, m.a_labels, entries.tolist())
+    table = FunctionTable(m.points, m.block_indices, m.a_labels, stack.argmax(axis=0))
     return table.to_family(name)
 
 

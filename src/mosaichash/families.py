@@ -1,20 +1,22 @@
 """Hash families f: X x S -> A and the named closed-form constructions.
 
 A family carries ordered, duplicate-free label sets for its three
-domains plus an evaluator.  Labels are ints, strings, or (nested)
-tuples, so they round-trip through JSON as nested arrays.
+domains plus one index formula, value index = formula(x index, s index),
+on ints or broadcasting index arrays.  Labels are ints, strings, or
+(nested) tuples, so they round-trip through JSON as nested arrays.
 
-A named family is one formula over its field's integer add, neg and mul
-tables, value index = formula(x index, s index).  ``to_table`` checks the
-budget, then runs it once on the whole index grid and keeps the table;
-``evaluate`` runs it on one index pair, so it works above the budget.
+A named family's formula reads its field's integer add, neg and mul
+tables, a ``FunctionTable.to_family`` family indexes the table's array,
+and a label-level ``fn`` is wrapped into a formula that calls it once
+per entry.  ``to_table`` checks the budget, then runs the formula once
+on the whole index grid and keeps the table; ``evaluate`` runs it on one
+index pair, so it works above the budget.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +81,8 @@ def _all_vectors(field: Field, t: int):
 
 
 class HashFamily:
+    """f: X x S -> A through its one index formula ``_index_fn`` (module docstring)."""
+
     def __init__(self, name, x_labels, s_labels, a_labels, fn,
                  x_group: Group | None = None, a_group: Group | None = None):
         self.name = name
@@ -91,11 +95,11 @@ class HashFamily:
                               (self.a_labels, "A")):
             if len(set(labels)) != len(labels):
                 raise DomainError(f"duplicate labels in domain {which}")
-        self._fn = fn
-        self._index_fn = None
         self.x_index = {x: i for i, x in enumerate(self.x_labels)}
         self.s_index = {s: i for i, s in enumerate(self.s_labels)}
         self.a_index = {a: i for i, a in enumerate(self.a_labels)}
+        self._index_fn = None if fn is None else _entrywise(
+            fn, self.x_labels, self.s_labels, self.a_index, name)
         self.x_group = x_group
         self.a_group = a_group
         self._table = None
@@ -117,38 +121,45 @@ class HashFamily:
             raise DomainError(f"{x!r} not in the point set of {self.name}")
         if s not in self.s_index:
             raise DomainError(f"{s!r} not in the seed set of {self.name}")
-        a = self._fn(x, s)
-        if a not in self.a_index:
-            raise DomainError(f"{self.name} produced {a!r} outside its value set")
-        return a
+        return self.a_labels[int(self._index_fn(self.x_index[x], self.s_index[s]))]
 
     def to_table(self, budget: int = DEFAULT_TABLE_BUDGET) -> "FunctionTable":
-        """The full table, evaluated once and kept; every call checks budget."""
+        """The formula run once on the index grid and kept; every call checks budget."""
         if self.x_size * self.s_size > budget:
             raise BudgetExceeded(
                 f"{self.x_size} x {self.s_size} table exceeds budget {budget}"
             )
         if self._table is None:
-            labels = self.x_labels, self.s_labels, self.a_labels
-            if self._index_fn is None:
-                self._table = FunctionTable(*labels, [
-                    [self.a_index[self.evaluate(x, s)] for s in self.s_labels]
-                    for x in self.x_labels
-                ])
-            else:
-                array = np.empty((self.x_size, self.s_size), dtype=np.int64)
-                array[...] = self._index_fn(*np.indices(array.shape, sparse=True))
-                array.flags.writeable = False
-                self._table = FunctionTable(*labels, array.tolist())
-                self._table.__dict__["_array"] = array  # not rebuilt from entries
+            array = np.empty((self.x_size, self.s_size), dtype=np.int64)
+            array[...] = self._index_fn(*np.indices(array.shape, sparse=True))
+            self._table = FunctionTable(self.x_labels, self.s_labels, self.a_labels, array)
         return self._table
 
     def transpose(self) -> "HashFamily":
         """Swap point and seed roles (the dual function)."""
-        return HashFamily(
+        return _formula_family(
             f"transpose({self.name})", self.s_labels, self.x_labels, self.a_labels,
-            lambda s, x: self._fn(x, s), a_group=self.a_group,
+            lambda xi, si: self._index_fn(si, xi), a_group=self.a_group,
         )
+
+
+def _entrywise(fn, x_labels, s_labels, a_index, name):
+    """The label function fn as an index formula, called once per entry."""
+    def one(i, j):
+        a = fn(x_labels[i], s_labels[j])
+        if a not in a_index:
+            raise DomainError(f"{name} produced {a!r} outside its value set")
+        return a_index[a]
+
+    each = np.frompyfunc(one, 2, 1)
+    return lambda xi, si: np.asarray(each(xi, si), dtype=np.int64)
+
+
+def _formula_family(name, x_labels, s_labels, a_labels, index_fn, **groups):
+    """Family with value index index_fn(x index, s index) on ints or broadcasting arrays."""
+    f = HashFamily(name, x_labels, s_labels, a_labels, None, **groups)
+    f._index_fn = index_fn
+    return f
 
 
 @dataclass(frozen=True)
@@ -162,30 +173,31 @@ class FunctionTable:
         object.__setattr__(self, "x_labels", tuple(x_labels))
         object.__setattr__(self, "s_labels", tuple(s_labels))
         object.__setattr__(self, "a_labels", tuple(a_labels))
-        rows = tuple(tuple(r) for r in entries)
-        if len(rows) != len(self.x_labels) or any(
-            len(r) != len(self.s_labels) for r in rows
-        ):
+        shape = len(self.x_labels), len(self.s_labels)
+        try:
+            array = np.array(entries)
+        except ValueError:  # rows of different lengths
+            raise DomainError("table shape does not match domains") from None
+        if array.shape == (0,) and shape[0] == 0:  # no rows, so no row length to read
+            array = np.empty(shape, dtype=np.int64)
+        if array.shape != shape:
             raise DomainError("table shape does not match domains")
-        na = len(self.a_labels)
-        if any(not 0 <= e < na for r in rows for e in r):
+        if array.size and array.dtype.kind not in "iu":
+            raise DomainError("table entries must be integers")
+        array = array.astype(np.int64, copy=False)
+        if array.size and not 0 <= array.min() <= array.max() < len(self.a_labels):
             raise DomainError("table entry out of range")
-        object.__setattr__(self, "entries", rows)
-
-    @cached_property
-    def _array(self):
-        """The rows as one read-only int64 array, built on first use."""
-        array = np.array(self.entries, dtype=np.int64)
         array.flags.writeable = False
-        return array.reshape(len(self.x_labels), len(self.s_labels))
+        object.__setattr__(self, "_array", array)  # read-only int64 rows, not a field
+        object.__setattr__(self, "entries", tuple(map(tuple, array.tolist())))
 
     def to_family(self, name="table") -> HashFamily:
-        xi = {x: i for i, x in enumerate(self.x_labels)}
-        si = {s: i for i, s in enumerate(self.s_labels)}
-        return HashFamily(
-            name, self.x_labels, self.s_labels, self.a_labels,
-            lambda x, s: self.a_labels[self.entries[xi[x]][si[s]]],
-        )
+        """A formula over this table's array, with this table memoised."""
+        array = self._array
+        f = _formula_family(name, self.x_labels, self.s_labels, self.a_labels,
+                            lambda xi, si: array[xi, si])
+        f._table = self
+        return f
 
     def to_json(self) -> str:
         return json.dumps(
@@ -221,15 +233,6 @@ def normalized_vectors(field: Field, t: int):
         if nz and nz[0] == field.one:
             out.append(v)
     return out
-
-
-def _formula_family(name, x_labels, s_labels, a_labels, index_fn, **groups):
-    """Family with value index index_fn(x index, s index) on ints or broadcasting arrays."""
-    f = HashFamily(name, x_labels, s_labels, a_labels, None, **groups)
-    xi, si, labels = f.x_index, f.s_index, f.a_labels
-    f._fn = lambda x, s: labels[int(index_fn(xi[x], si[s]))]
-    f._index_fn = index_fn
-    return f
 
 
 def _digits(index, q: int, t: int):

@@ -27,9 +27,10 @@ CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
 _BLOCK = 1 << 15
 
 
-def _op_table(labels, index, op):
-    """table[u, v] = index[op(labels[u], labels[v])]."""
-    rows = [[index[op(u, v)] for v in labels] for u in labels]
+def _op_table(labels, index, op, right=None):
+    """table[u, v] = index[op(labels[u], right[v])], right defaulting to labels."""
+    right = labels if right is None else right
+    rows = [[index[op(u, v)] for v in right] for u in labels]
     return np.array(rows, dtype=np.int64)
 
 

@@ -316,6 +316,56 @@ def ref_field_multiply(q, n, m, exclude_zero=False):
                        lambda x, h: big.elems[big.mul(h, x)][:m])
 
 
+# The constructions as the paper writes them, on labels: only the parts'
+# ``evaluate``, ``Quasigroup.mul`` and ``Group.add``, never an index formula.
+
+
+def ref_seed_extension(g, q):
+    """f(x; h, b) = g(x, h) o b."""
+    S = [(h, b) for h in g.s_labels for b in q.labels]
+    return _ref_family(list(g.x_labels), S, list(g.a_labels),
+                       lambda x, s: q.mul(g.evaluate(x, s[0]), s[1]))
+
+
+def ref_point_extension(g, q):
+    """f(y, b; s) = g(y, s) o b."""
+    X = [(y, b) for y in g.x_labels for b in q.labels]
+    return _ref_family(X, list(g.s_labels), list(g.a_labels),
+                       lambda x, s: q.mul(g.evaluate(x[0], s), x[1]))
+
+
+def ref_concatenate(f1, f2):
+    """f(x; s1, s2) = f2(f1(x, s1), s2)."""
+    S = [(s1, s2) for s1 in f1.s_labels for s2 in f2.s_labels]
+    return _ref_family(list(f1.x_labels), S, list(f2.a_labels),
+                       lambda x, s: f2.evaluate(f1.evaluate(x, s[0]), s[1]))
+
+
+def ref_double_extension(a):
+    """f(y, b; h, c) = a(y, h) + b + c in the value group."""
+    grp = a.a_group
+    X = [(y, b) for y in a.x_labels for b in grp.labels]
+    S = [(h, c) for h in a.s_labels for c in grp.labels]
+    return _ref_family(X, S, list(grp.labels),
+                       lambda x, s: grp.add(grp.add(a.evaluate(x[0], s[0]), x[1]), s[1]))
+
+
+def ref_double_extension_parts(a):
+    """g1(y, b; h) = a(y, h) + b and g2(y; h, c) = a(y, h) + c."""
+    grp = a.a_group
+    g1 = _ref_family([(y, b) for y in a.x_labels for b in grp.labels], list(a.s_labels),
+                     list(grp.labels), lambda x, h: grp.add(a.evaluate(x[0], h), x[1]))
+    g2 = _ref_family(list(a.x_labels), [(h, c) for h in a.s_labels for c in grp.labels],
+                     list(grp.labels), lambda y, s: grp.add(a.evaluate(y, s[0]), s[1]))
+    return g1, g2
+
+
+def ref_transpose(f):
+    """f^T(s; x) = f(x, s)."""
+    return _ref_family(list(f.s_labels), list(f.x_labels), list(f.a_labels),
+                       lambda s, x: f.evaluate(x, s))
+
+
 def oracle_is_isomorphic(a_rows, b_rows):
     """Brute-force isomorphism of two 0/1 matrices given as lists of rows:
     try every row permutation; for each, some column permutation matches

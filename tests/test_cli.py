@@ -176,6 +176,48 @@ def test_construct_concat_mismatch_exits_2(tmp_path, capsys):
     assert code == 2 and "value set" in err
 
 
+@pytest.mark.parametrize("files, flag", [(1, "--concat"), (3, "--concat"), (2, "--seed-ext"),
+                                         (2, "--point-ext"), (2, "--double-ext")])
+def test_construct_wrong_input_count_exits_2(tmp_path, capsys, files, flag):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    code, _, err = run(capsys, "construct", *[str(path)] * files, flag)
+    assert code == 2
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+
+
+def test_construct_double_extension(tmp_path, capsys):
+    # a(y, h) = y * h mod 3 on value labels whose order is not alphabetical
+    L = ["c", "a", "b"]
+    T = FunctionTable([0, 1, 2], [0, 1, 2], L, [[y * h % 3 for h in range(3)] for y in range(3)])
+    path, out_path = tmp_path / "a.json", tmp_path / "double.json"
+    path.write_text(T.to_json())
+    code, _, _ = run(capsys, "-o", str(out_path), "construct", str(path), "--double-ext")
+    assert code == 0
+
+    def add(u, v):  # the cyclic group on the value labels, in their order
+        return L[(L.index(u) + L.index(v)) % 3]
+
+    def a(y, h):
+        return L[T.entries[y][h]]
+
+    D = FunctionTable.from_json(out_path.read_text())
+    assert D.x_labels == tuple((y, b) for y in range(3) for b in L)
+    assert D.s_labels == tuple((h, c) for h in range(3) for c in L)
+    assert [[D.a_labels[e] for e in row] for row in D.entries] == [
+        [add(add(a(y, h), b), c) for h, c in D.s_labels] for y, b in D.x_labels
+    ]
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.5, "a"])
+def test_verify_non_integer_entry_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"x_labels": [0, 1], "s_labels": [0, 1], "a_labels": [0, 1],
+                                "rows": [[0, entry], [1, 0]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: table entries must be integers"]
+
+
 def test_pa_uniform_zero_distance(tmp_path, capsys):
     fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=3")
     src = tmp_path / "src.json"

@@ -27,6 +27,7 @@ from mosaichash import (
     transversal,
 )
 from mosaichash.errors import (
+    BudgetExceeded,
     CarrierMismatch,
     DomainMismatch,
     NotBalanced,
@@ -34,7 +35,15 @@ from mosaichash.errors import (
     NotLatinSquare,
     TheoremViolation,
 )
-from mosaichash.families import field_group
+from mosaichash.families import INFINITY, FunctionTable, Group, field_group
+from oracles import (
+    ref_concatenate,
+    ref_double_extension,
+    ref_double_extension_parts,
+    ref_point_extension,
+    ref_seed_extension,
+    ref_transpose,
+)
 from util import random_latin, random_regular_table, random_table
 
 
@@ -196,3 +205,95 @@ def test_double_extension_rejects_trivially_balanced():
         double_extension(a)
     f = double_extension(a, allow_trivial=True)
     assert f.x_size == 4 and f.s_size == 2
+
+
+# --- the index formulas against the paper's label formulas (tests/oracles.py) ---
+
+
+def cyclic_group(labels):
+    """Z_n on the labels, in the given order."""
+    labels = list(labels)
+    idx, n = {a: i for i, a in enumerate(labels)}, len(labels)
+    return Group(labels, lambda a, b: labels[(idx[a] + idx[b]) % n],
+                 lambda a: labels[-idx[a] % n], labels[0])
+
+
+def table_base():
+    rng = random.Random(3)
+    rows = [[rng.randrange(3) for _ in range(5)] for _ in range(4)]
+    f = FunctionTable(range(4), range(5), [2, 0, 1], rows).to_family("table")
+    f.a_group = cyclic_group([0, 1, 2])  # group order differs from the value order
+    return f
+
+
+# one base of each kind, each with a group on its value set
+BASES = {
+    "named": lambda: field_multiply(2, 3, 2),
+    "user fn": lambda: HashFamily("user", range(5), range(6), ["c", "a", "b"],
+                                  lambda x, s: "abc"[(x * s + s // 3) % 3],
+                                  a_group=cyclic_group("abc")),
+    "to_family": table_base,
+}
+
+
+def assert_same_family(f, ref):
+    """Labels, the whole table and evaluate on every entry all match ref."""
+    (X, S, A), rows = ref
+    assert (list(f.x_labels), list(f.s_labels), list(f.a_labels)) == (X, S, A)
+    assert [[A[e] for e in row] for row in f.to_table().entries] == rows
+    assert [[f.evaluate(x, s) for s in S] for x in X] == rows
+
+
+def rotated(labels):
+    return list(labels[1:]) + [labels[0]]
+
+
+@pytest.mark.filterwarnings("ignore:point extension of irregular")
+@pytest.mark.parametrize("kind", BASES)
+def test_constructions_match_the_label_formulas(kind):
+    g = BASES[kind]()
+    # an isotope quasigroup whose label order is not the value order
+    q = random_latin(random.Random(len(kind)), rotated(g.a_labels))
+    assert q.labels != g.a_labels
+    assert_same_family(seed_extension(g, q), ref_seed_extension(g, q))
+    assert_same_family(point_extension(g, q), ref_point_extension(g, q))
+    assert_same_family(g.transpose(), ref_transpose(g))
+    assert_same_family(double_extension(g, allow_trivial=True), ref_double_extension(g))
+    for part, ref in zip(double_extension_parts(g), ref_double_extension_parts(g)):
+        assert_same_family(part, ref)
+
+
+def second_stage(kind, f1):
+    """A family on f1's values whose point order is not f1's value order."""
+    points = rotated(f1.a_labels)
+    if kind == "named":  # f1 = field_multiply(2,3,2): values are pairs over F_2
+        return HashFamily("user2", points, range(3), [0, 1],
+                          lambda y, s: (y[0] + y[1] * s) % 2)
+    if kind == "user fn":
+        rng = random.Random(5)
+        rows = [[rng.randrange(2) for _ in range(4)] for _ in points]
+        return FunctionTable(points, range(4), ["u", "v"], rows).to_family("table2")
+    return field_multiply(3, 1, 1)  # points 0, 1, 2 against f1's values 2, 0, 1
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_concatenation_matches_the_label_formula(kind):
+    f1 = BASES[kind]()
+    f2 = second_stage(kind, f1)
+    assert f2.x_labels != f1.a_labels and set(f2.x_labels) == set(f1.a_labels)
+    assert_same_family(concatenate(f1, f2), ref_concatenate(f1, f2))
+
+
+def test_seed_extension_evaluates_above_the_table_budget():
+    t = transversal(64, include_infinity=True)
+    q = random_latin(random.Random(12), rotated(t.a_labels))
+    f = seed_extension(t, q)
+    with pytest.raises(BudgetExceeded):
+        f.to_table()
+    # in GF(2^6) adding element indices is XOR and the element 1 has index 32
+    rng = random.Random(13)
+    for _ in range(200):
+        h, y, s1, s2, b = rng.choice([0, 32, INFINITY]), *(rng.randrange(64) for _ in range(4))
+        want = q.mul({0: s2 ^ y, 32: s2 ^ s1 ^ y, INFINITY: s1 ^ y}[h], b)
+        assert f.evaluate((h, y), ((s1, s2), b)) == want
+    assert f._table is None and t._table is None

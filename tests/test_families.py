@@ -4,11 +4,13 @@ import tracemalloc
 
 import pytest
 
+import mosaichash.families as families
 from mosaichash import (
     FunctionTable,
     HashFamily,
     affine,
     build_named,
+    classify,
     dual_affine,
     field_for_order,
     field_multiply,
@@ -90,6 +92,30 @@ def test_function_table_validation():
         FunctionTable([0, 1], [0], [0, 1], [[0]])  # wrong row count
     with pytest.raises(DomainError):
         FunctionTable([0], [0], [0, 1], [[2]])  # entry out of range
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.5, "a"])
+def test_function_table_rejects_non_integer_entries(entry):
+    text = json.dumps({"x_labels": [0, 1], "s_labels": [0, 1], "a_labels": [0, 1],
+                       "rows": [[0, entry], [1, 0]]})
+    with pytest.raises(DomainError, match="integers"):
+        FunctionTable.from_json(text)
+
+
+def test_table_family_keeps_its_table_and_classifies_without_per_entry_code(monkeypatch):
+    base = affine(3, 2)
+    want = classify(base).to_dict()
+    T = base.to_table()
+    f = T.to_family(base.name)
+    assert f.to_table() is T
+
+    def per_entry(*args):
+        raise AssertionError("per-entry code ran")
+
+    monkeypatch.setattr(HashFamily, "evaluate", per_entry)
+    monkeypatch.setattr(families, "_entrywise", per_entry)
+    f.x_group, f.a_group = base.x_group, base.a_group
+    assert classify(f).to_dict() == want
 
 
 def test_normalized_vectors_count():

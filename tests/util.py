@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from mosaichash import FunctionTable, JointSource, Quasigroup
-from mosaichash.families import HashFamily
 
 
 def random_table(rng, nx, ns, na, name="rand"):
@@ -41,12 +40,7 @@ def random_latin(rng, labels):
 def relabel_points(f, new_labels):
     """Same function table with the point set renamed positionally."""
     T = f.to_table()
-    xi = {x: i for i, x in enumerate(new_labels)}
-    si = {s: i for i, s in enumerate(T.s_labels)}
-    return HashFamily(
-        f.name, new_labels, T.s_labels, T.a_labels,
-        lambda x, s: T.a_labels[T.entries[xi[x]][si[s]]],
-    )
+    return FunctionTable(new_labels, T.s_labels, T.a_labels, T.entries).to_family(f.name)
 
 
 def flip_source(m, p):
