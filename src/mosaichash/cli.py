@@ -16,6 +16,7 @@ from .construct import (
     concatenate,
     concatenation_bound,
     double_extension,
+    group_quasigroup,
     point_extension,
     seed_extension,
 )
@@ -91,13 +92,6 @@ def _parse_params(pairs):
         key, val = item.split("=", 1)
         out[key] = int(val)
     return out
-
-
-def _cyclic_on(labels) -> Quasigroup:
-    n = len(labels)
-    return Quasigroup(
-        labels, [[labels[(i + j) % n] for j in range(n)] for i in range(n)]
-    )
 
 
 def cmd_family(args):
@@ -180,24 +174,25 @@ def cmd_construct(args):
         note = {"acfu_bound": f"{bound.numerator}/{bound.denominator}"}
     else:
         g = _load_family(args.inputs[0])
+        labels, idx, n = g.a_labels, g.a_index, g.a_size
+        cyclic = Group(  # the cyclic group on the value labels, in their order
+            labels,
+            add=lambda a, b: labels[(idx[a] + idx[b]) % n],
+            neg=lambda a: labels[(-idx[a]) % n],
+            zero=labels[0],
+        )
         if args.latin:
             with open(args.latin) as fh:
                 q = Quasigroup.from_json(fh.read())
         else:
-            q = _cyclic_on(list(g.a_labels))
+            q = group_quasigroup(cyclic)
         note = {}
         if args.seed_ext:
             fam = seed_extension(g, q)
         elif args.point_ext:
             fam = point_extension(g, q, args.budget)
         elif args.double_ext:
-            labels, idx, n = g.a_labels, g.a_index, g.a_size
-            g.a_group = Group(  # the cyclic group on the value labels, in their order
-                labels,
-                add=lambda a, b: labels[(idx[a] + idx[b]) % n],
-                neg=lambda a: labels[(-idx[a]) % n],
-                zero=labels[0],
-            )
+            g.a_group = cyclic
             fam = double_extension(g, budget=args.budget)
         else:
             raise MosaicHashError("choose a construction")
@@ -216,8 +211,7 @@ def cmd_pa(args):
     with open(args.source) as fh:
         src = JointSource.from_json(fh.read())
     fam = _load_family(args.family)
-    if args.iid > 1:
-        src = iid_extend(src, args.iid)
+    src = iid_extend(src, args.iid)
     result = run_pa(src, fam, args.budget)
     _emit(result.to_dict(), args.format, args.output)
     return 0

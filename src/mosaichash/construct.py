@@ -29,6 +29,7 @@ from .families import (
     _formula_family,
     decode_label,
     encode_label,
+    json_fields,
 )
 from .verify import _op_table, _pair_max
 from .verify import min_epsilon, regularity_check
@@ -90,11 +91,8 @@ class Quasigroup:
 
     @classmethod
     def from_json(cls, text: str) -> "Quasigroup":
-        obj = json.loads(text)
-        return cls(
-            [decode_label(a) for a in obj["labels"]],
-            [[decode_label(a) for a in row] for row in obj["rows"]],
-        )
+        labels, rows = json_fields(text, "labels", "rows")
+        return cls([decode_label(a) for a in labels], [[decode_label(a) for a in r] for r in rows])
 
 
 def cyclic_quasigroup(n: int) -> Quasigroup:

@@ -5,8 +5,8 @@ domains plus one index formula, value index = formula(x index, s index),
 on ints or broadcasting index arrays.  Labels are ints, strings, or
 (nested) tuples, so they round-trip through JSON as nested arrays.
 
-A named family's formula reads its field's integer add, neg and mul
-tables, a ``FunctionTable.to_family`` family indexes the table's array,
+A named family's formula runs its field's array arithmetic (``_add_ix``,
+``_mul_ix``), a ``FunctionTable.to_family`` family indexes the table's array,
 and a label-level ``fn`` is wrapped into a formula that calls it once
 per entry.  ``to_table`` checks the budget, then runs the formula once
 on the whole index grid and keeps the table; ``evaluate`` runs it on one
@@ -45,6 +45,17 @@ def decode_label(obj):
     if isinstance(obj, list):
         return tuple(decode_label(x) for x in obj)
     return obj
+
+
+def json_fields(text: str, *keys) -> list:
+    """The arrays under keys in a JSON object document; DomainError for any other shape."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object, got a {type(obj).__name__}")
+    missing = [k for k in keys if not isinstance(obj.get(k), list)]
+    if missing:
+        raise DomainError(f"JSON object lacks the arrays {', '.join(missing)}")
+    return [obj[k] for k in keys]
 
 
 class Group:
@@ -211,13 +222,9 @@ class FunctionTable:
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionTable":
-        obj = json.loads(text)
-        return cls(
-            [decode_label(x) for x in obj["x_labels"]],
-            [decode_label(s) for s in obj["s_labels"]],
-            [decode_label(a) for a in obj["a_labels"]],
-            obj["rows"],
-        )
+        xs, ss, as_, rows = json_fields(text, "x_labels", "s_labels", "a_labels", "rows")
+        return cls([decode_label(x) for x in xs], [decode_label(s) for s in ss],
+                   [decode_label(a) for a in as_], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Exact arithmetic in small finite fields GF(p^m).
+"""Exact arithmetic in finite fields GF(p^m) of order q = p^m <= 2^16.
 
 Elements are referred to by their index in the fixed lexicographic
 enumeration of coefficient vectors (lowest degree first), so index
 arithmetic is what the rest of the library uses.  Coefficient-vector
 views are available through ``coeffs`` / ``index``.
 
-A field with q <= 64 builds integer add, neg and mul tables once: numpy
-arrays for the named families' formulas, Python lists for the scalar
-operations.  Larger fields use coefficient vectors; there ``_add_ix`` and
-``_mul_ix``, the formulas' arithmetic, work mod p on a prime field and
-entry by entry through the scalar operations otherwise.
+Every field has one representation, O(q) integer arrays built once at
+construction.  Multiplication goes through discrete logarithms to a
+primitive element g (Huber, "Some comments on Zech's logarithms", IEEE
+Trans. IT 1990): a*b = exp[log a + log b].  The log of zero is a
+sentinel whose sums land in a zero tail of exp, so no product branches.
+Addition is digit-wise mod p on the index, which is XOR for p = 2, one
+formula for ints and broadcasting index arrays.  The scalar ``mul``,
+``inv`` and ``neg`` read list copies of the arrays; ``_mul_ix``, with
+``_add_ix`` the named families' arithmetic, indexes the arrays.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import numpy as np
 
 from .errors import BadLength, NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse
 
-# Precomputed moduli exist implicitly: for every prime power q <= 64 the
-# canonical modulus is the lexicographically smallest monic irreducible
-# polynomial, found by exhaustive search at construction time.
-BUILTIN_MAX_Q = 64
+# The canonical modulus of GF(p^m) is the monic irreducible polynomial
+# x^m + r_{m-1} x^{m-1} + ... + r_0 with the least sum of r_i p^i, found by
+# exhaustive search at construction.
 MAX_Q = 1 << 16
 
 
@@ -38,13 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
 def _poly_mod(a, mod, p):
     """Remainder of a by the monic polynomial mod, coefficients mod p."""
     a = list(a)
@@ -57,15 +53,6 @@ def _poly_mod(a, mod, p):
     return [c % p for c in a[:dm]]
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _is_irreducible(poly, p):
     """Exhaustive trial division by all monic polynomials of degree <= m/2."""
     m = len(poly) - 1
@@ -74,7 +61,7 @@ def _is_irreducible(poly, p):
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
             div = [idx // p**i % p for i in range(d)] + [1]  # monic
-            if not _poly_trim(_poly_mod(poly, div, p)):
+            if not any(_poly_mod(poly, div, p)):
                 return False
     return True
 
@@ -107,13 +94,9 @@ class Field:
         self.m = m
         self.q = q
         if m == 1:
-            self.modulus = (0, 1)  # unused
+            self.modulus = (0, 1)  # x = 0: the field is the integers mod p
         else:
             if modulus is None:
-                if q > BUILTIN_MAX_Q:
-                    raise UnsupportedSize(
-                        f"no built-in modulus for q = {q} > {BUILTIN_MAX_Q}; supply one"
-                    )
                 modulus = _canonical_modulus(p, m)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -122,10 +105,50 @@ class Field:
                 raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
             self.modulus = modulus
         self.zero = 0
-        self.one = self.index((1,) + (0,) * (m - 1))
-        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
-        if q <= BUILTIN_MAX_Q:
-            self._build_tables()
+        self.one = p ** (m - 1)  # the coefficient vector (1, 0, ..., 0)
+        self._weights = [p ** (m - 1 - i) for i in range(m)]  # of c0, ..., c_{m-1}
+        self._build_logs()
+
+    def _build_logs(self):
+        p, q, m, order = self.p, self.q, self.m, self.q - 1
+        weights = np.array(self._weights)  # index = coefficient vector @ weights
+        one_vec = self.one // weights % p
+        # row i is x^i * x: a shift up one degree, and x^m = -(r_0 + ... + r_{m-1} x^{m-1})
+        # for the modulus r
+        x_times = np.eye(m, k=1, dtype=np.int64)
+        x_times[-1] = -np.array(self.modulus[:m]) % p
+
+        def times(g):  # v @ times(g) % p is the coefficient vector of v * g
+            rows = [g // weights % p]
+            for _ in range(m - 1):
+                rows.append(rows[-1] @ x_times % p)
+            return np.array(rows)
+
+        def power(step, e):  # g^e by squaring, where step = times(g)
+            v = one_vec
+            while e:
+                if e & 1:
+                    v = v @ step % p
+                step, e = step @ step % p, e >> 1
+            return v
+
+        # g is primitive iff g^(order/r) != 1 for every prime r dividing the order
+        primes = [r for r in range(2, q) if order % r == 0 and is_prime(r)]
+        for g in range(1, q):
+            step = times(g)
+            if all((power(step, order // r) != one_vec).any() for r in primes):
+                break
+        powers = one_vec[None]
+        while len(powers) < order:  # g^(k + n) = g^k g^n for the n powers so far
+            powers, step = np.vstack([powers, powers @ step % p]), step @ step % p
+        powers = powers[:order] @ weights
+        # the log of 0 is 2 * order, so every sum with it lands in the zero tail of exp
+        self._log_array = np.full(q, 2 * order, np.int64)
+        self._log_array[powers] = np.arange(order)
+        self._exp_array = np.concatenate([powers, powers, np.zeros(2 * order + 1, np.int64)])
+        self._neg_array = sum(-(np.arange(q) // w) % p * w for w in self._weights)
+        self._log, self._exp = self._log_array.tolist(), self._exp_array.tolist()
+        self._neg = self._neg_array.tolist()
 
     # index <-> coefficient vector -------------------------------------
 
@@ -149,79 +172,34 @@ class Field:
 
     # arithmetic on element indices ------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.index(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+    def _add_ix(self, a, b):
+        """add on element indices or broadcasting index arrays, digit by digit mod p."""
+        if self.p == 2:
+            return a ^ b
+        out = 0
+        for w in self._weights:
+            out = out + (a // w + b // w) % self.p * w
+        return out
+
+    add = _add_ix
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self.index(tuple((-x) % self.p for x in self.coeffs(a)))
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a, b):
-        prod = _poly_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        if self.m > 1:
-            red = _poly_mod(prod, list(self.modulus), self.p)
-        else:
-            red = [prod[0] % self.p]
-        red = red + [0] * (self.m - len(red))
-        return self.index(tuple(red[: self.m]))
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        # a^(q-2) by square-and-multiply
-        result = self.one
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return result
-
-    def _add_ix(self, a, b):
-        """add on element indices or broadcasting index arrays."""
-        if self._add_table is None:
-            return (a + b) % self.p if self.m == 1 else np.frompyfunc(self.add, 2, 1)(a, b)
-        return self._add_array[a, b]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def _mul_ix(self, a, b):
         """mul on element indices or broadcasting index arrays."""
-        if self._mul_table is None:
-            return a * b % self.p if self.m == 1 else np.frompyfunc(self.mul, 2, 1)(a, b)
-        return self._mul_array[a, b]
-
-    def _build_tables(self):
-        p, q = self.p, self.q
-        weights = p ** np.arange(self.m - 1, -1, -1)
-        digits = np.arange(q)[:, None] // weights % p
-        self._add_array = (digits[:, None] + digits) % p @ weights
-        self._neg_array = -digits % p @ weights
-        # coefficient c of a*b is sum_ij a_i b_j (x^(i+j) mod the modulus)_c, mod p
-        m = self.m
-        powers = [(_poly_mod([0] * k + [1], list(self.modulus), p) + [0] * m)[:m]
-                  for k in range(2 * m - 1)]
-        red = np.array(powers)[np.add.outer(np.arange(m), np.arange(m))]
-        self._mul_array = np.einsum("ai,bj,ijc->abc", digits, digits, red) % p @ weights
-        self._mul_table = self._mul_array.tolist()
-        self._add_table = self._add_array.tolist()
-        self._neg_table = self._neg_array.tolist()
-        # inv[0] = 0 is never read: inv raises ZeroInverse first
-        self._inv_table = [0] + (self._mul_array[1:] == self.one).argmax(axis=1).tolist()
+        return self._exp_array[self._log_array[a] + self._log_array[b]]
 
     def __repr__(self):
         return f"Field(GF({self.q}))"
@@ -242,7 +220,7 @@ def _field_cached(p, m, modulus):
 
 
 def field_new(p: int, m: int = 1, modulus=None) -> Field:
-    """Validated field; the built-in table covers every prime power <= 64."""
+    """Validated field of order p^m <= 2^16, with the canonical modulus unless one is given."""
     if modulus is not None:
         modulus = tuple(modulus)
     return _field_cached(p, m, modulus)
@@ -250,9 +228,11 @@ def field_new(p: int, m: int = 1, modulus=None) -> Field:
 
 @lru_cache(maxsize=None)
 def field_for_order(q: int) -> Field:
-    """Field of order q with the canonical modulus: a prime power q <= 64 or a prime."""
+    """Field of order q with the canonical modulus: any prime power q <= 2^16."""
+    if q > MAX_Q:  # before the divisor search, which takes time linear in q
+        raise UnsupportedSize(f"q = {q} exceeds the supported maximum {MAX_Q}")
     for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
+        if q % p == 0:  # the least divisor of q is prime
             m = 0
             n = q
             while n > 1:

@@ -16,11 +16,12 @@ from fractions import Fraction
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
+    DomainError,
     NegativeRadicand,
     TheoremViolation,
     ZeroMassKeyValue,
 )
-from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label
+from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label, json_fields
 from .verify import min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
@@ -81,12 +82,13 @@ class JointSource:
 
     @classmethod
     def from_json(cls, text: str) -> "JointSource":
-        obj = json.loads(text)
-        return cls(
-            [decode_label(x) for x in obj["x_labels"]],
-            [decode_label(z) for z in obj["z_labels"]],
-            [[Fraction(v) for v in row] for row in obj["probabilities"]],
-        )
+        xs, zs, probabilities = json_fields(text, "x_labels", "z_labels", "probabilities")
+        try:
+            p = [[Fraction(v) for v in row] for row in probabilities]
+        except (TypeError, ZeroDivisionError):
+            msg = "probabilities must be rows of rationals with no zero denominator"
+            raise DomainError(msg) from None
+        return cls([decode_label(x) for x in xs], [decode_label(z) for z in zs], p)
 
 
 def uniform_source(x_labels) -> JointSource:
@@ -113,10 +115,10 @@ def iid_extend(src: JointSource, n: int, budget=DEFAULT_SOURCE_BUDGET) -> JointS
     """The n-fold product source; the inner collision sum multiplies."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n == 1:  # nothing is built, so no budget applies
+        return src
     if src.x_size**n * src.z_size**n > budget:
         raise BudgetExceeded(f"product alphabet exceeds budget {budget}")
-    if n == 1:
-        return src
     prev = iid_extend(src, n - 1, budget)
     x_labels = [(x, y) if n == 2 else x + (y,) for x in prev.x_labels
                 for y in src.x_labels]

@@ -206,23 +206,34 @@ def gf8_mul_table():
 # Reference fields and named families, by hand.  Nothing here reads
 # mosaichash.fields or the family builders: element index i stands for the
 # coefficient tuple (c0, ..., c_{m-1}) of c0 + c1 x + ..., the base-p digits
-# of i with c0 the most significant, and every product is a hand rule.
+# of i with c0 the most significant, and every product is a schoolbook product.
 # ---------------------------------------------------------------------------
 
-#: q -> (p, m, modulus low degree first) of the reference fields
+#: q -> (p, m, modulus low degree first) of the reference fields: every prime
+#: power q <= 64, the prime 67, GF(128) and GF(256).  Each modulus is stated by
+#: hand; it is the canonical one the library finds, the monic irreducible
+#: x^m + r_{m-1} x^{m-1} + ... + r_0 with the least sum of r_i p^i.
 REF_FIELDS = {
-    2: (2, 1, None),
-    3: (3, 1, None),
-    5: (5, 1, None),
-    7: (7, 1, None),
-    67: (67, 1, None),  # above the table size: the formulas compute mod p
+    **{q: (q, 1, None) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                                 59, 61, 67)},
     4: (2, 2, (1, 1, 1)),  # x^2 + x + 1
-    8: (2, 3, (1, 1, 0, 1)),  # x^3 + x + 1, the rules of gf8_mul_table
+    8: (2, 3, (1, 1, 0, 1)),  # x^3 + x + 1, the modulus of gf8_mul_table
+    16: (2, 4, (1, 1, 0, 0, 1)),  # x^4 + x + 1
+    32: (2, 5, (1, 0, 1, 0, 0, 1)),  # x^5 + x^2 + 1
+    64: (2, 6, (1, 1, 0, 0, 0, 0, 1)),  # x^6 + x + 1
+    128: (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),  # x^7 + x + 1
+    256: (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # x^8 + x^4 + x^3 + x + 1: x has order 51
     9: (3, 2, (1, 0, 1)),  # x^2 + 1
+    27: (3, 3, (1, 2, 0, 1)),  # x^3 + 2x + 1
+    25: (5, 2, (2, 0, 1)),  # x^2 + 2
+    49: (7, 2, (1, 0, 1)),  # x^2 + 1
 }
 
 
 class RefField:
+    """GF(q) on coefficient tuples: digit-wise sums, and schoolbook products
+    reduced by the stated modulus r through x^m = -(r_0 + ... + r_{m-1} x^{m-1})."""
+
     def __init__(self, q):
         self.p, self.m, self.modulus = REF_FIELDS[q]
         self.q = q
@@ -231,7 +242,6 @@ class RefField:
             self.elems = [e + (c,) for e in self.elems for c in range(self.p)]
         self.idx = {e: i for i, e in enumerate(self.elems)}
         self.one = self.idx[(1,) + (0,) * (self.m - 1)]
-        self._gf8 = gf8_mul_table() if q == 8 else None
 
     def add(self, a, b):
         ca, cb = self.elems[a], self.elems[b]
@@ -240,18 +250,27 @@ class RefField:
     def neg(self, a):
         return self.idx[tuple(-x % self.p for x in self.elems[a])]
 
+    _products = {}  # (q, a, b) -> a * b for every instance, so each product is summed once
+
     def mul(self, a, b):
-        p, ca, cb = self.p, self.elems[a], self.elems[b]
-        if self.m == 1:
-            return ca[0] * cb[0] % p
-        if self.q == 8:
-            return self.idx[self._gf8[(ca, cb)]]
-        (a0, a1), (b0, b1) = ca, cb
-        if self.q == 4:  # x^2 = x + 1
-            c = (a0 * b0 + a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)
-        else:  # q == 9: x^2 = -1
-            c = (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
-        return self.idx[tuple(v % p for v in c)]
+        if (self.q, a, b) not in self._products:
+            self._products[self.q, a, b] = self._schoolbook(a, b)
+        return self._products[self.q, a, b]
+
+    def _schoolbook(self, a, b):
+        m = self.m
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.elems[a]):
+            for j, y in enumerate(self.elems[b]):
+                prod[i + j] += x * y
+        for k in range(2 * m - 2, m - 1, -1):  # x^k = x^(k-m) x^m, from the top down
+            for i in range(m):
+                prod[k - m + i] -= prod[k] * self.modulus[i]
+        return self.idx[tuple(c % self.p for c in prod[:m])]
+
+    def inv(self, a):
+        """The b with a * b = 1, by search; StopIteration if there is none."""
+        return next(b for b in range(1, self.q) if self.mul(a, b) == self.one)
 
     def dot(self, u, v):
         acc = 0

@@ -14,6 +14,7 @@ from mosaichash import (
 )
 from mosaichash import cli, designs
 from mosaichash.cli import main
+from oracles import ref_field_multiply
 from util import flip_source
 
 
@@ -45,6 +46,14 @@ def test_family_over_a_prime_above_the_table_size(tmp_path, capsys):
     assert [list(r) for r in T.entries] == [
         [(x[0] + b) % 67 for (_, b) in T.s_labels] for x in T.x_labels
     ]
+
+
+def test_family_over_gf256(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--field-multiply", "q=2", "n=8", "m=4")
+    T = FunctionTable.from_json(path.read_text())
+    (X, S, A), rows = ref_field_multiply(2, 8, 4)
+    assert (list(T.x_labels), list(T.s_labels), list(T.a_labels)) == (X, S, A)
+    assert [[T.a_labels[e] for e in row] for row in T.entries] == rows
 
 
 def test_family_requires_one_kind(capsys):
@@ -299,6 +308,38 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+    # valid JSON of the wrong shape
+    for doc, why in (('{"x_labels": [0]}', "arrays s_labels, a_labels, rows"),
+                     ('{"x_labels": 0, "s_labels": [], "a_labels": [], "rows": []}', "x_labels"),
+                     ("[1, 2]", "JSON object")):
+        path.write_text(doc)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and why in err
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=1")
+    src = tmp_path / "src.json"
+    src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0],
+                               "probabilities": [["1/0"], ["1/2"]]}))
+    code, _, err = run(capsys, "pa", str(src), str(fam))
+    assert code == 2 and "zero denominator" in err
+    src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0], "probabilities": [1, 0]}))
+    code, _, err = run(capsys, "pa", str(src), str(fam))
+    assert code == 2 and "rows of rationals" in err
+    src.write_text("[]")
+    code, _, err = run(capsys, "pa", str(src), str(fam))
+    assert code == 2 and "JSON object" in err
+    latin = tmp_path / "latin.json"
+    latin.write_text('{"labels": [0, 1]}')
+    code, _, err = run(capsys, "construct", str(fam), "--seed-ext", "--latin", str(latin))
+    assert code == 2 and "arrays rows" in err
+
+
+@pytest.mark.parametrize("n, code", [("0", 2), ("-2", 2), ("1", 0)])
+def test_pa_iid_below_one_exits_2(tmp_path, capsys, n, code):
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=1")
+    src = tmp_path / "src.json"
+    src.write_text(uniform_source(affine(2, 1).x_labels).to_json())
+    got, _, err = run(capsys, "pa", str(src), str(fam), "--iid", n)
+    assert got == code and ("n must be >= 1" in err) == (code == 2)
 
 
 def test_table_format_output(tmp_path, capsys):

@@ -237,11 +237,14 @@ NAMED_CASES = [
     ("field_multiply", ref_field_multiply, dict(q=2, n=2, m=2)),
     ("field_multiply", ref_field_multiply, dict(q=3, n=2, m=1, exclude_zero=True)),
     ("field_multiply", ref_field_multiply, dict(q=7, n=1, m=1)),
-    # a prime above the table size: no add/mul tables, the formulas compute mod p
+    # a prime above 64 and GF(256), where x is not primitive
     ("affine", ref_affine, dict(q=67, t=1)),
     ("dual_affine", ref_dual_affine, dict(q=67, t=1)),
     ("toeplitz", ref_toeplitz, dict(q=67, m=1, n=1)),
     ("field_multiply", ref_field_multiply, dict(q=67, n=1, m=1)),
+    ("affine", ref_affine, dict(q=256, t=1)),
+    ("toeplitz", ref_toeplitz, dict(q=256, m=1, n=1)),
+    ("field_multiply", ref_field_multiply, dict(q=2, n=8, m=4)),
 ]
 
 

@@ -9,7 +9,6 @@ from mosaichash.errors import (
     UnsupportedSize,
     ZeroInverse,
 )
-from mosaichash.fields import BUILTIN_MAX_Q
 from oracles import REF_FIELDS, RefField, gf8_mul_table
 
 
@@ -27,6 +26,8 @@ def test_canonical_moduli():
     assert field_new(2, 2).modulus == (1, 1, 1)
     assert field_new(2, 3).modulus == (1, 1, 0, 1)
     assert field_new(3, 2).modulus == (1, 0, 1)
+    # x^8 + x^4 + x^3 + x + 1, under which x has order 51: the logs need another generator
+    assert field_new(2, 8).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
 
 
 def test_gf8_multiplication_matches_hand_oracle():
@@ -87,11 +88,15 @@ def test_validation_errors():
     with pytest.raises(UnsupportedSize):
         field_new(2, 17)  # q > 2^16
     with pytest.raises(UnsupportedSize):
-        field_new(2, 7)  # q > 64 without a user-supplied modulus
-    with pytest.raises(UnsupportedSize):
         field_for_order(6)
     with pytest.raises(UnsupportedSize):
+        field_for_order(10**18 + 9)  # refused at once, not after a divisor search up to q
+    with pytest.raises(UnsupportedSize):
         Field(2, 0)
+    # every q <= 2^16 builds with its canonical modulus; [128] of
+    # test_field_tables_match_hand_arithmetic compares GF(2^7) with the oracle
+    assert field_new(2, 7) is field_for_order(128)
+    assert field_new(2, 7).modulus == REF_FIELDS[128][2]
 
 
 def test_large_field_with_user_modulus():
@@ -101,9 +106,9 @@ def test_large_field_with_user_modulus():
     # x * x^6 = x^7 = x + 1
     assert f.coeffs(f.mul(x, x6)) == (1, 1) + (0,) * 5
     assert f.mul(x, f.inv(x)) == f.one
-    # no tables above q = 64: add, sub and neg work on coefficient vectors
+    # over GF(2^m) adding element indices is XOR, and every element is its own negative
     assert f.add(x, x6) == f.sub(x, x6) == x ^ x6 and f.neg(x) == x
-    # the formulas' arithmetic goes entry by entry through add and mul
+    # the formulas' array arithmetic agrees with the scalar operations
     a, b = np.arange(128)[:, None], np.array([0, 1, x, x6, 127])
     assert f._add_ix(a, b).tolist() == (a ^ b).tolist()
     assert f._mul_ix(a, b).tolist() == [[f.mul(i, j) for j in b.tolist()] for i in range(128)]
@@ -124,8 +129,7 @@ def test_field_tables_match_hand_arithmetic(q):
     n, grid = range(q), np.indices((q, q), sparse=True)
     assert f._add_ix(*grid).tolist() == [[ref.add(a, b) for b in n] for a in n]
     assert f._mul_ix(*grid).tolist() == [[ref.mul(a, b) for b in n] for a in n]
-    if q <= BUILTIN_MAX_Q:
-        assert f._neg_array.tolist() == [ref.neg(a) for a in n]
+    assert [f.inv(a) for a in n[1:]] == [ref.inv(a) for a in n[1:]]
     for a in n:
         assert f.neg(a) == ref.neg(a) and type(f.neg(a)) is int
         for b in n:
