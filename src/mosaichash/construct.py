@@ -92,6 +92,8 @@ class Quasigroup:
     @classmethod
     def from_json(cls, text: str) -> "Quasigroup":
         labels, rows = json_fields(text, "labels", "rows")
+        if not all(isinstance(r, list) for r in rows):
+            raise NotLatinSquare("rows must be arrays of carrier labels")
         return cls([decode_label(a) for a in labels], [[decode_label(a) for a in r] for r in rows])
 
 

@@ -19,6 +19,7 @@ from .families import (
     HashFamily,
     decode_label,
     encode_label,
+    json_fields,
 )
 from .verify import classify, seed_lower_bounds
 
@@ -62,12 +63,8 @@ class IncidenceStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceStructure":
-        obj = json.loads(text)
-        return cls(
-            obj["rows"],
-            [decode_label(p) for p in obj["points"]],
-            [decode_label(s) for s in obj["block_indices"]],
-        )
+        rows, points, blocks = json_fields(text, "rows", "points", "block_indices")
+        return cls(rows, [decode_label(p) for p in points], [decode_label(s) for s in blocks])
 
 
 class Mosaic:
@@ -108,11 +105,9 @@ class Mosaic:
 
     @classmethod
     def from_json(cls, text: str) -> "Mosaic":
-        obj = json.loads(text)
-        return cls(
-            [IncidenceStructure.from_json(json.dumps(d)) for d in obj["members"]],
-            [decode_label(a) for a in obj["a_labels"]],
-        )
+        members, a_labels = json_fields(text, "members", "a_labels")
+        members = [IncidenceStructure.from_json(json.dumps(d)) for d in members]
+        return cls(members, [decode_label(a) for a in a_labels])
 
 
 def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:

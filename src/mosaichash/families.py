@@ -44,6 +44,8 @@ def encode_label(label):
 def decode_label(obj):
     if isinstance(obj, list):
         return tuple(decode_label(x) for x in obj)
+    if isinstance(obj, dict):
+        raise DomainError(f"a label is a number, a string or an array, not {json.dumps(obj)}")
     return obj
 
 

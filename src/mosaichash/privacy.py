@@ -1,17 +1,22 @@
 """Exact privacy-amplification evaluation.
 
-Every probability is a ``Fraction``; floating point only enters for the
-final logarithm / square root of reported scalars, and the headline
-inequality is checked on squared quantities in rational arithmetic.
+Sources and joints are integer count arrays over one common denominator.  A
+``Fraction`` is built only for a reported value or a cached ``.p`` view, and
+floating point only for the final logarithm / square root of reported
+scalars; the headline inequality is checked on squared quantities exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+
+import numpy as np
 
 from .errors import (
     AlphabetMismatch,
@@ -25,34 +30,47 @@ from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_lab
 from .verify import min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
+_fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(count, den)
+
+
+def _counts(num, den):
+    """Counts over den lie in [0, den]: int64 when den fits, Python ints otherwise."""
+    return num.astype(np.int64 if den <= np.iinfo(np.int64).max else object)
 
 
 class JointSource:
-    """Joint distribution p_XZ with exact rational entries.
+    """Joint distribution p_XZ as integer counts ``num[x, z]`` over one common
+    denominator ``den``: the lcm of the given entries' denominators, or
+    ``src.den**n`` for ``iid_extend(src, n)``.
 
     Alphabet letters z with zero marginal mass are dropped at
     construction (with a warning).
     """
 
     def __init__(self, x_labels, z_labels, p):
-        x_labels = tuple(x_labels)
-        z_labels = tuple(z_labels)
+        x_labels, z_labels = tuple(x_labels), tuple(z_labels)
         rows = [[Fraction(v) for v in row] for row in p]
         if len(rows) != len(x_labels) or any(len(r) != len(z_labels) for r in rows):
             raise AlphabetMismatch("probability array shape mismatch")
-        if any(v < 0 for r in rows for v in r):
+        den = math.lcm(*(v.denominator for r in rows for v in r))
+        num = np.array([[v.numerator * (den // v.denominator) for v in r] for r in rows],
+                       dtype=object).reshape(len(x_labels), len(z_labels))
+        self._set_counts(x_labels, z_labels, num, den)
+
+    def _set_counts(self, x_labels, z_labels, num, den) -> "JointSource":
+        if (num < 0).any():
             raise ValueError("negative probability entry")
-        total = sum(v for r in rows for v in r)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        z_mass = [sum(rows[i][j] for i in range(len(x_labels)))
-                  for j in range(len(z_labels))]
-        keep = [j for j, m in enumerate(z_mass) if m > 0]
-        if len(keep) != len(z_labels):
-            warnings.warn("dropping z letters with zero mass", stacklevel=2)
+        total = num.sum()
+        if total != den:
+            raise ValueError(f"probabilities sum to {Fraction(int(total), den)}, not 1")
+        keep = num.sum(axis=0) > 0
+        if not keep.all():
+            warnings.warn("dropping z letters with zero mass", stacklevel=3)
         self.x_labels = x_labels
-        self.z_labels = tuple(z_labels[j] for j in keep)
-        self.p = [[rows[i][j] for j in keep] for i in range(len(x_labels))]
+        self.z_labels = tuple(z for z, k in zip(z_labels, keep) if k)
+        self.num = _counts(num[:, keep], den)
+        self.den = den
+        return self
 
     @property
     def x_size(self):
@@ -62,12 +80,13 @@ class JointSource:
     def z_size(self):
         return len(self.z_labels)
 
-    def p_z(self, j):
-        """Column vector p_z(x) = p_XZ(x, z_j)."""
-        return [self.p[i][j] for i in range(self.x_size)]
+    @cached_property
+    def p(self):
+        """p[x][z] as exact rationals."""
+        return _fraction(self.num, self.den).tolist()
 
     def z_marginal(self):
-        return [sum(self.p_z(j)) for j in range(self.z_size)]
+        return _fraction(self.num.sum(axis=0), self.den).tolist()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -84,11 +103,10 @@ class JointSource:
     def from_json(cls, text: str) -> "JointSource":
         xs, zs, probabilities = json_fields(text, "x_labels", "z_labels", "probabilities")
         try:
-            p = [[Fraction(v) for v in row] for row in probabilities]
-        except (TypeError, ZeroDivisionError):
-            msg = "probabilities must be rows of rationals with no zero denominator"
+            return cls([decode_label(x) for x in xs], [decode_label(z) for z in zs], probabilities)
+        except (TypeError, ZeroDivisionError, OverflowError):
+            msg = "probabilities must be rows of rationals, finite, with no zero denominator"
             raise DomainError(msg) from None
-        return cls([decode_label(x) for x in xs], [decode_label(z) for z in zs], p)
 
 
 def uniform_source(x_labels) -> JointSource:
@@ -100,115 +118,95 @@ def uniform_source(x_labels) -> JointSource:
 def renyi2_conditional(src: JointSource):
     """(H2(X|Z) in bits, exact inner sum 2^{-H2}).
 
-    The inner sum is sum_z (p_z . p_z) / (p_z . 1).
+    The inner sum is sum_z (p_z . p_z) / (p_z . 1), that is
+    sum_z (num_z . num_z) / (num_z . 1) / den over the counts.
     """
-    inner = Fraction(0)
-    for j in range(src.z_size):
-        col = src.p_z(j)
-        mass = sum(col)
-        inner += sum(v * v for v in col) / mass
+    num = src.num.astype(object)
+    squares, masses = (num * num).sum(axis=0).tolist(), num.sum(axis=0).tolist()
+    inner = sum(map(Fraction, squares, masses), Fraction(0)) / src.den
     h2 = -math.log2(inner) if inner > 0 else math.inf
     return h2, inner
 
 
 def iid_extend(src: JointSource, n: int, budget=DEFAULT_SOURCE_BUDGET) -> JointSource:
-    """The n-fold product source; the inner collision sum multiplies."""
+    """The n-fold product source: the Kronecker power of the counts over
+    den**n, on n-tuple labels; the inner collision sum multiplies."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:  # nothing is built, so no budget applies
         return src
     if src.x_size**n * src.z_size**n > budget:
         raise BudgetExceeded(f"product alphabet exceeds budget {budget}")
-    prev = iid_extend(src, n - 1, budget)
-    x_labels = [(x, y) if n == 2 else x + (y,) for x in prev.x_labels
-                for y in src.x_labels]
-    z_labels = [(z, w) if n == 2 else z + (w,) for z in prev.z_labels
-                for w in src.z_labels]
-    p = [
-        [prev.p[i][j] * src.p[k][l] for j in range(prev.z_size)
-         for l in range(src.z_size)]
-        for i in range(prev.x_size)
-        for k in range(src.x_size)
-    ]
-    return JointSource(x_labels, z_labels, p)
+    den = src.den**n
+    return JointSource.__new__(JointSource)._set_counts(
+        tuple(itertools.product(src.x_labels, repeat=n)),
+        itertools.product(src.z_labels, repeat=n),
+        reduce(np.kron, [_counts(src.num, den)] * n), den)
 
 
-@dataclass
+@dataclass(eq=False)
 class PAJoint:
     z_labels: tuple
     s_labels: tuple
     a_labels: tuple
-    p: list  # p[z][s][a] exact rationals
+    num: np.ndarray  # num[z, s, a] counts over den
+    den: int
     key_marginal: list
     independence_verified: bool
     independence_witness: tuple | None
 
+    @cached_property
+    def p(self):
+        """p[z][s][a] as exact rationals."""
+        return _fraction(self.num, self.den).tolist()
+
 
 def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PAJoint:
-    """Exact joint p_ZSA(z,s,a) = p_XZ restricted to f(x,s)=a, seed uniform."""
+    """Exact joint p_ZSA(z,s,a) = p_XZ restricted to f(x,s)=a, seed uniform.
+
+    Cell (z, s, T[x, s]) accumulates num[x, z] over den * |S|.  A cell is
+    at most den, so the joint keeps the source's dtype.  The key is
+    independent of Z when |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
+    """
     if tuple(src.x_labels) != tuple(f.x_labels):
         raise AlphabetMismatch("source X alphabet differs from the family point set")
-    T = f.to_table(budget).entries
-    ns, na, nz = f.s_size, f.a_size, src.z_size
-    inv_s = Fraction(1, ns)
-    p = [[[Fraction(0)] * na for _ in range(ns)] for _ in range(nz)]
-    for i in range(src.x_size):
-        row = T[i]
-        for j in range(nz):
-            mass = src.p[i][j] * inv_s
-            if mass == 0:
-                continue
-            for s in range(ns):
-                p[j][s][row[s]] += mass
-
-    key_marginal = [
-        sum(p[j][s][a] for j in range(nz) for s in range(ns)) for a in range(na)
-    ]
-    z_marginal = src.z_marginal()
-    independent = True
-    witness = None
-    for j in range(nz):
-        for a in range(na):
-            pza = sum(p[j][s][a] for s in range(ns))
-            if pza != z_marginal[j] * Fraction(1, na):
-                independent = False
-                if witness is None:
-                    witness = (src.z_labels[j], f.a_labels[a])
+    T = f.to_table(budget)._array
+    ns, na = f.s_size, f.a_size
+    num = np.zeros((src.z_size, ns, na), dtype=src.num.dtype)
+    np.add.at(num, (slice(None), np.arange(ns), T), src.num.T[:, :, None])
+    den = src.den * ns
+    key_marginal = _fraction(num.sum(axis=(0, 1)), den).tolist()
+    dependent = np.argwhere(na * num.sum(axis=1).astype(object)
+                            != ns * src.num.sum(axis=0).astype(object)[:, None])
+    witness = next(((src.z_labels[j], f.a_labels[a]) for j, a in dependent), None)
     return PAJoint(
-        src.z_labels, f.s_labels, f.a_labels, p, key_marginal,
-        independent, witness,
+        src.z_labels, f.s_labels, f.a_labels, num, den, key_marginal,
+        witness is None, witness,
     )
 
 
 def security_distance(joint: PAJoint):
     """Exact max_{a,a'} l1 distance between the conditionals p_{ZS|A=a}.
 
-    Returns (distance, (a, a') witness).
+    With key counts m, the distance of (a, a') is
+    sum_{z,s} |P[z,s,a] m_a' - P[z,s,a'] m_a| / (m_a m_a'), summed in
+    Python ints.  Returns (distance, (a, a') witness).
     """
-    na = len(joint.a_labels)
-    nz, ns = len(joint.z_labels), len(joint.s_labels)
-    conds = []
+    labels = joint.a_labels
+    na = len(labels)
+    P = joint.num.reshape(-1, na).astype(object)
+    m = P.sum(axis=0)
     for a in range(na):
-        mass = joint.key_marginal[a]
-        if mass == 0:
-            raise ZeroMassKeyValue(f"key value {joint.a_labels[a]!r} has zero mass")
-        conds.append(
-            [[joint.p[j][s][a] / mass for s in range(ns)] for j in range(nz)]
-        )
+        if m[a] == 0:
+            raise ZeroMassKeyValue(f"key value {labels[a]!r} has zero mass")
     best = Fraction(0)
-    witness = (joint.a_labels[0], joint.a_labels[0]) if na else None
+    witness = (labels[0], labels[0]) if na else None
     for a in range(na):
+        cross = np.abs(P[:, a:a + 1] * m - P * m[a]).sum(axis=0)
         for b in range(na):
-            if a == b:
-                continue
-            d = sum(
-                abs(conds[a][j][s] - conds[b][j][s])
-                for j in range(nz)
-                for s in range(ns)
-            )
-            if d > best:
-                best = d
-                witness = (joint.a_labels[a], joint.a_labels[b])
+            d = Fraction(cross[b], m[a] * m[b])
+            if b != a and d > best:
+                best, witness = d, (labels[a], labels[b])
     return best, witness
 
 
@@ -269,13 +267,12 @@ def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PARe
     eps, _ = min_epsilon(f, "ACFU", budget)
     h2, inner = renyi2_conditional(src)
     rad = theorem_radicand(eps, f.a_size, inner)
-    if rad < 0:
-        raise NegativeRadicand(f"bound radicand {rad} is negative")
+    bound = theorem_bound(eps, f.a_size, inner)
     # compare squared quantities exactly: dist^2 <= 4 * radicand
     if dist * dist > 4 * rad:
         raise TheoremViolation(
-            f"security distance {dist} exceeds the bound for {f.name}; "
-            f"radicand {rad}, joint {joint.p}"
+            f"security distance {dist} at key values {witness!r} exceeds the "
+            f"bound for {f.name}; radicand {rad}"
         )
     if not joint.independence_verified:
         raise TheoremViolation(
@@ -292,5 +289,5 @@ def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PARe
         entropy_h2=h2,
         renyi_inner=inner,
         radicand=rad,
-        theorem_bound=2.0 * math.sqrt(float(rad)),
+        theorem_bound=bound,
     )

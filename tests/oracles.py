@@ -170,6 +170,17 @@ def oracle_security_distance(src, f):
     return best
 
 
+def oracle_p_zsa(src, f):
+    """Joint p_ZSA as {(z, s, a): mass} over the nonzero cells, by direct summation."""
+    p_zsa = {}
+    for xi, x in enumerate(src.x_labels):
+        for zi, z in enumerate(src.z_labels):
+            for s in f.s_labels:
+                key = (z, s, f.evaluate(x, s))
+                p_zsa[key] = p_zsa.get(key, Fraction(0)) + src.p[xi][zi] / len(f.s_labels)
+    return p_zsa
+
+
 def oracle_renyi_inner(src):
     inner = Fraction(0)
     for zi in range(src.z_size):

@@ -311,26 +311,34 @@ def test_bad_json_exits_2(tmp_path, capsys):
     # valid JSON of the wrong shape
     for doc, why in (('{"x_labels": [0]}', "arrays s_labels, a_labels, rows"),
                      ('{"x_labels": 0, "s_labels": [], "a_labels": [], "rows": []}', "x_labels"),
-                     ("[1, 2]", "JSON object")):
+                     ("[1, 2]", "JSON object"),
+                     ('{"x_labels": [{"a": 1}], "s_labels": [0], "a_labels": [0], "rows": [[0]]}',
+                      'not {"a": 1}')):
         path.write_text(doc)
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and why in err
+        assert err.startswith("error: ") and err.count("\n") == 1
     fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=1")
     src = tmp_path / "src.json"
     src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0],
                                "probabilities": [["1/0"], ["1/2"]]}))
     code, _, err = run(capsys, "pa", str(src), str(fam))
     assert code == 2 and "zero denominator" in err
-    src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0], "probabilities": [1, 0]}))
-    code, _, err = run(capsys, "pa", str(src), str(fam))
-    assert code == 2 and "rows of rationals" in err
+    for probabilities in ([1, 0], [[float("inf")], [0]]):
+        src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0],
+                                   "probabilities": probabilities}))
+        code, _, err = run(capsys, "pa", str(src), str(fam))
+        assert code == 2 and "rows of rationals" in err
     src.write_text("[]")
     code, _, err = run(capsys, "pa", str(src), str(fam))
     assert code == 2 and "JSON object" in err
     latin = tmp_path / "latin.json"
-    latin.write_text('{"labels": [0, 1]}')
-    code, _, err = run(capsys, "construct", str(fam), "--seed-ext", "--latin", str(latin))
-    assert code == 2 and "arrays rows" in err
+    for doc, why in (('{"labels": [0, 1]}', "arrays rows"),
+                     ('{"labels": [0, 1], "rows": [5, 6]}', "rows must be arrays")):
+        latin.write_text(doc)
+        code, _, err = run(capsys, "construct", str(fam), "--seed-ext", "--latin", str(latin))
+        assert code == 2 and why in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n, code", [("0", 2), ("-2", 2), ("1", 0)])

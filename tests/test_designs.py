@@ -23,7 +23,7 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.errors import BadLabeling, NotAMosaic, SearchBudgetExceeded
+from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
     oracle_find_resolution,
@@ -57,6 +57,19 @@ def test_incidence_json_roundtrip():
     d2 = IncidenceStructure.from_json(d.to_json())
     assert (d2.matrix == d.matrix).all()
     assert d2.points == d.points
+
+
+@pytest.mark.parametrize("cls, text", [
+    (IncidenceStructure, "[1]"),
+    (IncidenceStructure, '{"rows": 5}'),
+    (IncidenceStructure, '{"rows": [[1]], "points": [{"a": 1}], "block_indices": [0]}'),
+    (Mosaic, "[1]"),
+    (Mosaic, '{"rows": 5}'),
+    (Mosaic, '{"members": [5], "a_labels": [0]}'),
+])
+def test_json_of_the_wrong_shape_raises_domain_error(cls, text):
+    with pytest.raises(DomainError):
+        cls.from_json(text)
 
 
 def test_mosaic_validation():

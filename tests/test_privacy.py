@@ -1,6 +1,9 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mosaichash import (
@@ -18,15 +21,17 @@ from mosaichash import (
     transversal,
     uniform_source,
 )
+from mosaichash import privacy
 from mosaichash.errors import (
     AlphabetMismatch,
     BudgetExceeded,
     NegativeRadicand,
     NotRegular,
+    TheoremViolation,
     ZeroMassKeyValue,
 )
-from oracles import oracle_renyi_inner, oracle_security_distance
-from util import flip_source, relabel_points
+from oracles import oracle_p_zsa, oracle_renyi_inner, oracle_security_distance
+from util import flip_source, random_regular_table, random_table, relabel_points
 
 
 def test_joint_source_validation():
@@ -163,3 +168,103 @@ def test_run_pa_bound_dominates_correlated_source():
     res = run_pa(src, f)
     assert res.security_distance**2 <= 4 * res.radicand
     assert res.security_distance == oracle_security_distance(src, f)
+
+
+def test_run_pa_violation_names_family_distance_radicand_and_witness(monkeypatch):
+    src = iid_extend(flip_source(2, Fraction(1, 4)), 2)
+    f = relabel_points(affine(2, 2), src.x_labels)
+    rad = run_pa(src, f).radicand
+    monkeypatch.setattr(privacy, "security_distance",
+                        lambda joint: (Fraction(5, 2), ("w0", "w1")))
+    with pytest.raises(TheoremViolation) as exc:
+        run_pa(src, f)
+    msg = str(exc.value)
+    for part in (f.name, "5/2", str(rad), "('w0', 'w1')"):
+        assert part in msg
+    assert "Fraction" not in msg and len(msg) < 200
+
+
+NAMED = [affine(2, 2), affine(3, 1), transversal(3), transversal(2, include_infinity=True)]
+
+
+def random_source(rng, x_labels, nz):
+    """Seeded p_XZ with zero cells and one all-zero z letter, which is dropped."""
+    w = [[rng.choice([0, rng.randint(1, 20)]) for _ in range(nz)] for _ in x_labels]
+    w[rng.randrange(len(w))][rng.randrange(nz)] += 1
+    dead = rng.randrange(nz + 1)
+    total = sum(map(sum, w))
+    rows = [r[:dead] + [0] + r[dead:] for r in w]
+    with pytest.warns(UserWarning):
+        return JointSource(x_labels, [f"z{j}" for j in range(nz + 1)],
+                           [[Fraction(v, total) for v in r] for r in rows])
+
+
+def assert_matches_oracles(src, f):
+    """Every integer formula equals the naive Fraction loops of tests/oracles.py."""
+    joint = pa_joint(src, f)
+    cells = oracle_p_zsa(src, f)
+    assert joint.p == [[[cells.get((z, s, a), 0) for a in f.a_labels] for s in f.s_labels]
+                       for z in src.z_labels]
+    assert joint.key_marginal == [sum(v for (_, _, a), v in cells.items() if a == b)
+                                  for b in f.a_labels]
+    z_mass = src.z_marginal()
+    dependent = [(z, a) for z, m in zip(src.z_labels, z_mass) for a in f.a_labels
+                 if sum(cells.get((z, s, a), 0) for s in f.s_labels) != m / f.a_size]
+    assert joint.independence_verified == (not dependent)
+    assert joint.independence_witness == (dependent[0] if dependent else None)
+    assert renyi2_conditional(src)[1] == oracle_renyi_inner(src)
+    if all(joint.key_marginal):
+        assert security_distance(joint)[0] == oracle_security_distance(src, f)
+    return joint
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_joint_matches_oracles_on_random_sources(seed):
+    rng = random.Random(seed)
+    na = rng.randint(1, 3)
+    if seed % 2:
+        f = NAMED[seed // 2 % len(NAMED)]
+    else:
+        f = random_regular_table(rng, rng.randint(2, 6), na * rng.randint(1, 3), na)
+    src = random_source(rng, f.x_labels, rng.randint(1, 4))
+    assert src.num.dtype == np.int64 and 1 <= src.z_size <= 4
+    assert assert_matches_oracles(src, f).independence_verified  # (ACFU1) holds
+    if seed % 3 == 0:  # irregular tables: the dependence witness and zero-mass keys
+        g = random_table(rng, f.x_size, rng.randint(1, 4), rng.randint(2, 3))
+        assert_matches_oracles(JointSource(g.x_labels, src.z_labels, src.p), g)
+
+
+def test_iid_extend_is_the_hand_product():
+    src = random_source(random.Random(5), [0, 1, 2], 2)
+    for n in (2, 3):
+        ext = iid_extend(src, n)
+        xs = list(itertools.product(range(src.x_size), repeat=n))
+        zs = list(itertools.product(range(src.z_size), repeat=n))
+        assert ext.x_labels == tuple(tuple(src.x_labels[i] for i in ix) for ix in xs)
+        assert ext.z_labels == tuple(tuple(src.z_labels[j] for j in jz) for jz in zs)
+        assert ext.p == [[math.prod(src.p[i][j] for i, j in zip(ix, jz)) for jz in zs]
+                         for ix in xs]
+
+
+def test_denominators_beyond_int64_take_python_ints():
+    rng = random.Random(11)
+    f = affine(2, 2)
+    den = 3**45  # above 2^64
+    w = [[rng.randrange(den // 12) for _ in range(3)] for _ in f.x_labels]
+    w[0][0] += den - sum(map(sum, w))  # the counts sum to den
+    src = JointSource(f.x_labels, "abc", [[Fraction(v, den) for v in r] for r in w])
+    assert src.den == den and src.num.dtype == object
+    joint = assert_matches_oracles(src, f)
+    assert joint.num.dtype == object
+    back = JointSource.from_json(src.to_json())
+    assert back.p == src.p and back.num.dtype == object
+    assert_matches_oracles(back, f)
+    # an i.i.d. power whose denominator den**n passes 2^63 leaves int64 too
+    a, b, c = (rng.randrange(1, 3**25 // 4) for _ in range(3))
+    small = JointSource([0, 1], [0, 1], [[Fraction(a, 3**25), Fraction(b, 3**25)],
+                                         [Fraction(c, 3**25), Fraction(3**25 - a - b - c, 3**25)]])
+    assert small.num.dtype == np.int64 and small.den**2 > 2**63
+    ext = iid_extend(small, 2)
+    assert ext.num.dtype == object
+    assert_matches_oracles(ext, relabel_points(affine(2, 2), ext.x_labels))
+    assert renyi2_conditional(ext)[1] == renyi2_conditional(small)[1] ** 2
