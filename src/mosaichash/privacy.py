@@ -27,7 +27,7 @@ from .errors import (
     ZeroMassKeyValue,
 )
 from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label, json_fields
-from .verify import min_epsilon
+from .verify import min_epsilon, rational_str
 
 DEFAULT_SOURCE_BUDGET = 10**6
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(count, den)
@@ -103,10 +103,11 @@ class JointSource:
     def from_json(cls, text: str) -> "JointSource":
         xs, zs, probabilities = json_fields(text, "x_labels", "z_labels", "probabilities")
         try:
-            return cls([decode_label(x) for x in xs], [decode_label(z) for z in zs], probabilities)
+            p = [[Fraction(v) for v in row] for row in probabilities]
         except (TypeError, ZeroDivisionError, OverflowError):
             msg = "probabilities must be rows of rationals, finite, with no zero denominator"
             raise DomainError(msg) from None
+        return cls([decode_label(x) for x in xs], [decode_label(z) for z in zs], p)
 
 
 def uniform_source(x_labels) -> JointSource:
@@ -165,8 +166,9 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
     """Exact joint p_ZSA(z,s,a) = p_XZ restricted to f(x,s)=a, seed uniform.
 
     Cell (z, s, T[x, s]) accumulates num[x, z] over den * |S|.  A cell is
-    at most den, so the joint keeps the source's dtype.  The key is
-    independent of Z when |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
+    at most den, so the joint keeps the source's dtype; a sum over s reaches
+    |S| den, so it is taken in Python ints.  The key is independent of Z
+    when |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
     """
     if tuple(src.x_labels) != tuple(f.x_labels):
         raise AlphabetMismatch("source X alphabet differs from the family point set")
@@ -175,14 +177,12 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
     num = np.zeros((src.z_size, ns, na), dtype=src.num.dtype)
     np.add.at(num, (slice(None), np.arange(ns), T), src.num.T[:, :, None])
     den = src.den * ns
-    key_marginal = _fraction(num.sum(axis=(0, 1)), den).tolist()
-    dependent = np.argwhere(na * num.sum(axis=1).astype(object)
-                            != ns * src.num.sum(axis=0).astype(object)[:, None])
+    key_marginal = _fraction(num.sum(axis=(0, 1), dtype=object), den).tolist()
+    dependent = np.argwhere(na * num.sum(axis=1, dtype=object)
+                            != ns * src.num.sum(axis=0, dtype=object)[:, None])
     witness = next(((src.z_labels[j], f.a_labels[a]) for j, a in dependent), None)
-    return PAJoint(
-        src.z_labels, f.s_labels, f.a_labels, num, den, key_marginal,
-        witness is None, witness,
-    )
+    return PAJoint(src.z_labels, f.s_labels, f.a_labels, num, den, key_marginal,
+                   witness is None, witness)
 
 
 def security_distance(joint: PAJoint):
@@ -219,7 +219,10 @@ def theorem_radicand(eps, a_size: int, renyi_inner) -> Fraction:
 
 def theorem_bound(eps, a_size: int, renyi_inner) -> float:
     """Security bound 2 sqrt(radicand); the square root is the only float."""
-    rad = theorem_radicand(eps, a_size, renyi_inner)
+    return _bound(theorem_radicand(eps, a_size, renyi_inner))
+
+
+def _bound(rad: Fraction) -> float:
     if rad < 0:
         raise NegativeRadicand(f"bound radicand {rad} is negative")
     return 2.0 * math.sqrt(float(rad))
@@ -239,8 +242,6 @@ class PAResult:
     theorem_bound: float
 
     def to_dict(self):
-        from .verify import rational_str
-
         return {
             "family": self.family,
             "eps_acfu": rational_str(self.eps_acfu),
@@ -267,7 +268,7 @@ def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PARe
     eps, _ = min_epsilon(f, "ACFU", budget)
     h2, inner = renyi2_conditional(src)
     rad = theorem_radicand(eps, f.a_size, inner)
-    bound = theorem_bound(eps, f.a_size, inner)
+    bound = _bound(rad)
     # compare squared quantities exactly: dist^2 <= 4 * radicand
     if dist * dist > 4 * rad:
         raise TheoremViolation(

@@ -268,3 +268,27 @@ def test_denominators_beyond_int64_take_python_ints():
     assert ext.num.dtype == object
     assert_matches_oracles(ext, relabel_points(affine(2, 2), ext.x_labels))
     assert renyi2_conditional(ext)[1] == renyi2_conditional(small)[1] ** 2
+
+
+def test_int64_counts_whose_key_sums_pass_int64():
+    """Counts over 2^62 stay int64, but a key's mass over affine(2, 2) reaches
+    |S|/|A| den = 3 * 2^62; those sums must not wrap."""
+    rng = random.Random(13)
+    f = affine(2, 2)
+    den = 2**62
+    w = [[rng.randrange(den // 8) for _ in range(2)] for _ in f.x_labels]
+    w[0][0] += den - sum(map(sum, w))
+    src = JointSource(f.x_labels, "ab", [[Fraction(v, den) for v in r] for r in w])
+    assert src.den == den and src.num.dtype == np.int64
+    joint = assert_matches_oracles(src, f)
+    assert joint.num.dtype == np.int64 and joint.independence_verified
+    assert run_pa(src, f).key_marginal == [Fraction(1, 2)] * 2
+    half = 2**31
+    a, b, c = (rng.randrange(1, half // 4) for _ in range(3))
+    small = JointSource([0, 1], [0, 1], [[Fraction(a, half), Fraction(b, half)],
+                                         [Fraction(c, half), Fraction(half - a - b - c, half)]])
+    ext = iid_extend(small, 2)
+    assert ext.den == den and ext.num.dtype == np.int64
+    g = relabel_points(f, ext.x_labels)
+    assert assert_matches_oracles(ext, g).independence_verified
+    assert run_pa(ext, g).key_marginal == [Fraction(1, 2)] * 2
