@@ -186,7 +186,7 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
     sub = _op_table(a.a_labels, a.a_index, a.a_group.sub)
-    best, where = _pair_max(a.to_table(budget)._array, sub, a.a_size)
+    [(best, where)] = _pair_max(a.to_table(budget)._array, a.a_size, sub)
     if where is None:
         return Fraction(0), None
     i, j, b = where

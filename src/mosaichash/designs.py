@@ -30,10 +30,10 @@ class IncidenceStructure:
     """0/1 incidence matrix; rows are points, columns are block indices."""
 
     def __init__(self, matrix, points=None, block_indices=None):
-        m = np.array(matrix, dtype=np.int8)
+        m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
         if m.ndim != 2 or not np.isin(m, (0, 1)).all():
             raise ValueError("incidence matrix must be a 2-d 0/1 array")
-        self.matrix = m
+        self.matrix = m = m.astype(np.int8)
         self.points = tuple(points) if points is not None else tuple(range(m.shape[0]))
         self.block_indices = (
             tuple(block_indices) if block_indices is not None else tuple(range(m.shape[1]))

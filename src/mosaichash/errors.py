@@ -56,6 +56,10 @@ class InfeasibleEpsilon(MosaicHashError):
     pass
 
 
+class NotAnAutomorphism(MosaicHashError):
+    pass
+
+
 # designs
 class NotAMosaic(MosaicHashError):
     pass

@@ -94,7 +94,12 @@ def _all_vectors(field: Field, t: int):
 
 
 class HashFamily:
-    """f: X x S -> A through its one index formula ``_index_fn`` (module docstring)."""
+    """f: X x S -> A through its one index formula ``_index_fn`` (module docstring).
+
+    ``automorphisms``: index arrays (pi on X, sigma on S, tau on A) with T[pi x,
+    sigma s] = tau(T[x, s]), set by the named builders and checked on the
+    table by ``verify`` before use (NotAnAutomorphism otherwise).
+    """
 
     def __init__(self, name, x_labels, s_labels, a_labels, fn,
                  x_group: Group | None = None, a_group: Group | None = None):
@@ -115,7 +120,9 @@ class HashFamily:
             fn, self.x_labels, self.s_labels, self.a_index, name)
         self.x_group = x_group
         self.a_group = a_group
+        self.automorphisms = ()
         self._table = None
+        self._pairs = None  # verify's AU, ACFU and ASU results, from one pass
 
     @property
     def x_size(self):
@@ -269,10 +276,17 @@ def affine(q: int, t: int) -> HashFamily:
         acc = _dot(field, h_columns[:, si // q], _digits(xi, q, t))
         return field._add_ix(acc, si % q)
 
-    return _formula_family(
+    f = _formula_family(
         f"affine({q},{t})", x_labels, s_labels, field.elements(), index_fn,
         x_group=vector_group(field, t), a_group=field_group(field),
     )
+    xs, ss = np.arange(f.x_size), np.arange(f.s_size)
+    x, h, b = _digits(xs, q, t), h_columns[:, ss // q], ss % q
+    f.automorphisms = tuple(  # x -> x + w e_i with (h, b) -> (h, b - h_i w), one orbit
+        (xs + (field._add_ix(x[i], w) - x[i]) * q ** (t - 1 - i),
+         ss - b + field._add_ix(b, field._neg_array[field._mul_ix(h[i], w)]), np.arange(q))
+        for i in range(t) for w in field._weights)
+    return f
 
 
 def dual_affine(q: int, t: int) -> HashFamily:
@@ -302,10 +316,20 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
         r, y = xi // q, xi % q
         return field._add_ix(_dot(field, (c1[r], c2[r]), (si // q, si % q)), y)
 
-    return _formula_family(
+    f = _formula_family(
         f"transversal({q})", x_labels, s_labels, field.elements(), index_fn,
         a_group=field_group(field),
     )
+    xs, ss, values = np.arange(f.x_size), np.arange(q * q), np.arange(q)
+    r, y, s1, s2 = xs // q, xs % q, ss // q, ss % q
+    # (h, y) -> (h, y + w) on every row with a -> a + w: one orbit per row of H
+    gens = [(r * q + field._add_ix(y, w), ss, field._add_ix(values, w)) for w in field._weights]
+    if sorted(h_subset) == list(values):  # H = F_q: (h, y) -> (h + k, y), s2 -> s2 + k s1
+        hs, row_of = np.array(h_subset), np.argsort(h_subset)  # the infinity rows stay
+        gens += [(np.append(row_of[field._add_ix(hs, k)], len(hs))[r] * q + y,
+                  s1 * q + field._add_ix(s2, field._mul_ix(k, s1)), values) for k in field._weights]
+    f.automorphisms = tuple(gens)
+    return f
 
 
 def toeplitz(q: int, m: int, n: int) -> HashFamily:
@@ -346,11 +370,16 @@ def field_multiply(q: int, n: int, m: int, exclude_zero: bool = False) -> HashFa
     s_labels = [h for h in big.elements() if not (exclude_zero and h == big.zero)]
     first, shift = int(exclude_zero), q ** (n - m)  # seed index -> h; the first m digits
     name = f"field_multiply({q},{n},{m}{',*' if exclude_zero else ''})"
-    return _formula_family(
+    f = _formula_family(
         name, x_labels, s_labels, _all_vectors(base, m),
         lambda xi, si: big._mul_ix(si + first, xi) // shift,
         x_group=field_group(big), a_group=vector_group(base, m),
     )
+    c = big._exp[1]  # primitive: x -> cx with h -> h/c, orbits {0} and F*
+    f.automorphisms = ((big._mul_ix(c, np.arange(f.x_size)),
+                        big._mul_ix(big.inv(c), np.arange(f.s_size) + first) - first,
+                        np.arange(f.a_size)),)
+    return f
 
 
 def transversal_dual_affine_relabeling(q: int):

@@ -3,12 +3,19 @@
 Every check reads the family's integer table T[x, s] (built once by
 ``HashFamily.to_table``) through two counters: ``_row_counts``, the
 histogram #{s : T[x, s] = a}, for regularity and BALANCED; and
-``_pair_max``, the histogram #{s : code[T[x, s], T[x', s]] = c} over
-x < x', for AU, ACFU, ASU and ``construct.balanced_epsilon``, each with
-its own code table on value pairs.  A witness is the first strict maximum
-in the scan order x, x', a, a' (label order).  All epsilons and bound
-values are exact ``Fraction``s, so equality against the lower bounds is
-decidable with zero tolerance.
+``_pair_max``, the histogram #{s : code[T[x, s], T[x', s]] = c} per pair
+x < x', read through folds.  One pass, memoised on the family, gives AU
+(diagonal sum), ACFU (largest diagonal bin) and ASU (largest bin) over
+the code a*|A| + a' of a regular table, or AU alone over the code [a = a']
+of an irregular one; ``construct.balanced_epsilon`` passes a difference
+code.  N is invariant under a family's verified automorphisms (pi, sigma,
+tau), T[pi x, sigma s] = tau(T[x, s]), so only rows r that are the least
+of their X-orbit are counted (Kramer and Mesner's orbit method).  A
+witness is the first strict maximum in the scan order x, x', a, a' (label
+order); the first row to reach a maximum is such an r, as (x, x') maps to
+(r, y) with r <= x and, if y < r, on to (r', z) with r' <= y.  All
+epsilons and bound values are exact ``Fraction``s, so equality against
+the lower bounds is decidable with zero tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleEpsilon, NotHomomorphic, NotRegular, TrivialDomain
+from .errors import InfeasibleEpsilon, NotAnAutomorphism, NotHomomorphic, NotRegular, TrivialDomain
 from .families import DEFAULT_TABLE_BUDGET, HashFamily
 
 CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
@@ -41,28 +48,81 @@ def _row_counts(T, na):
     return np.bincount(keys.ravel(), minlength=nx * na).reshape(nx, na)
 
 
-def _pair_max(T, code, ncodes):
-    """First strict maximum of #{s : code[T[x, s], T[x', s]] = c} over
-    x < x' and c < ncodes in (x, x', c) order, as (count, (x, x', c)), or
-    (-1, None) without a pair.  A code of ncodes is not counted.  Each
-    bincount counts a block of rows x' of about _BLOCK entries and bins.
-    """
+def _block_size(hist, ns):
+    """|S|/|A| if every value is hit that often in every row of hist (ACFU1), else None."""
+    block, rest = divmod(ns, hist.shape[1])
+    return block if rest == 0 and bool((hist == block).all()) else None
+
+
+def _pair_max(T, na, code=None, folds=(None,), rows=None):
+    """First strict maxima in (x, x', c) order, one (count, (x, x', c)) per
+    fold or (-1, None) without a pair, of counts[x', c] = #{s : code[T[x, s],
+    T[x', s]] = c} (code default c = a*na + a') over x in rows (default all)
+    and x' > x.  A fold maps a block's counts (rows x', codes) to (rows x', k)
+    values; None keeps them.  A bincount counts rows x' of about _BLOCK
+    entries and bins."""
     nx, ns = T.shape
-    width = ncodes + 1
-    step = max(1, _BLOCK // max(ns, width))
-    best, where = -1, None
-    for i in range(nx - 1):
-        row = T[i] * len(code)
+    ncodes = na * na if code is None else int(code.max()) + 1
+    step = max(1, _BLOCK // max(ns, ncodes))
+    found = [(-1, None)] * len(folds)
+    for i in range(nx) if rows is None else rows:
+        row = T[i] * na
         for j in range(i + 1, nx, step):
-            keys = code.take(row + T[j:j + step])
+            keys = row + T[j:j + step]
+            if code is not None:
+                keys = code.take(keys)
             m = keys.shape[0]
-            keys += width * np.arange(m)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=m * width)
-            counts = counts.reshape(m, width)[:, :ncodes]
-            k = int(counts.argmax())
-            if counts.flat[k] > best:
-                best, where = int(counts.flat[k]), (i, j + k // ncodes, k % ncodes)
-    return best, where
+            keys += ncodes * np.arange(m)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=m * ncodes).reshape(m, ncodes)
+            for n, fold in enumerate(folds):
+                values = counts if fold is None else fold(counts)
+                k = int(values.argmax())
+                if values.flat[k] > found[n][0]:
+                    width = values.shape[1]
+                    found[n] = int(values.flat[k]), (i, j + k // width, k % width)
+    return found
+
+
+def _representatives(f: HashFamily, T):
+    """Least index of each X-orbit of f.automorphisms, each verified on T first."""
+    ranges = np.arange(T.shape[0]), np.arange(T.shape[1]), np.arange(f.a_size)
+    small = T.astype(np.min_scalar_type(f.a_size - 1))  # gathers on it run several times faster
+    for n, (pi, sigma, tau) in enumerate(f.automorphisms):
+        perms = all(np.array_equal(np.sort(p), r) for p, r in zip((pi, sigma, tau), ranges))
+        if not (perms and np.array_equal(small.take(pi, axis=0).take(sigma, axis=1),
+                                         tau.astype(small.dtype)[small])):
+            raise NotAnAutomorphism(f"automorphism {n} of {f.name} does not fix its table")
+    # least orbit index: spread minima along every pi, then halve the distances
+    low = ranges[0]
+    while True:
+        old = low
+        for pi, _, _ in f.automorphisms:
+            low = np.minimum(low, low[pi])
+            low[pi] = np.minimum(low[pi], low)
+        low = low[low]
+        if np.array_equal(low, old):
+            return np.flatnonzero(low == ranges[0])
+
+
+def _pair_classes(f: HashFamily, T):
+    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular."""
+    X, A, na = f.x_labels, f.a_labels, f.a_size
+    block = _block_size(_row_counts(T, na), f.s_size)
+    if block is None:  # code 0 where a = a'
+        names, code, folds = ("AU",), 1 - np.eye(na, dtype=np.int64), (lambda c: c[:, :1],)
+    else:  # code a * |A| + a'
+        names, code, diag = ("AU", "ACFU", "ASU"), None, np.arange(na) * (na + 1)
+        folds = (lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], None)
+    out = {}
+    for name, (best, where) in zip(names, _pair_max(T, na, code, folds, _representatives(f, T))):
+        if where is None:
+            out[name] = Fraction(0), None
+            continue
+        i, j, c = where
+        values = {"AU": (), "ACFU": (c,), "ASU": divmod(c, na)}[name]
+        out[name] = (Fraction(best, f.s_size if name == "AU" else block),
+                     (X[i], X[j], *(A[k] for k in values)))
+    return out
 
 
 @dataclass
@@ -77,9 +137,8 @@ def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityRe
     hist = _row_counts(f.to_table(budget)._array, f.a_size)
     keys = ((x, a) for x in f.x_labels for a in f.a_labels)
     counts = dict(zip(keys, hist.ravel().tolist()))
-    block, rest = divmod(f.s_size, f.a_size)
-    regular = rest == 0 and bool((hist == block).all())
-    return RegularityResult(regular, block if regular else None, counts)
+    block = _block_size(hist, f.s_size)
+    return RegularityResult(block is not None, block, counts)
 
 
 def _homomorphic_in_x(f: HashFamily, T) -> bool:
@@ -104,47 +163,35 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     NotRegular without (ACFU1).  BALANCED is max #{s : f(x, s) = a} / |S|
     over x != 0 and raises NotHomomorphic unless f is linear in x.
 
+    The first AU, ACFU or ASU call counts all three in one pass and
+    memoises them on f, counting only the rows that are the least of their
+    orbit under f.automorphisms (NotAnAutomorphism if one fails on f).
+
     Returns (epsilon, witness): the first strict maximum in the scan order
     (x, x', a, a'), in domain labels: AU -> (x, x'), ACFU -> (x, x', a),
     ASU -> (x, x', a, a'), BALANCED -> (x, a); (0, None) if there is none.
     """
     if hash_class not in CLASSES:
         raise ValueError(f"unknown hash class {hash_class!r}")
-    if hash_class in ("ACFU", "ASU"):
-        reg = regularity_check(f, budget)
-        if not reg.regular:
-            raise NotRegular(
-                f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable"
-            )
     T = f.to_table(budget)._array
+    if hash_class in ("ACFU", "ASU") and _block_size(_row_counts(T, f.a_size), f.s_size) is None:
+        raise NotRegular(f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable")
+
+    if hash_class != "BALANCED":
+        if f._pairs is None:
+            f._pairs = _pair_classes(f, T)
+        return f._pairs[hash_class]
+
     X, A, na = f.x_labels, f.a_labels, f.a_size
-
-    if hash_class == "BALANCED":
-        if not _homomorphic_in_x(f, T):
-            raise NotHomomorphic(
-                f"{f.name} lacks group structure or is not linear in x"
-            )
-        hist = _row_counts(T, na)
-        hist[[x == f.x_group.zero for x in X]] = -1
-        best = int(hist.max(initial=-1))
-        if best < 0:
-            return Fraction(0), None
-        i, k = divmod(int(hist.argmax()), na)
-        return Fraction(best, f.s_size), (X[i], A[k])
-
-    eye = np.eye(na, dtype=bool)
-    if hash_class == "AU":
-        best, where = _pair_max(T, np.where(eye, 0, 1), 1)
-    elif hash_class == "ACFU":
-        best, where = _pair_max(T, np.where(eye, np.arange(na), na), na)
-    else:
-        best, where = _pair_max(T, np.arange(na * na).reshape(na, na), na * na)
-    if where is None:
+    if not _homomorphic_in_x(f, T):
+        raise NotHomomorphic(f"{f.name} lacks group structure or is not linear in x")
+    hist = _row_counts(T, na)
+    hist[[x == f.x_group.zero for x in X]] = -1
+    best = int(hist.max(initial=-1))
+    if best < 0:
         return Fraction(0), None
-    i, j, c = where
-    norm = f.s_size if hash_class == "AU" else reg.block_size
-    values = {"AU": (), "ACFU": (c,), "ASU": divmod(c, na)}[hash_class]
-    return Fraction(best, norm), (X[i], X[j], *(A[k] for k in values))
+    i, k = divmod(int(hist.argmax()), na)
+    return Fraction(best, f.s_size), (X[i], A[k])
 
 
 def optimal_epsilon(x_size: int, a_size: int) -> Fraction:

@@ -47,6 +47,8 @@ def test_incidence_structure_validation():
         IncidenceStructure([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
         IncidenceStructure([[0, 1]], points=["a", "b"])
+    with pytest.raises(ValueError):  # no int8 cast before the 0/1 check
+        IncidenceStructure.from_json('{"rows": [[300]], "points": [0], "block_indices": [0]}')
     d = IncidenceStructure([[0, 1], [1, 0]], ["p", "q"], [0, 1])
     assert d.v == 2 and d.b == 2
     assert d.dual().points == (0, 1)

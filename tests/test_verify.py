@@ -2,9 +2,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mosaichash import (
+    FunctionTable,
     HashFamily,
     affine,
     balanced_epsilon,
@@ -20,6 +22,7 @@ from mosaichash import (
 )
 from mosaichash.errors import (
     InfeasibleEpsilon,
+    NotAnAutomorphism,
     NotHomomorphic,
     NotRegular,
     TrivialDomain,
@@ -35,7 +38,7 @@ from oracles import (
     oracle_regular,
     oracle_witness,
 )
-from util import random_regular_table, random_table
+from util import planted_cyclic_table, random_regular_table, random_table
 
 
 def test_constant_family_is_not_regular():
@@ -87,6 +90,13 @@ def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
         f = random_regular_table(rng, nx, na * rng.randrange(1, 4), na)
         f.x_group, f.a_group = _cyclic_group(nx), _cyclic_group(na)
         fams.append(f)
+    rng = random.Random(29)
+    for _ in range(20):
+        k, na = rng.randrange(2, 4), rng.randrange(2, 4)
+        f = planted_cyclic_table(rng, k, rng.randrange(2, 4), na * rng.randrange(1, 3), na)
+        f.a_group = _cyclic_group(na)
+        fams.append(f)
+    late = 0  # planted class maxima first reached in a later orbit representative
     for f in fams:
         for cls in ("AU", "ACFU", "ASU", "BALANCED"):
             want = oracle_witness(f, cls)
@@ -96,7 +106,58 @@ def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
                     min_epsilon(f, cls)
             else:
                 assert min_epsilon(f, cls) == want, (f.name, cls)
+                late += f.name == "planted" and cls != "BALANCED" and want[1][0] != f.x_labels[0]
         assert balanced_epsilon(f) == oracle_balanced_epsilon(f), f.name
+    assert late > 0
+
+
+def _outcome(f, cls):
+    try:
+        return min_epsilon(f, cls)
+    except NotRegular:
+        return NotRegular
+
+
+LADDER = [*((affine, (q, 2)) for q in (2, 3, 4, 5, 7, 8)), (affine, (4, 3)),
+          (transversal, (8, None, True)), (transversal, (16, None, True)),
+          (field_multiply, (2, 6, 3))]
+
+
+@pytest.mark.parametrize("build, args", LADDER, ids=[f"{b.__name__}{a}" for b, a in LADDER])
+def test_orbit_scan_equals_the_full_scan_of_a_fresh_table(build, args):
+    f = build(*args)
+    small = f.x_size <= 9
+    T = f.to_table()
+    fresh = FunctionTable(T.x_labels, T.s_labels, T.a_labels, T.entries).to_family()
+    assert f.automorphisms and not fresh.automorphisms
+    for cls in ("AU", "ACFU", "ASU"):
+        got = _outcome(f, cls)
+        assert got == _outcome(fresh, cls), (f.name, cls)
+        if small:
+            assert got == oracle_witness(f, cls), (f.name, cls)
+
+
+def test_a_wrong_automorphism_raises_before_any_epsilon():
+    f = transversal(4, include_infinity=True)
+    *good, (pi, sigma, tau) = f.automorphisms
+    swapped = pi[[0, 2, 1, *range(3, len(pi))]]  # pi after the transposition (1 2)
+    for bad in (swapped, np.zeros_like(pi)):
+        f.automorphisms = (*good, (bad, sigma, tau))
+        for cls in ("AU", "ACFU", "ASU"):
+            with pytest.raises(NotAnAutomorphism, match=f"automorphism {len(good)} "):
+                min_epsilon(f, cls)
+        with pytest.raises(NotAnAutomorphism):
+            classify(f)
+
+
+def test_an_irregular_family_with_automorphisms_gets_au_only():
+    f = field_multiply(2, 4, 2)  # the zero point is hashed to zero by every seed
+    assert f.automorphisms and not regularity_check(f).regular
+    for _ in range(2):  # before and after AU is counted
+        for cls in ("ACFU", "ASU"):
+            with pytest.raises(NotRegular):
+                min_epsilon(f, cls)
+        assert min_epsilon(f, "AU") == oracle_witness(f, "AU")
 
 
 def test_classify_evaluates_each_entry_once():
