@@ -9,10 +9,10 @@ set of a strongly universal one, or concatenate two stages.
 
 from mosaichash import (
     FunctionTable,
-    Quasigroup,
     classify,
     concatenate,
     concatenation_bound,
+    cyclic_group,
     field_multiply,
     krawczyk_lift,
     min_epsilon,
@@ -22,14 +22,6 @@ from mosaichash import (
 )
 
 
-def cyclic_on(labels):
-    labels = list(labels)
-    n = len(labels)
-    return Quasigroup(
-        labels, [[labels[(i + j) % n] for j in range(n)] for i in range(n)]
-    )
-
-
 # finite-field multiplication, truncated to one coordinate, is an
 # optimal almost-universal function: eps_au = 3/7 on 8 points
 g = field_multiply(2, 3, 1, exclude_zero=True)
@@ -37,14 +29,14 @@ print(f"{g.name}: eps_au = {min_epsilon(g, 'AU')[0]}")
 
 # composing with a latin square on the value set doubles the seed set
 # and turns the AU guarantee into a collision-flat one, exactly
-f = seed_extension(g, cyclic_on(g.a_labels))
+f = seed_extension(g, cyclic_group(g.a_labels))
 rep = classify(f)
 print(f"{f.name}: |S| = {f.s_size}, eps_acfu = {rep.eps_acfu}, "
       f"eps_asu = {rep.eps_asu}, OCFU = {rep.ocfu}")
 print()
 
 # the dual move extends the point set instead and transfers eps_asu
-fp = point_extension(f, cyclic_on(f.a_labels))
+fp = point_extension(f, cyclic_group(f.a_labels))
 print(f"{fp.name}: |X| = {fp.x_size}, "
       f"eps_acfu = {min_epsilon(fp, 'ACFU')[0]} (= eps_asu above)")
 print()

@@ -2,17 +2,13 @@
 
 from . import errors
 from .construct import (
-    Quasigroup,
     balanced_epsilon,
     concatenate,
     concatenation_bound,
-    cyclic_quasigroup,
     double_extension,
     double_extension_parts,
-    group_quasigroup,
     krawczyk_lift,
     point_extension,
-    quasigroup_build,
     seed_extension,
 )
 from .designs import (
@@ -32,9 +28,12 @@ from .designs import (
 )
 from .families import (
     FunctionTable,
+    Group,
     HashFamily,
+    Quasigroup,
     affine,
     build_named,
+    cyclic_group,
     dual_affine,
     field_multiply,
     toeplitz,

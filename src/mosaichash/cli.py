@@ -12,11 +12,9 @@ import json
 import sys
 
 from .construct import (
-    Quasigroup,
     concatenate,
     concatenation_bound,
     double_extension,
-    group_quasigroup,
     point_extension,
     seed_extension,
 )
@@ -35,9 +33,10 @@ from .errors import MosaicHashError, TheoremViolation
 from .families import (
     DEFAULT_TABLE_BUDGET,
     FunctionTable,
-    Group,
     HashFamily,
+    Quasigroup,
     build_named,
+    cyclic_group,
 )
 from .privacy import JointSource, iid_extend, run_pa
 from .verify import classify, min_epsilon
@@ -174,18 +173,10 @@ def cmd_construct(args):
         note = {"acfu_bound": f"{bound.numerator}/{bound.denominator}"}
     else:
         g = _load_family(args.inputs[0])
-        labels, idx, n = g.a_labels, g.a_index, g.a_size
-        cyclic = Group(  # the cyclic group on the value labels, in their order
-            labels,
-            add=lambda a, b: labels[(idx[a] + idx[b]) % n],
-            neg=lambda a: labels[(-idx[a]) % n],
-            zero=labels[0],
-        )
+        q = cyclic = cyclic_group(g.a_labels)  # on the value labels, in their order
         if args.latin:
             with open(args.latin) as fh:
                 q = Quasigroup.from_json(fh.read())
-        else:
-            q = group_quasigroup(cyclic)
         note = {}
         if args.seed_ext:
             fam = seed_extension(g, q)

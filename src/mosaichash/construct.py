@@ -2,140 +2,39 @@
 
 Each construction is an index formula over its parts' formulas: a pair
 index splits by // and % into a part's index and a carrier element's,
-and the quasigroup or group operation is a small index table, rows in
-the part's value order.  Concatenation maps f1's value index to f2's
-point index through a permutation array.
+and the quasigroup or group operation (``families.Quasigroup``) is its
+own index formula, read through the permutation arrays that
+``families._on_carrier`` makes between the part's value order and the
+carrier's (CarrierMismatch if they are not the same set).  Concatenation
+maps f1's value index to f2's point index through a permutation array.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CarrierMismatch,
-    DomainMismatch,
-    NotBalanced,
-    NotLatinSquare,
-    TheoremViolation,
-)
+from .errors import DomainMismatch, NotBalanced, TheoremViolation
 from .families import (
     DEFAULT_TABLE_BUDGET,
-    Group,
     HashFamily,
+    Quasigroup,
     _formula_family,
-    decode_label,
-    encode_label,
-    json_fields,
+    _on_carrier,
 )
-from .verify import _op_table, _pair_max
-from .verify import min_epsilon, regularity_check
-
-
-class Quasigroup:
-    """Latin square on a carrier set, with a precomputed right-division table."""
-
-    def __init__(self, labels, rows):
-        self.labels = tuple(labels)
-        n = len(self.labels)
-        idx = {a: i for i, a in enumerate(self.labels)}
-        if len(idx) != n:
-            raise NotLatinSquare("carrier labels must be distinct")
-        table = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != n or any(a not in idx for a in row):
-                raise NotLatinSquare("rows must be permutations of the carrier")
-            table.append(tuple(idx[a] for a in row))
-        if len(table) != n:
-            raise NotLatinSquare("need one row per carrier element")
-        for row in table:
-            if sorted(row) != list(range(n)):
-                raise NotLatinSquare("a row repeats an entry")
-        for j in range(n):
-            col = sorted(row[j] for row in table)
-            if col != list(range(n)):
-                raise NotLatinSquare("a column repeats an entry")
-        self._idx = idx
-        self._table = table
-        # right division: div[a][b] = the unique g with g o b = a
-        div = [[None] * n for _ in range(n)]
-        for g in range(n):
-            for b in range(n):
-                div[table[g][b]][b] = g
-        self._div = div
-
-    @property
-    def order(self):
-        return len(self.labels)
-
-    def mul(self, a, b):
-        return self.labels[self._table[self._idx[a]][self._idx[b]]]
-
-    def div(self, a, b):
-        """The unique g with g o b = a."""
-        return self.labels[self._div[self._idx[a]][self._idx[b]]]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": [encode_label(a) for a in self.labels],
-                "rows": [
-                    [encode_label(self.labels[e]) for e in row] for row in self._table
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quasigroup":
-        labels, rows = json_fields(text, "labels", "rows")
-        if not all(isinstance(r, list) for r in rows):
-            raise NotLatinSquare("rows must be arrays of carrier labels")
-        return cls([decode_label(a) for a in labels], [[decode_label(a) for a in r] for r in rows])
-
-
-def cyclic_quasigroup(n: int) -> Quasigroup:
-    labels = list(range(n))
-    return Quasigroup(labels, [[(i + j) % n for j in labels] for i in labels])
-
-
-def group_quasigroup(g: Group) -> Quasigroup:
-    return Quasigroup(g.labels, [[g.add(a, b) for b in g.labels] for a in g.labels])
-
-
-def quasigroup_build(source, **params) -> Quasigroup:
-    """Build from an explicit table, a cyclic group, or an elementary abelian group."""
-    if source == "cyclic":
-        return cyclic_quasigroup(params["n"])
-    if source == "elementary_abelian":
-        p, m = params["p"], params["m"]
-        from .fields import field_new
-        from .families import vector_group
-
-        return group_quasigroup(vector_group(field_new(p), m))
-    if source == "table":
-        return Quasigroup(params["labels"], params["rows"])
-    raise NotLatinSquare(f"unknown quasigroup source {source!r}")
-
-
-def _require_carrier(f: HashFamily, q: Quasigroup):
-    if set(f.a_labels) != set(q.labels):
-        raise CarrierMismatch(
-            f"value set of {f.name} does not match the quasigroup carrier"
-        )
+from .verify import _pair_max, min_epsilon, regularity_check
 
 
 def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
     """f(x; h, b) = g(x, h) o b.  Always satisfies (ACFU1)."""
-    _require_carrier(g, q)
+    to, back = _on_carrier(g.a_labels, q, f"value set of {g.name}")
     s_labels = [(h, b) for h in g.s_labels for b in q.labels]
-    gi, n, mul = g._index_fn, q.order, _op_table(g.a_labels, g.a_index, q.mul, q.labels)
+    gi, n, op = g._index_fn, q.order, q._op
     return _formula_family(
         f"seed_ext({g.name})", g.x_labels, s_labels, g.a_labels,
-        lambda xi, si: mul[gi(xi, si // n), si % n],
+        lambda xi, si: back[op(to[gi(xi, si // n)], si % n)],
         x_group=g.x_group, a_group=g.a_group,
     )
 
@@ -143,17 +42,17 @@ def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
 def point_extension(g: HashFamily, q: Quasigroup,
                     budget=DEFAULT_TABLE_BUDGET) -> HashFamily:
     """f(y, b; s) = g(y, s) o b.  Inherits (ACFU1) only from an (ASU1) g."""
-    _require_carrier(g, q)
+    to, back = _on_carrier(g.a_labels, q, f"value set of {g.name}")
     if not regularity_check(g, budget).regular:
         warnings.warn(
             f"point extension of irregular {g.name}: the result fails (ACFU1)",
             stacklevel=2,
         )
     x_labels = [(y, b) for y in g.x_labels for b in q.labels]
-    gi, n, mul = g._index_fn, q.order, _op_table(g.a_labels, g.a_index, q.mul, q.labels)
+    gi, n, op = g._index_fn, q.order, q._op
     return _formula_family(
         f"point_ext({g.name})", x_labels, g.s_labels, g.a_labels,
-        lambda xi, si: mul[gi(xi // n, si), xi % n], a_group=g.a_group,
+        lambda xi, si: back[op(to[gi(xi // n, si)], xi % n)], a_group=g.a_group,
     )
 
 
@@ -185,7 +84,11 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
-    sub = _op_table(a.a_labels, a.a_index, a.a_group.sub)
+    to, back = _on_carrier(a.a_labels, a.a_group, f"value set of {a.name}")
+    every = np.arange(a.a_size)
+    total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
+    sub = np.empty_like(total)
+    sub[total, every] = every[:, None]  # sub[u, v] = the c with a_c + a_v = a_u
     [(best, where)] = _pair_max(a.to_table(budget)._array, a.a_size, sub)
     if where is None:
         return Fraction(0), None
@@ -196,8 +99,8 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
 def krawczyk_lift(g: HashFamily, eps=None, budget=DEFAULT_TABLE_BUDGET):
     """Seed-extend a group-homomorphic balanced g into an ASU family.
 
-    Returns (lifted family, eps).  The lift uses the group quasigroup of
-    the value set; the resulting family is verified to be eps-ASU.
+    Returns (lifted family, eps).  The lift seed-extends by the group of the
+    value set; the resulting family is verified to be eps-ASU.
     """
     bal_eps, _ = min_epsilon(g, "BALANCED", budget)  # raises NotHomomorphic
     if eps is not None:
@@ -206,7 +109,7 @@ def krawczyk_lift(g: HashFamily, eps=None, budget=DEFAULT_TABLE_BUDGET):
             raise NotBalanced(f"{g.name} is only {bal_eps}-balanced, not {eps}")
     else:
         eps = bal_eps
-    lifted = seed_extension(g, group_quasigroup(g.a_group))
+    lifted = seed_extension(g, g.a_group)
     asu_eps, _ = min_epsilon(lifted, "ASU", budget)
     if asu_eps > eps:
         raise TheoremViolation(
@@ -221,26 +124,21 @@ def double_extension(a: HashFamily, allow_trivial: bool = False,
     eps, _ = balanced_epsilon(a, budget)
     if eps == 1 and a.x_size > 1 and not allow_trivial:
         raise NotBalanced(f"{a.name} is only trivially (eps = 1) balanced")
-    g1, _ = double_extension_parts(a)
-    grp, g1i, n = a.a_group, g1._index_fn, g1.a_size
-    add = _op_table(g1.a_labels, g1.a_index, grp.add)
-    return _formula_family(
-        f"double_ext({a.name})", g1.x_labels,
-        [(h, c) for h in a.s_labels for c in grp.labels], grp.labels,
-        lambda xi, si: add[g1i(xi, si // n), si % n], a_group=grp,
-    )
+    f = seed_extension(double_extension_parts(a)[0], a.a_group)
+    f.name = f"double_ext({a.name})"
+    return f
 
 
 def double_extension_parts(a: HashFamily):
     """The pair (g1, g2) with double_extension(a) = seed_ext(g1) = point_ext(g2)."""
-    grp, ai, n = a.a_group, a._index_fn, len(a.a_group.labels)
-    add = _op_table(a.a_labels, {c: i for i, c in enumerate(grp.labels)}, grp.add, grp.labels)
+    grp, ai, n = a.a_group, a._index_fn, a.a_size
+    to, _ = _on_carrier(a.a_labels, grp, f"value set of {a.name}")
     g1 = _formula_family(
         f"g1({a.name})", [(y, b) for y in a.x_labels for b in grp.labels],
-        a.s_labels, grp.labels, lambda xi, si: add[ai(xi // n, si), xi % n], a_group=grp,
+        a.s_labels, grp.labels, lambda xi, si: grp._op(to[ai(xi // n, si)], xi % n), a_group=grp,
     )
     g2 = _formula_family(
         f"g2({a.name})", a.x_labels, [(h, c) for h in a.s_labels for c in grp.labels],
-        grp.labels, lambda xi, si: add[ai(xi, si // n), si % n], a_group=grp,
+        grp.labels, lambda xi, si: grp._op(to[ai(xi, si // n)], si % n), a_group=grp,
     )
     return g1, g2

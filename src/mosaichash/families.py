@@ -11,6 +11,14 @@ and a label-level ``fn`` is wrapped into a formula that calls it once
 per entry.  ``to_table`` checks the budget, then runs the formula once
 on the whole index grid and keeps the table; ``evaluate`` runs it on one
 index pair, so it works above the budget.
+
+A finite operation is represented the same way: a ``Quasigroup`` (latin
+square) is its carrier labels plus one index formula, and a ``Group`` is a
+quasigroup with an identity.  User rows are validated and indexed;
+``field_group``, ``vector_group`` and ``cyclic_group`` pass a formula over
+the field's arrays or (i + j) % n.  ``_on_carrier`` maps a family's value
+or point order onto a carrier, which is how ``construct`` and ``verify``
+read an operation.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    CarrierMismatch,
     DomainError,
+    NotLatinSquare,
     NotPrime,
     UnsupportedParameters,
     UnsupportedSize,
@@ -60,30 +70,136 @@ def json_fields(text: str, *keys) -> list:
     return [obj[k] for k in keys]
 
 
-class Group:
-    """Finite abelian group on a fixed ordered label set."""
+class Quasigroup:
+    """Latin square on a carrier: its labels and one index formula.
 
-    def __init__(self, labels, add, neg, zero):
+    ``_op(i, j)`` is the index of labels[i] o labels[j], on ints or
+    broadcasting index arrays.  ``mul`` and ``div`` are label views of it.
+    """
+
+    def __init__(self, labels, rows):
+        labels = tuple(labels)
+        index = {a: i for i, a in enumerate(labels)}
+        n = len(labels)
+        if len(index) != n:
+            raise NotLatinSquare("carrier labels must be distinct")
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != n or not all(a in index for a in row) for row in rows):
+            raise NotLatinSquare("rows must be permutations of the carrier")
+        if len(rows) != n:
+            raise NotLatinSquare("need one row per carrier element")
+        table = np.array([[index[a] for a in row] for row in rows], dtype=np.int64).reshape(n, n)
+        every = np.arange(n)
+        if not (np.sort(table, axis=1) == every).all():
+            raise NotLatinSquare("a row repeats an entry")
+        if not (np.sort(table, axis=0) == every[:, None]).all():
+            raise NotLatinSquare("a column repeats an entry")
+        self._set(labels, lambda i, j: table[i, j])
+
+    def _set(self, labels, op):
         self.labels = tuple(labels)
-        self.add = add
-        self.neg = neg
+        self._index = {a: i for i, a in enumerate(self.labels)}
+        self._op = op
+
+    @property
+    def order(self):
+        return len(self.labels)
+
+    def _table(self):
+        every = np.arange(self.order)
+        return self._op(every[:, None], every)
+
+    def mul(self, a, b):
+        return self.labels[int(self._op(self._index[a], self._index[b]))]
+
+    def div(self, a, b):
+        """The unique g with g o b = a."""
+        column = self._op(np.arange(self.order), self._index[b])
+        return self.labels[int(np.flatnonzero(column == self._index[a])[0])]
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "labels": [encode_label(a) for a in self.labels],
+                "rows": [[encode_label(self.labels[e]) for e in row]
+                         for row in self._table().tolist()],
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "Quasigroup":
+        labels, rows = json_fields(text, "labels", "rows")
+        if not all(isinstance(r, list) for r in rows):
+            raise NotLatinSquare("rows must be arrays of carrier labels")
+        return cls([decode_label(a) for a in labels], [[decode_label(a) for a in r] for r in rows])
+
+
+class Group(Quasigroup):
+    """Finite abelian group: a quasigroup with a two-sided identity ``zero``.
+
+    The rows are checked to be a commutative latin square with identity
+    zero (DomainError otherwise); associativity is the caller's to ensure.
+    ``add`` and ``sub`` are ``mul`` and ``div`` under the group's names.
+    """
+
+    def __init__(self, labels, rows, zero):
+        super().__init__(labels, rows)
+        if zero not in self._index:
+            raise DomainError(f"zero {zero!r} is not in the carrier")
+        table, every, z = self._table(), np.arange(self.order), self._index[zero]
+        if not (np.array_equal(table[z], every) and np.array_equal(table[:, z], every)):
+            raise DomainError(f"{zero!r} is not a two-sided identity")
+        if not np.array_equal(table, table.T):
+            raise DomainError("the group operation is not commutative")
         self.zero = zero
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    @classmethod
+    def _formula(cls, labels, op, zero):
+        """The group with index formula op, known to be abelian with identity zero."""
+        group = cls.__new__(cls)
+        group._set(labels, op)
+        group.zero = zero
+        return group
+
+    add = Quasigroup.mul
+    sub = Quasigroup.div
+
+
+def cyclic_group(labels) -> Group:
+    """Z_n on the labels, in the given order."""
+    labels = tuple(labels)
+    n = len(labels)
+    if n == 0:
+        raise DomainError("a group needs a nonempty carrier")
+    return Group._formula(labels, lambda i, j: (i + j) % n, labels[0])
 
 
 def field_group(field: Field) -> Group:
     """Additive group of a field, on element indices."""
-    return Group(field.elements(), field.add, field.neg, field.zero)
+    return Group._formula(field.elements(), field._add_ix, field.zero)
 
 
 def vector_group(field: Field, t: int) -> Group:
     """Additive group of F_q^t, on t-tuples of element indices."""
-    labels = _all_vectors(field, t)
-    add = lambda a, b: tuple(field.add(x, y) for x, y in zip(a, b))
-    neg = lambda a: tuple(field.neg(x) for x in a)
-    return Group(labels, add, neg, (field.zero,) * t)
+    q = field.q
+
+    def add(i, j):
+        out = 0
+        for a, b in zip(_digits(i, q, t), _digits(j, q, t)):
+            out = out * q + field._add_ix(a, b)
+        return out
+
+    return Group._formula(_all_vectors(field, t), add, (field.zero,) * t)
+
+
+def _on_carrier(labels, q: Quasigroup, what):
+    """(to, back): q's carrier index of each of labels, and the index among
+    labels of each carrier element; CarrierMismatch unless labels are q's
+    carrier in some order."""
+    if set(labels) != set(q.labels):
+        raise CarrierMismatch(f"{what} does not match the carrier of its operation")
+    to = np.array([q._index[a] for a in labels], dtype=np.int64)
+    return to, np.argsort(to)
 
 
 def _all_vectors(field: Field, t: int):
@@ -97,8 +213,9 @@ class HashFamily:
     """f: X x S -> A through its one index formula ``_index_fn`` (module docstring).
 
     ``automorphisms``: index arrays (pi on X, sigma on S, tau on A) with T[pi x,
-    sigma s] = tau(T[x, s]), set by the named builders and checked on the
-    table by ``verify`` before use (NotAnAutomorphism otherwise).
+    sigma s] = tau(T[x, s]), set by the named builders (and by ``transpose``)
+    and checked on the table by ``verify`` before use (NotAnAutomorphism
+    otherwise).
     """
 
     def __init__(self, name, x_labels, s_labels, a_labels, fn,
@@ -156,11 +273,14 @@ class HashFamily:
         return self._table
 
     def transpose(self) -> "HashFamily":
-        """Swap point and seed roles (the dual function)."""
-        return _formula_family(
+        """Swap point and seed roles (the dual function), with each
+        automorphism (pi, sigma, tau) of this family as (sigma, pi, tau)."""
+        f = _formula_family(
             f"transpose({self.name})", self.s_labels, self.x_labels, self.a_labels,
             lambda xi, si: self._index_fn(si, xi), a_group=self.a_group,
         )
+        f.automorphisms = tuple((sigma, pi, tau) for pi, sigma, tau in self.automorphisms)
+        return f
 
 
 def _entrywise(fn, x_labels, s_labels, a_index, name):
@@ -291,11 +411,9 @@ def affine(q: int, t: int) -> HashFamily:
 
 def dual_affine(q: int, t: int) -> HashFamily:
     """The affine family with point and seed roles swapped."""
-    base = affine(q, t)
-    return _formula_family(
-        f"dual_affine({q},{t})", base.s_labels, base.x_labels, base.a_labels,
-        lambda xi, si: base._index_fn(si, xi), a_group=base.a_group,
-    )
+    f = affine(q, t).transpose()
+    f.name = f"dual_affine({q},{t})"
+    return f
 
 
 def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFamily:

@@ -26,19 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleEpsilon, NotAnAutomorphism, NotHomomorphic, NotRegular, TrivialDomain
-from .families import DEFAULT_TABLE_BUDGET, HashFamily
+from .families import DEFAULT_TABLE_BUDGET, HashFamily, _on_carrier
 
 CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
 
 # entries that one bincount of _pair_max reads or counts, unless one row is larger
 _BLOCK = 1 << 15
-
-
-def _op_table(labels, index, op, right=None):
-    """table[u, v] = index[op(labels[u], right[v])], right defaulting to labels."""
-    right = labels if right is None else right
-    rows = [[index[op(u, v)] for v in right] for u in labels]
-    return np.array(rows, dtype=np.int64)
 
 
 def _row_counts(T, na):
@@ -143,13 +136,14 @@ def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityRe
 
 def _homomorphic_in_x(f: HashFamily, T) -> bool:
     """Whether f(x + y, s) = f(x, s) + f(y, s); stops at the first failing x."""
-    g, ga = f.x_group, f.a_group
-    if g is None or ga is None:
+    gx, ga = f.x_group, f.a_group
+    if gx is None or ga is None:
         return False
-    add = _op_table(f.a_labels, f.a_index, ga.add)
-    for i, x in enumerate(f.x_labels):
-        sums = [f.x_index[g.add(x, y)] for y in f.x_labels]
-        if not np.array_equal(add[T[i], T], T[sums]):
+    to_x, back_x = _on_carrier(f.x_labels, gx, f"point set of {f.name}")
+    to_a, back_a = _on_carrier(f.a_labels, ga, f"value set of {f.name}")
+    add = back_a[ga._op(to_a[:, None], to_a)]  # value index of a_u + a_v
+    for i in range(f.x_size):
+        if not np.array_equal(add[T[i], T], T[back_x[gx._op(to_x[i], to_x)]]):
             return False
     return True
 
@@ -174,12 +168,11 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     if hash_class not in CLASSES:
         raise ValueError(f"unknown hash class {hash_class!r}")
     T = f.to_table(budget)._array
-    if hash_class in ("ACFU", "ASU") and _block_size(_row_counts(T, f.a_size), f.s_size) is None:
-        raise NotRegular(f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable")
-
     if hash_class != "BALANCED":
         if f._pairs is None:
             f._pairs = _pair_classes(f, T)
+        if hash_class not in f._pairs:
+            raise NotRegular(f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable")
         return f._pairs[hash_class]
 
     X, A, na = f.x_labels, f.a_labels, f.a_size
@@ -328,13 +321,13 @@ class VerificationReport:
 
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
-    reg = regularity_check(f, budget)
     witnesses = {}
     eps_au, w = min_epsilon(f, "AU", budget)
     witnesses["AU"] = w
+    regular = "ACFU" in f._pairs  # which min_epsilon memoised: ACFU and ASU only if regular
 
     eps_acfu = eps_asu = None
-    if reg.regular:
+    if regular:
         eps_acfu, w = min_epsilon(f, "ACFU", budget)
         witnesses["ACFU"] = w
         eps_asu, w = min_epsilon(f, "ASU", budget)
@@ -353,7 +346,7 @@ def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     if f.x_size > f.a_size >= 2:
         opt = optimal_epsilon(f.x_size, f.a_size)
         ou = eps_au == opt
-        if reg.regular:
+        if regular:
             ocfu = eps_acfu == opt
             if eps_acfu > 0:
                 bounds = seed_lower_bounds(f.x_size, f.a_size, eps_acfu)
@@ -365,8 +358,8 @@ def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
         x_size=f.x_size,
         s_size=f.s_size,
         a_size=f.a_size,
-        regular=reg.regular,
-        block_size=reg.block_size,
+        regular=regular,
+        block_size=f.s_size // f.a_size if regular else None,
         eps_au=eps_au,
         eps_acfu=eps_acfu,
         eps_asu=eps_asu,

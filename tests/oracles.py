@@ -347,7 +347,10 @@ def ref_field_multiply(q, n, m, exclude_zero=False):
 
 
 # The constructions as the paper writes them, on labels: only the parts'
-# ``evaluate``, ``Quasigroup.mul`` and ``Group.add``, never an index formula.
+# ``evaluate`` and the operation's label views ``Quasigroup.mul`` and
+# ``Group.add`` (which test_quasigroup_reads_its_rows and
+# test_group_formulas_are_field_addition pin to rows and field sums), never
+# a family's index formula or a carrier map.
 
 
 def ref_seed_extension(g, q):

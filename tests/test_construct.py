@@ -3,24 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+import mosaichash
 import mosaichash.construct as construct
 from mosaichash import (
+    Group,
     HashFamily,
     Quasigroup,
     affine,
     balanced_epsilon,
     concatenate,
     concatenation_bound,
-    cyclic_quasigroup,
     double_extension,
     double_extension_parts,
     field_for_order,
     field_multiply,
-    group_quasigroup,
+    field_new,
     krawczyk_lift,
     min_epsilon,
     point_extension,
-    quasigroup_build,
     regularity_check,
     seed_extension,
     toeplitz,
@@ -29,13 +29,14 @@ from mosaichash import (
 from mosaichash.errors import (
     BudgetExceeded,
     CarrierMismatch,
+    DomainError,
     DomainMismatch,
     NotBalanced,
     NotHomomorphic,
     NotLatinSquare,
     TheoremViolation,
 )
-from mosaichash.families import INFINITY, FunctionTable, Group, field_group
+from mosaichash.families import INFINITY, FunctionTable, field_group, vector_group
 from oracles import (
     ref_concatenate,
     ref_double_extension,
@@ -48,7 +49,7 @@ from util import random_latin, random_regular_table, random_table
 
 
 def test_cyclic_quasigroup():
-    q = cyclic_quasigroup(3)
+    q = mosaichash.cyclic_group(range(3))
     assert q.mul(1, 2) == 0
     assert q.div(0, 2) == 1  # 1 o 2 = 0
     for a in range(3):
@@ -65,6 +66,28 @@ def test_latin_square_validation():
         Quasigroup([0, 0], [[0, 0], [0, 0]])
     with pytest.raises(NotLatinSquare):
         Quasigroup([0, 1], [[0, 1]])
+    with pytest.raises(NotLatinSquare):
+        Quasigroup([0, 1, 2], [[0, 1, 2], [1, 2], [2, 0, 1, 1]])  # ragged rows
+    with pytest.raises(NotLatinSquare):
+        Quasigroup([0, 1], [[0, 1], [1, 5]])  # a label outside the carrier
+    with pytest.raises(NotLatinSquare):
+        Group([0, 1], [[0, 0], [0, 0]], 0)  # a constant add
+    with pytest.raises(DomainError):
+        Group([0, 1], [[1, 0], [0, 1]], 0)  # 1 is the identity, not 0
+    with pytest.raises(DomainError):
+        Group([0, 1], [[0, 1], [1, 0]], 7)  # a zero outside the carrier
+    with pytest.raises(DomainError):
+        mosaichash.cyclic_group([])  # no carrier, so no zero
+    with pytest.raises(DomainError):  # a latin square with identity 0 that is not commutative
+        Group(range(5), [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], 0)
+
+
+def test_quasigroup_reads_its_rows():
+    rows = [["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]]  # a o b = b, b o a = c
+    q = Quasigroup("abc", rows)
+    assert [[q.mul(a, b) for b in "abc"] for a in "abc"] == rows
+    assert [[q.div(q.mul(a, b), b) for b in "abc"] for a in "abc"] == [[a] * 3 for a in "abc"]
 
 
 def test_quasigroup_json_roundtrip():
@@ -76,31 +99,29 @@ def test_quasigroup_json_roundtrip():
 
 
 def test_quasigroup_build():
-    assert quasigroup_build("cyclic", n=4).mul(3, 2) == 1
-    q = quasigroup_build("elementary_abelian", p=2, m=2)
+    assert mosaichash.cyclic_group(range(4)).mul(3, 2) == 1
+    q = vector_group(field_new(2), 2)
     assert q.mul((1, 0), (1, 1)) == (0, 1)
-    q2 = quasigroup_build("table", labels=[0, 1], rows=[[1, 0], [0, 1]])
+    q2 = Quasigroup([0, 1], [[1, 0], [0, 1]])
     assert q2.mul(0, 0) == 1
-    with pytest.raises(NotLatinSquare):
-        quasigroup_build("nosuch")
 
 
 def test_seed_extension_regular_and_carrier_check():
     rng = random.Random(4)
     g = random_table(rng, 4, 3, 2)
-    f = seed_extension(g, cyclic_quasigroup(2))
+    f = seed_extension(g, mosaichash.cyclic_group(range(2)))
     assert f.s_size == g.s_size * 2
     assert regularity_check(f).regular  # (ACFU1) holds for any g
     with pytest.raises(CarrierMismatch):
-        seed_extension(g, cyclic_quasigroup(3))
+        seed_extension(g, mosaichash.cyclic_group(range(3)))
 
 
 def test_point_extension_warns_on_irregular_input():
     f = HashFamily("c", [0, 1], [0, 1], [0, 1], lambda x, s: 0)
     with pytest.warns(UserWarning):
-        point_extension(f, cyclic_quasigroup(2))
+        point_extension(f, mosaichash.cyclic_group(range(2)))
     g = transversal(2)
-    fx = point_extension(g, cyclic_quasigroup(2))
+    fx = point_extension(g, mosaichash.cyclic_group(range(2)))
     assert fx.x_size == g.x_size * 2
     assert regularity_check(fx).regular
 
@@ -184,9 +205,8 @@ def test_double_extension_equals_both_extensions():
     f = double_extension(a)
     g1, g2 = double_extension_parts(a)
     grp = a.a_group
-    q = group_quasigroup(grp)
-    via_seed = seed_extension(g1, q)
-    via_point = point_extension(g2, q)
+    via_seed = seed_extension(g1, grp)
+    via_point = point_extension(g2, grp)
     for x in f.x_labels:
         for s in f.s_labels:
             assert f.evaluate(x, s) == via_seed.evaluate(x, s)
@@ -207,15 +227,27 @@ def test_double_extension_rejects_trivially_balanced():
     assert f.x_size == 4 and f.s_size == 2
 
 
+@pytest.mark.parametrize("use", [double_extension, balanced_epsilon, krawczyk_lift,
+                                 lambda f: min_epsilon(f, "BALANCED")],
+                         ids=["double_extension", "balanced_epsilon", "krawczyk_lift", "BALANCED"])
+def test_an_operation_on_a_foreign_carrier_raises_carrier_mismatch(use):
+    f = field_multiply(3, 1, 1)  # values and points 0, 1, 2
+    f.a_group = cyclic_group("abc")
+    with pytest.raises(CarrierMismatch):
+        use(f)
+    f.a_group = cyclic_group([0, 1, 2, 3])  # a carrier larger than the value set
+    with pytest.raises(CarrierMismatch):
+        use(f)
+
+
 # --- the index formulas against the paper's label formulas (tests/oracles.py) ---
 
 
 def cyclic_group(labels):
-    """Z_n on the labels, in the given order."""
+    """Z_n on the labels, in the given order, from its rows."""
     labels = list(labels)
-    idx, n = {a: i for i, a in enumerate(labels)}, len(labels)
-    return Group(labels, lambda a, b: labels[(idx[a] + idx[b]) % n],
-                 lambda a: labels[-idx[a] % n], labels[0])
+    n = len(labels)
+    return Group(labels, [[labels[(i + j) % n] for j in range(n)] for i in range(n)], labels[0])
 
 
 def table_base():

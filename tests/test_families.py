@@ -26,11 +26,15 @@ from mosaichash.errors import (
 from mosaichash.families import (
     DEFAULT_TABLE_BUDGET,
     INFINITY,
+    cyclic_group,
     decode_label,
     encode_label,
+    field_group,
     normalized_vectors,
+    vector_group,
 )
 from oracles import (
+    RefField,
     ref_affine,
     ref_dual_affine,
     ref_field_multiply,
@@ -297,3 +301,17 @@ def test_large_named_family_is_lazy_and_evaluates_above_budget():
         want = {0: s2 ^ y, 32: s2 ^ s1 ^ y, INFINITY: s1 ^ y}[h]
         assert f.evaluate((h, y), (s1, s2)) == want
     assert f._table is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_group_formulas_are_field_addition(q):
+    F, ref = field_for_order(q), RefField(q)
+    add = [[ref.add(a, b) for b in range(q)] for a in range(q)]
+    assert [[field_group(F).add(a, b) for b in range(q)] for a in range(q)] == add
+    vectors = vector_group(F, 2)
+    assert list(vectors.labels) == [(a, b) for a in range(q) for b in range(q)]
+    assert [[vectors.add(u, v) for v in vectors.labels] for u in vectors.labels] == [
+        [(add[u[0]][v[0]], add[u[1]][v[1]]) for v in vectors.labels] for u in vectors.labels]
+    if q == ref.p:  # a prime field's addition is the cyclic group Z_q
+        assert [[cyclic_group(range(q)).add(a, b) for b in range(q)] for a in range(q)] == add
+    assert field_group(F).zero == vectors.zero[0] == cyclic_group(range(q)).zero == 0

@@ -76,14 +76,26 @@ def test_min_epsilon_builtins_match_oracles():
 
 
 def _cyclic_group(n):
-    return Group(range(n), lambda a, b: (a + b) % n, lambda a: -a % n, 0)
+    return Group(range(n), [[(a + b) % n for b in range(n)] for a in range(n)], 0)
+
+
+def _linear_out_of_order(n, name="linear"):
+    """f(x, s) = x * s mod n over Z_n, its points and values listed out of group order."""
+    xs, values = [*range(1, n), 0], list(range(n))[::-1]
+    rows = [[values.index(x * s % n) for s in range(n)] for x in xs]
+    f = FunctionTable(xs, range(n), values, rows).to_family(name)
+    f.x_group = f.a_group = _cyclic_group(n)
+    return f
 
 
 @pytest.mark.parametrize("block", [1, verify._BLOCK])  # one x' per count, or all
 def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
     monkeypatch.setattr(verify, "_BLOCK", block)
     fams = [affine(2, 2), dual_affine(2, 2), transversal(2), toeplitz(2, 1, 2),
-            field_multiply(2, 3, 1)]
+            field_multiply(2, 3, 1), *(_linear_out_of_order(n) for n in (3, 4, 5))]
+    doubled = HashFamily("2x != x + x", [0, 1], range(3), range(3), lambda x, s: x * s % 3,
+                         x_group=_cyclic_group(2), a_group=_cyclic_group(3))
+    fams.append(doubled)  # linear on every pair but (1, 1): f(1 + 1) = 0 != 2 f(1)
     rng = random.Random(23)
     for _ in range(30):
         nx, na = rng.randrange(2, 7), rng.randrange(2, 5)
@@ -120,7 +132,8 @@ def _outcome(f, cls):
 
 LADDER = [*((affine, (q, 2)) for q in (2, 3, 4, 5, 7, 8)), (affine, (4, 3)),
           (transversal, (8, None, True)), (transversal, (16, None, True)),
-          (field_multiply, (2, 6, 3))]
+          (field_multiply, (2, 6, 3)),
+          *((dual_affine, (q, t)) for q, t in ((2, 2), (3, 2), (4, 2), (8, 2), (16, 2), (2, 4)))]
 
 
 @pytest.mark.parametrize("build, args", LADDER, ids=[f"{b.__name__}{a}" for b, a in LADDER])
