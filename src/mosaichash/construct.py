@@ -131,6 +131,8 @@ def double_extension(a: HashFamily, allow_trivial: bool = False,
 
 def double_extension_parts(a: HashFamily):
     """The pair (g1, g2) with double_extension(a) = seed_ext(g1) = point_ext(g2)."""
+    if a.a_group is None:
+        raise NotBalanced(f"{a.name} has no designated group on its value set")
     grp, ai, n = a.a_group, a._index_fn, a.a_size
     to, _ = _on_carrier(a.a_labels, grp, f"value set of {a.name}")
     g1 = _formula_family(

@@ -31,7 +31,7 @@ class IncidenceStructure:
 
     def __init__(self, matrix, points=None, block_indices=None):
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
-        if m.ndim != 2 or not np.isin(m, (0, 1)).all():
+        if m.ndim != 2 or not ((m == 0) | (m == 1)).all():
             raise ValueError("incidence matrix must be a 2-d 0/1 array")
         self.matrix = m = m.astype(np.int8)
         self.points = tuple(points) if points is not None else tuple(range(m.shape[0]))
@@ -131,13 +131,9 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
     """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
-    cols = []
-    labels = []
-    for si, s in enumerate(m.block_indices):
-        for ai, a in enumerate(m.a_labels):
-            cols.append(m.members[ai].matrix[:, si])
-            labels.append((s, a))
-    return IncidenceStructure(np.stack(cols, axis=1), m.points, labels)
+    matrix = np.stack([d.matrix for d in m.members], axis=2).reshape(len(m.points), -1)
+    labels = [(s, a) for s in m.block_indices for a in m.a_labels]
+    return IncidenceStructure(matrix, m.points, labels)
 
 
 @dataclass
@@ -350,23 +346,31 @@ def _split(m, own, other, trace):
 
     New colours are the ranks of the distinct signatures, so they depend on
     the colourings alone, not on the order of rows and columns; the distinct
-    signatures and their counts go on the trace.
+    signatures and their counts go on the trace.  Rows are ranked as byte keys
+    of big-endian int64s, whose byte order is row order since entries are >= 0.
     """
-    sig = np.column_stack([own, m @ np.eye(other.max() + 1)[other]]).astype(np.int64)
-    uniq, new, counts = np.unique(sig, axis=0, return_inverse=True, return_counts=True)
+    sig = np.column_stack([own, m @ np.eye(other.max() + 1)[other]]).astype(">i8")
+    keys = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel()
+    uniq, new, counts = np.unique(keys, return_inverse=True, return_counts=True)
     trace += [uniq.tobytes(), counts.tobytes()]
-    return new.ravel()
+    return new
 
 
-def _refine(m, rows, cols):
-    """Coarsest equitable refinement of a row and column colouring of m, and its trace."""
+def _refine(m, rows, cols, against=None):
+    """Coarsest equitable refinement of a row and column colouring of m, and its trace.
+
+    Given against, the trace to match, it returns None as soon as its trace
+    leaves against's prefix or ends at another length.
+    """
     trace = []
     while True:
         sizes = rows.max() + 1, cols.max() + 1
         rows = _split(m, rows, cols, trace)
         cols = _split(m.T, cols, rows, trace)
+        if against is not None and trace != against[:len(trace)]:
+            return None
         if (rows.max() + 1, cols.max() + 1) == sizes:
-            return rows, cols, trace
+            return None if against is not None and trace != against else (rows, cols, trace)
 
 
 def _individualise(rows, i):
@@ -383,14 +387,14 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     the sorted entries of A A^T and A^T A.  Then individualisation-refinement
     on the point-block incidence graph (McKay & Piperno 2014): A follows one
     path that individualises the first point of its first largest row cell,
-    and B tries every point of the matching cell, pruning on any mismatch of
-    the refinement traces.  (Largest, not smallest: on a plane the smallest
-    cell keeps the search on one line, where most candidates fail only deep
-    down; the largest reaches a frame first.)  At a leaf every row has its
-    own colour and the trace lists each column's incidences over them, so
-    equal traces there mean equal column multisets: an isomorphism.  Every
-    refinement of B is a node; past node_budget nodes it raises
-    SearchBudgetExceeded stating the nodes used and the budget.
+    and B tries every point of the matching cell, each refinement compared
+    with A's trace as it is produced and cut at the first mismatch.  (Largest,
+    not smallest: on a plane the smallest cell keeps the search on one line,
+    where most candidates fail only deep down; the largest reaches a frame
+    first.)  At a leaf every row has its own colour and the trace lists each
+    column's incidences over them, so equal traces there mean equal column
+    multisets: an isomorphism.  Every refinement of B is a node; past
+    node_budget nodes SearchBudgetExceeded states the nodes used and the budget.
     """
     A, B = a.matrix.astype(np.float64), b.matrix.astype(np.float64)
     if A.shape != B.shape:
@@ -412,10 +416,11 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
             raise SearchBudgetExceeded(
                 f"isomorphism search used {nodes} nodes, over its node_budget of {node_budget}"
             )
-        rows, cols, trace = _refine(B, *colouring)
         ra, ca, trace_a = path[depth]
-        if trace != trace_a:
+        refined = _refine(B, *colouring, trace_a)
+        if refined is None:
             continue
+        rows, cols, _ = refined
         sizes = np.bincount(ra)
         if (sizes == 1).all():
             return True

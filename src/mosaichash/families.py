@@ -109,13 +109,18 @@ class Quasigroup:
         every = np.arange(self.order)
         return self._op(every[:, None], every)
 
+    def _ix(self, a):
+        if a not in self._index:
+            raise DomainError(f"{a!r} is not in the carrier")
+        return self._index[a]
+
     def mul(self, a, b):
-        return self.labels[int(self._op(self._index[a], self._index[b]))]
+        return self.labels[int(self._op(self._ix(a), self._ix(b)))]
 
     def div(self, a, b):
         """The unique g with g o b = a."""
-        column = self._op(np.arange(self.order), self._index[b])
-        return self.labels[int(np.flatnonzero(column == self._index[a])[0])]
+        column = self._op(np.arange(self.order), self._ix(b))
+        return self.labels[int(np.flatnonzero(column == self._ix(a))[0])]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -144,9 +149,7 @@ class Group(Quasigroup):
 
     def __init__(self, labels, rows, zero):
         super().__init__(labels, rows)
-        if zero not in self._index:
-            raise DomainError(f"zero {zero!r} is not in the carrier")
-        table, every, z = self._table(), np.arange(self.order), self._index[zero]
+        table, every, z = self._table(), np.arange(self.order), self._ix(zero)
         if not (np.array_equal(table[z], every) and np.array_equal(table[:, z], every)):
             raise DomainError(f"{zero!r} is not a two-sided identity")
         if not np.array_equal(table, table.T):

@@ -90,6 +90,15 @@ def test_quasigroup_reads_its_rows():
     assert [[q.div(q.mul(a, b), b) for b in "abc"] for a in "abc"] == [[a] * 3 for a in "abc"]
 
 
+def test_label_views_reject_a_label_outside_the_carrier():
+    q = Quasigroup("abc", [["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]])
+    g = mosaichash.cyclic_group([0, 1])
+    for op, a, b in [(q.mul, "a", "z"), (q.mul, "z", "a"), (q.div, "a", "z"), (q.div, "z", "a"),
+                     (g.mul, 0, 5), (g.div, 5, 0), (g.add, 0, 5), (g.sub, 5, 0)]:
+        with pytest.raises(DomainError, match="is not in the carrier"):
+            op(a, b)
+
+
 def test_quasigroup_json_roundtrip():
     q = random_latin(random.Random(2), ["a", "b", "c"])
     q2 = Quasigroup.from_json(q.to_json())
@@ -225,6 +234,13 @@ def test_double_extension_rejects_trivially_balanced():
         double_extension(a)
     f = double_extension(a, allow_trivial=True)
     assert f.x_size == 4 and f.s_size == 2
+
+
+@pytest.mark.parametrize("use", [double_extension, double_extension_parts, balanced_epsilon])
+def test_a_family_without_a_value_group_is_not_balanced(use):
+    f = FunctionTable([0, 1], [0], [0, 1], [[0], [1]]).to_family()
+    with pytest.raises(NotBalanced, match="has no designated group on its value set"):
+        use(f)
 
 
 @pytest.mark.parametrize("use", [double_extension, balanced_epsilon, krawczyk_lift,

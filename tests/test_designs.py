@@ -23,6 +23,7 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
+from mosaichash.designs import _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
@@ -52,6 +53,24 @@ def test_incidence_structure_validation():
     d = IncidenceStructure([[0, 1], [1, 0]], ["p", "q"], [0, 1])
     assert d.v == 2 and d.b == 2
     assert d.dual().points == (0, 1)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0, 2]], [[300]], [[-1, 0]], [[0.5]], [["a"]], [[0, "1"]], [[None]], [[{"a": 1}]],
+    [1, 0], 1, [[[1]]], [],
+], ids=repr)
+def test_incidence_structure_rejects_entries_outside_0_1_and_non_2d_input(matrix):
+    with pytest.raises(ValueError, match="incidence matrix must be a 2-d 0/1 array"):
+        IncidenceStructure(matrix)
+
+
+@pytest.mark.parametrize("matrix, want", [
+    ([[0, 1], [1, 0]], [[0, 1], [1, 0]]), ([[True, False]], [[1, 0]]),
+    ([[1.0, 0.0]], [[1, 0]]), (np.ones((2, 3), dtype=np.int64), [[1] * 3] * 2), ([[]], [[]]),
+], ids=repr)
+def test_incidence_structure_accepts_0_1_entries_of_any_numeric_type(matrix, want):
+    d = IncidenceStructure(matrix)
+    assert d.matrix.dtype == np.int8 and d.matrix.tolist() == want
 
 
 def test_incidence_json_roundtrip():
@@ -120,6 +139,32 @@ def test_sum_mosaic_column_order():
     )
     assert total.b == len(m.block_indices) * len(m.a_labels)
     assert (total.matrix.sum(axis=1) == len(m.block_indices)).all()
+
+
+def _sum_by_columns(m):
+    """The sum mosaic's rows and labels, one (s, a) column at a time."""
+    cols, labels = [], []
+    for si, s in enumerate(m.block_indices):
+        for ai, a in enumerate(m.a_labels):
+            cols.append([row[si] for row in m.members[ai].matrix.tolist()])
+            labels.append((s, a))
+    return [list(row) for row in zip(*cols)], labels
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mosaic_from_function(affine(3, 2)),
+    lambda: mosaic_from_function(transversal(4, include_infinity=True)),
+    lambda: dual_mosaic(mosaic_from_function(affine(2, 3))),
+    lambda: mosaic_from_function(random_table(random.Random(6), 5, 7, 3)),
+    lambda: Mosaic([IncidenceStructure([[1, 0]], ["x"], ["s", "t"]),
+                    IncidenceStructure([[0, 1]], ["x"], ["s", "t"])], ["a", "b"]),
+])
+def test_sum_mosaic_matches_a_column_by_column_build(make):
+    m = make()
+    rows, labels = _sum_by_columns(m)
+    total = sum_mosaic(m)
+    assert total.matrix.tolist() == rows
+    assert total.block_indices == tuple(labels) and total.points == m.points
 
 
 def test_analyze_fano():
@@ -288,7 +333,7 @@ def test_is_isomorphic_matches_brute_force_oracle():
 AFFINE_MEMBERS = [(4, 2), (2, 4), (3, 3), (5, 2), (8, 2)]
 
 
-@pytest.mark.parametrize("q,t", AFFINE_MEMBERS)
+@pytest.mark.parametrize("q,t", AFFINE_MEMBERS + [(16, 2)])
 def test_is_isomorphic_recognises_permuted_affine_members(q, t):
     rng = random.Random(q * 10 + t)
     member = mosaic_from_function(affine(q, t)).members[rng.randrange(q)]
@@ -307,6 +352,21 @@ def test_is_isomorphic_rejects_switched_affine_members(q, t):
         copy = _switched(rng, _permuted(rng, member.matrix))
         # the cheap invariants reject the copy before the search takes a node
         assert not is_isomorphic(member, IncidenceStructure(copy), node_budget=0)
+
+
+def test_split_colours_and_trace_ignore_the_order_of_rows_and_columns():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        v, b = rng.integers(1, 10, size=2)
+        m = (rng.random((v, b)) < rng.random()).astype(np.float64)
+        own = rng.integers(0, rng.integers(1, v + 1), size=v)
+        other = rng.integers(0, rng.integers(1, b + 1), size=b)
+        p, q = rng.permutation(v), rng.permutation(b)
+        trace, permuted_trace = [], []
+        new = _split(m, own, other, trace)
+        assert np.array_equal(_split(m[p][:, q], own[p], other[q], permuted_trace), new[p])
+        assert permuted_trace == trace
+        assert sorted(set(new.tolist())) == list(range(len(set(new.tolist()))))
 
 
 def test_is_isomorphic_budget():
