@@ -24,7 +24,7 @@ from .families import (
     _formula_family,
     _on_carrier,
 )
-from .verify import _pair_max, min_epsilon, regularity_check
+from .verify import _block_size, _pair_max, _row_counts, min_epsilon
 
 
 def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
@@ -43,7 +43,7 @@ def point_extension(g: HashFamily, q: Quasigroup,
                     budget=DEFAULT_TABLE_BUDGET) -> HashFamily:
     """f(y, b; s) = g(y, s) o b.  Inherits (ACFU1) only from an (ASU1) g."""
     to, back = _on_carrier(g.a_labels, q, f"value set of {g.name}")
-    if not regularity_check(g, budget).regular:
+    if _block_size(_row_counts(g.to_table(budget)._array, g.a_size), g.s_size) is None:
         warnings.warn(
             f"point extension of irregular {g.name}: the result fails (ACFU1)",
             stacklevel=2,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -235,10 +236,12 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
 
     Returns the lexicographically first Resolution (each class opens with
     the first unused block and adds later blocks in index order) or
-    NotResolvable after exhausting the search.  The search keeps its own
-    stack, so its depth is not bounded by Python's recursion limit.  Every
-    partial class tried is a node; past node_budget nodes it raises
-    SearchBudgetExceeded stating the nodes used and the budget.
+    NotResolvable after exhausting the search.  Every block before a class's
+    opener is used while the class is open, so the next opener is the first
+    unused block after it, and a count of used blocks says when all are.  The
+    search keeps its own stack, so its depth is not bounded by Python's
+    recursion limit.  Every partial class tried is a node; past node_budget
+    nodes it raises SearchBudgetExceeded stating the nodes used and the budget.
     """
     m = d.matrix
     v, b = m.shape
@@ -252,23 +255,26 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
         return NotResolvable(f"block count {b} not divisible into {r} classes")
     class_size = b // r
     full = (1 << v) - 1
-    packed = np.packbits(m.T, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # packing a contiguous copy is faster than packing the strided view m.T
+    packed = np.packbits(np.ascontiguousarray(m.T), axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    masks = [int.from_bytes(buf[j:j + width], "little") for j in range(0, b * width, width)]
 
-    nodes = 0
+    nodes = n_used = 0
     used = [False] * b
     classes = []
     # one frame per node: [members, cover, next block to try, block opening the next class]
     stack = []
 
     def push(members, cover):
-        nonlocal nodes
+        nonlocal nodes, n_used
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"resolution search used {nodes} nodes, over its node_budget of {node_budget}"
             )
         used[members[-1]] = True
+        n_used += 1
         stack.append([members, cover, members[-1] + 1, None])
 
     push((0,), masks[0])
@@ -277,9 +283,9 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
         members, cover, j, opened = frame
         if len(members) == class_size and cover == full and opened is None:
             classes.append(members)
-            if all(used):
+            if n_used == b:
                 return Resolution(tuple(classes))
-            frame[3] = used.index(False)
+            frame[3] = used.index(False, members[0] + 1)
             push((frame[3],), masks[frame[3]])
             continue
         if len(members) < class_size:
@@ -292,6 +298,7 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
         if opened is not None:
             classes.pop()
         used[members[-1]] = False
+        n_used -= 1
         stack.pop()
     return NotResolvable("exhaustive search found no resolution")
 
@@ -341,36 +348,51 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
 # ---------------------------------------------------------------------------
 
 
-def _split(m, own, other, trace):
-    """Recolour the rows of m by their colour and incidence counts per column colour.
+def _split(inc, own, other, k, trace):
+    """Recolour one side by its colour and incidence counts per colour of the other.
 
-    New colours are the ranks of the distinct signatures, so they depend on
-    the colourings alone, not on the order of rows and columns; the distinct
-    signatures and their counts go on the trace.  Rows are ranked as byte keys
-    of big-endian int64s, whose byte order is row order since entries are >= 0.
+    inc is the incidence list as two arrays, this side's items then the other
+    side's; other's colours are below k.  New colours are the ranks of the
+    distinct signatures, so they depend on the colourings alone, not on the
+    order of rows and columns; the distinct signatures and their counts go on
+    the trace.  Signatures are ranked as byte keys of big-endian int64s, whose
+    byte order is their lexicographic order since entries are >= 0.  Returns
+    the new colours and their count.
     """
-    sig = np.column_stack([own, m @ np.eye(other.max() + 1)[other]]).astype(">i8")
-    keys = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel()
+    mine, theirs = inc
+    n = len(own)
+    sig = np.empty((n, k + 1), dtype=">i8")
+    sig[:, 0] = own
+    sig[:, 1:] = np.bincount(mine * k + other[theirs], minlength=n * k).reshape(n, k)
+    keys = sig.view(np.dtype((np.void, sig.itemsize * (k + 1)))).ravel()
     uniq, new, counts = np.unique(keys, return_inverse=True, return_counts=True)
     trace += [uniq.tobytes(), counts.tobytes()]
-    return new
+    return new, len(uniq)
 
 
-def _refine(m, rows, cols, against=None):
-    """Coarsest equitable refinement of a row and column colouring of m, and its trace.
+def _refine(inc, rows, cols, against=None):
+    """Coarsest equitable refinement of a row and column colouring, and its trace.
 
-    Given against, the trace to match, it returns None as soon as its trace
-    leaves against's prefix or ends at another length.
+    inc is the incidence list (rows, columns) of the matrix; each colouring
+    uses every colour from 0 up to its largest.  Rows and columns are split
+    in turn.  A split after the first two that adds no colour ends the
+    refinement: its side is then equitable over the other side's colouring,
+    which the split before made equitable over this side's unchanged one, so
+    every further split would return its input.  Given against, the trace to
+    match, it returns None as soon as its trace leaves against's prefix or
+    ends at another length.
     """
-    trace = []
-    while True:
-        sizes = rows.max() + 1, cols.max() + 1
-        rows = _split(m, rows, cols, trace)
-        cols = _split(m.T, cols, rows, trace)
-        if against is not None and trace != against[:len(trace)]:
+    trace, sides, colours = [], (inc, inc[::-1]), [rows, cols]
+    counts = [0, int(cols.max()) + 1]  # 0: the first row split never ends it
+    for side in itertools.cycle((0, 1)):
+        colours[side], n = _split(sides[side], colours[side], colours[1 - side],
+                                  counts[1 - side], trace)
+        if against is not None and trace[-2:] != against[len(trace) - 2:len(trace)]:
             return None
-        if (rows.max() + 1, cols.max() + 1) == sizes:
-            return None if against is not None and trace != against else (rows, cols, trace)
+        if n == counts[side]:
+            break
+        counts[side] = n
+    return None if against is not None and len(trace) != len(against) else (*colours, trace)
 
 
 def _individualise(rows, i):
@@ -405,8 +427,9 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
             return False
     if A.size == 0:
         return True
+    inc_a, inc_b = np.nonzero(a.matrix), np.nonzero(b.matrix)
     start = np.zeros(A.shape[0], dtype=np.int64), np.zeros(A.shape[1], dtype=np.int64)
-    path = [_refine(A, *start)]  # A's colourings and trace at each depth
+    path = [_refine(inc_a, *start)]  # A's colourings and trace at each depth
     stack = [(0, start)]  # B's nodes: depth and colouring before refinement
     nodes = 0
     while stack:
@@ -417,7 +440,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
                 f"isomorphism search used {nodes} nodes, over its node_budget of {node_budget}"
             )
         ra, ca, trace_a = path[depth]
-        refined = _refine(B, *colouring, trace_a)
+        refined = _refine(inc_b, *colouring, trace_a)
         if refined is None:
             continue
         rows, cols, _ = refined
@@ -426,7 +449,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
             return True
         cell = np.argmax(sizes)
         if len(path) == depth + 1:
-            path.append(_refine(A, _individualise(ra, np.flatnonzero(ra == cell)[0]), ca))
+            path.append(_refine(inc_a, _individualise(ra, np.flatnonzero(ra == cell)[0]), ca))
         for t in np.flatnonzero(rows == cell)[::-1]:
             stack.append((depth + 1, (_individualise(rows, t), cols)))
     return False

@@ -110,9 +110,10 @@ class Quasigroup:
         return self._op(every[:, None], every)
 
     def _ix(self, a):
-        if a not in self._index:
-            raise DomainError(f"{a!r} is not in the carrier")
-        return self._index[a]
+        try:
+            return self._index[a]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise DomainError(f"{a!r} is not in the carrier") from None
 
     def mul(self, a, b):
         return self.labels[int(self._op(self._ix(a), self._ix(b)))]

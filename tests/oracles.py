@@ -410,6 +410,34 @@ def oracle_is_isomorphic(a_rows, b_rows):
                for perm in permutations(range(len(a_rows))))
 
 
+def oracle_equitable_refinement(rows, row_colour, col_colour):
+    """Coarsest equitable refinement of a row and a column colouring of a 0/1
+    matrix given as a list of rows, by plain loops: both sides are split at
+    once, each item by its colour and the multiset of colours it meets on the
+    other side, until neither side gains a cell.  Returns the row and column
+    partitions as sets of frozensets of indices."""
+    v, b = len(row_colour), len(col_colour)
+
+    def split(colour, other, meets):
+        sigs = [(colour[i], tuple(sorted(other[j] for j in meets(i)))) for i in range(len(colour))]
+        names = {}
+        return [names.setdefault(sig, len(names)) for sig in sigs]
+
+    def cells(colour):
+        parts = {}
+        for i, c in enumerate(colour):
+            parts.setdefault(c, set()).add(i)
+        return {frozenset(p) for p in parts.values()}
+
+    row_colour, col_colour = list(row_colour), list(col_colour)
+    while True:
+        new_rows = split(row_colour, col_colour, lambda i: [j for j in range(b) if rows[i][j]])
+        new_cols = split(col_colour, row_colour, lambda j: [i for i in range(v) if rows[i][j]])
+        if (len(set(new_rows)), len(set(new_cols))) == (len(set(row_colour)), len(set(col_colour))):
+            return cells(row_colour), cells(col_colour)
+        row_colour, col_colour = new_rows, new_cols
+
+
 def oracle_find_resolution(rows):
     """The first recursive resolution search, without its budget: its classes
     (None when there is no resolution) and the nodes it used.  It raises

@@ -99,6 +99,14 @@ def test_label_views_reject_a_label_outside_the_carrier():
             op(a, b)
 
 
+def test_label_views_reject_an_unhashable_label():
+    g = mosaichash.cyclic_group([0, 1])
+    for op, a, b in [(g.mul, [0], 1), (g.mul, 1, [0]), (g.div, [0], 1), (g.div, 1, [0]),
+                     (g.add, [0], 1), (g.add, 1, [0]), (g.sub, [0], 1), (g.sub, 1, [0])]:
+        with pytest.raises(DomainError, match=r"\[0\] is not in the carrier"):
+            op(a, b)
+
+
 def test_quasigroup_json_roundtrip():
     q = random_latin(random.Random(2), ["a", "b", "c"])
     q2 = Quasigroup.from_json(q.to_json())

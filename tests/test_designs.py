@@ -23,10 +23,11 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.designs import _split
+from mosaichash.designs import _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
+    oracle_equitable_refinement,
     oracle_find_resolution,
     oracle_is_isomorphic,
 )
@@ -362,11 +363,68 @@ def test_split_colours_and_trace_ignore_the_order_of_rows_and_columns():
         own = rng.integers(0, rng.integers(1, v + 1), size=v)
         other = rng.integers(0, rng.integers(1, b + 1), size=b)
         p, q = rng.permutation(v), rng.permutation(b)
+        k = other.max() + 1
         trace, permuted_trace = [], []
-        new = _split(m, own, other, trace)
-        assert np.array_equal(_split(m[p][:, q], own[p], other[q], permuted_trace), new[p])
+        new, count = _split(np.nonzero(m), own, other, k, trace)
+        permuted, _ = _split(np.nonzero(m[p][:, q]), own[p], other[q], k, permuted_trace)
+        assert np.array_equal(permuted, new[p])
         assert permuted_trace == trace
         assert sorted(set(new.tolist())) == list(range(len(set(new.tolist()))))
+        assert count == len(set(new.tolist()))
+
+
+def _cells(colour):
+    return {frozenset(np.flatnonzero(colour == c).tolist()) for c in set(colour.tolist())}
+
+
+def _assert_refines_like_the_oracle(m, rows, cols):
+    got_rows, got_cols, _ = _refine(np.nonzero(m), rows, cols)
+    want = oracle_equitable_refinement(m.tolist(), rows.tolist(), cols.tolist())
+    assert (_cells(got_rows), _cells(got_cols)) == want
+
+
+def test_refine_reaches_the_oracle_equitable_partition():
+    """Random matrices (all-zero ones, one row, one column) from the unit
+    colouring, one individualised row, or random colourings with colours
+    0..k-1; then permuted affine(4,2) members."""
+    rng = np.random.default_rng(12)
+    for n in range(200):
+        v, b = rng.integers(1, 9, size=2)
+        v, b = (1 if n % 10 == 1 else v), (1 if n % 10 == 2 else b)
+        m = (rng.random((v, b)) < (0 if n % 10 == 0 else rng.random())).astype(np.int8)
+        rows, cols = np.zeros(v, dtype=np.int64), np.zeros(b, dtype=np.int64)
+        if n % 3 == 1:
+            rows[rng.integers(v)] = 1 if v > 1 else 0
+        elif n % 3 == 2:
+            rows = np.unique(rng.integers(0, 3, size=v), return_inverse=True)[1].ravel()
+            cols = np.unique(rng.integers(0, 3, size=b), return_inverse=True)[1].ravel()
+        _assert_refines_like_the_oracle(m, rows, cols)
+    prng = random.Random(42)
+    for member in mosaic_from_function(affine(4, 2)).members:
+        m = _permuted(prng, member.matrix)
+        rows, cols = np.zeros(m.shape[0], dtype=np.int64), np.zeros(m.shape[1], dtype=np.int64)
+        _assert_refines_like_the_oracle(m, rows, cols)
+        rows[prng.randrange(m.shape[0])] = 1
+        _assert_refines_like_the_oracle(m, rows, cols)
+
+
+def test_refine_against_a_trace_matches_it_exactly_or_returns_none():
+    """B's refinement against A's trace: None exactly when B's own trace differs."""
+    rng = np.random.default_rng(13)
+    prng = random.Random(13)
+    seen = set()
+    for n in range(300):
+        v, b = rng.integers(1, 7, size=2)
+        a = (rng.random((v, b)) < rng.random()).astype(np.int8)
+        other = _permuted(prng, a) if n % 2 else (rng.random((v, b)) < rng.random()).astype(np.int8)
+        start = np.zeros(v, dtype=np.int64), np.zeros(b, dtype=np.int64)
+        trace_a = _refine(np.nonzero(a), *start)[2]
+        trace_b = _refine(np.nonzero(other), *start)[2]
+        got = _refine(np.nonzero(other), *start, trace_a)
+        assert (got is None) == (trace_b != trace_a)
+        assert got is None or got[2] == trace_a
+        seen.add(got is None)
+    assert seen == {True, False}
 
 
 def test_is_isomorphic_budget():
@@ -441,10 +499,18 @@ def _assert_resolution(d, classes):
     lambda: affine(16, 2), lambda: transversal(16, include_infinity=True),
 ])
 def test_find_resolution_of_large_sums(family):
-    total = _sum(family())
+    """Beyond the recursive search's reach: class h is the seed-h blocks
+    h|A|, ..., (h+1)|A| - 1, found without backtracking in one node per block."""
+    f = family()
+    total = _sum(f)
     res = find_resolution(total)
     assert isinstance(res, Resolution)
     _assert_resolution(total, res.classes)
+    assert res.classes == tuple(tuple(range(h * f.a_size, (h + 1) * f.a_size))
+                                for h in range(f.s_size))
+    assert find_resolution(total, node_budget=total.b).classes == res.classes
+    with pytest.raises(SearchBudgetExceeded, match=f"used {total.b} nodes"):
+        find_resolution(total, node_budget=total.b - 1)
 
 
 def _structures(q, t):
