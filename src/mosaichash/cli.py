@@ -22,6 +22,7 @@ from .designs import (
     IncidenceStructure,
     Mosaic,
     Resolution,
+    _design_params,
     analyze_structure,
     check_structure_theorems,
     dual_mosaic,
@@ -133,7 +134,10 @@ def cmd_design(args):
     if args.theorems:
         rep = check_structure_theorems(fam, args.budget)
         out["theorems"] = rep.to_dict()
-        out["members"] = [analyze_structure(d).to_dict() for d in mosaic.members]
+        records = rep._member_counts
+        members = ([_design_params(*c) for c in records] if records
+                   else [analyze_structure(d) for d in mosaic.members])
+        out["members"] = [p.to_dict() for p in members]
         if not rep.ok:
             rc = CHECK_FAILED
     if args.dual:

@@ -22,7 +22,7 @@ from .families import (
     encode_label,
     json_fields,
 )
-from .verify import classify, seed_lower_bounds
+from .verify import _pair_counts, _representatives, _row_counts, classify, seed_lower_bounds
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -78,8 +78,8 @@ class Mosaic:
         shape = members[0].matrix.shape
         if any(d.matrix.shape != shape for d in members):
             raise NotAMosaic("members must share dimensions")
-        total = sum(d.matrix.astype(np.int64) for d in members)
-        if not (total == 1).all():
+        stack = np.stack([d.matrix for d in members])  # summed in a type that holds len(members)
+        if not (stack.sum(axis=0, dtype=np.min_scalar_type(len(members))) == 1).all():
             raise NotAMosaic("member matrices do not sum to the all-ones matrix")
         self.members = members
         self.a_labels = (
@@ -132,8 +132,8 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
     """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
-    matrix = np.stack([d.matrix for d in m.members], axis=2).reshape(len(m.points), -1)
     labels = [(s, a) for s in m.block_indices for a in m.a_labels]
+    matrix = np.stack([d.matrix for d in m.members], axis=2).reshape(len(m.points), len(labels))
     return IncidenceStructure(matrix, m.points, labels)
 
 
@@ -169,33 +169,43 @@ class DesignParams:
         }
 
 
-def _off_diagonal_values(g):
-    """Sorted distinct off-diagonal entries of a square float64 count matrix."""
-    g = g.astype(np.int64)
-    counts = np.bincount(g.ravel(), minlength=1)
-    counts -= np.bincount(np.diagonal(g), minlength=len(counts))
+def _present(counts):
+    """The values of nonzero count in a histogram, in order."""
     return tuple(np.flatnonzero(counts).tolist())
 
 
-def analyze_structure(d: IncidenceStructure) -> DesignParams:
-    """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting.
+def _half(g):
+    """(size, distinct diagonal entries, distinct off-diagonal entries) of a
+    square count matrix."""
+    g = g.astype(np.int64)
+    counts = np.bincount(g.ravel(), minlength=1)
+    on_diagonal = np.bincount(np.diagonal(g), minlength=len(counts))
+    return len(g), _present(on_diagonal), _present(counts - on_diagonal)
 
-    The pair counts m m^T and block intersections m^T m are float64 BLAS
-    products, exact because every count is at most max(v, b) < 2^53.
+
+def _counts(m):
+    """The counts record of a 0/1 matrix: its points half (v, the distinct row
+    sums and the distinct pair counts of m m^T) and its blocks half (b, the
+    distinct column sums and block intersections of m^T m); the dual's record
+    is the same two halves swapped.  A record holds only ints, so it is small
+    enough to keep.
+
+    Both products run in float32, exact because every entry is a count of at
+    most max(v, b) and any matrix whose two products fit in memory has
+    max(v, b) < 2^24 (one product would otherwise hold 2^48 entries).
     """
-    m = d.matrix.astype(np.float64)
-    v, b = m.shape
-    col_sums = d.matrix.sum(axis=0)
-    row_sums = d.matrix.sum(axis=1)
-    constant_k = bool((col_sums == col_sums[0]).all()) if b else False
-    constant_r = bool((row_sums == row_sums[0]).all()) if v else False
-    k = int(col_sums[0]) if constant_k else None
-    r = int(row_sums[0]) if constant_r else None
+    m = np.asarray(m, dtype=np.float32)
+    return _half(m @ m.T), _half(m.T @ m)
 
-    lams = _off_diagonal_values(m @ m.T)  # (x, x') -> number of common blocks
+
+def _design_params(points, blocks) -> DesignParams:
+    """DesignParams of the structure whose counts record is (points, blocks)."""
+    (v, row_sums, lams), (b, col_sums, numbers) = points, blocks
+    constant_k, constant_r = len(col_sums) == 1, len(row_sums) == 1
+    k = col_sums[0] if constant_k else None
+    r = row_sums[0] if constant_r else None
     constant_lambda = len(lams) == 1
     lam = lams[0] if constant_lambda else None
-    numbers = _off_diagonal_values(m.T @ m)  # (s, s') -> block intersection sizes
 
     is_bibd = constant_k and constant_lambda and k is not None and lam is not None \
         and lam >= 1 and k >= 1
@@ -214,6 +224,12 @@ def analyze_structure(d: IncidenceStructure) -> DesignParams:
         is_bibd, numbers, symmetric, quasi_symmetric, relations_ok,
         affine_block_count,
     )
+
+
+def analyze_structure(d: IncidenceStructure) -> DesignParams:
+    """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting:
+    the pair counts m m^T and block intersections m^T m of ``_counts``."""
+    return _design_params(*_counts(d.matrix))
 
 
 @dataclass
@@ -465,6 +481,8 @@ class TheoremReport:
     family: str
     implications: list = field(default_factory=list)  # (name, details)
     violations: list = field(default_factory=list)
+    # the member counts records the checks read, for ``design --theorems``; None if none did
+    _member_counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -479,24 +497,59 @@ class TheoremReport:
         }
 
 
+def _sum_counts(f: HashFamily, T):
+    """The counts record of f's sum mosaic, read off f's table T.
+
+    Points x, x' share one block per seed where they agree, so the pair counts
+    are the agreement product, summed over the level sets T == a; each point
+    lies in one block per seed.  Block (s, a) has #{x : T[x, s] = a} points.
+    Blocks of one seed are disjoint, and blocks (s, a), (s', a') of two seeds
+    meet in the pair count of seeds s, s' and values a, a' of the transposed
+    table, constant on the orbits of f's automorphisms, so only the seeds least
+    in their orbit are scanned.
+    """
+    X, S, A = f.x_size, f.s_size, f.a_size
+    agree = np.zeros((X, X), dtype=np.float32)
+    for a in range(A):
+        m = (T == a).astype(np.float32)
+        agree += m @ m.T
+    seen = np.zeros(X + 1, dtype=bool)
+    seen[0] = A >= 2
+    seeds = np.ascontiguousarray(T.T)
+    for _, _, counts in _pair_counts(seeds, A, rows=_representatives(f, T, side=1)):
+        seen[counts] = True
+    sizes = np.bincount(_row_counts(seeds, A).ravel())
+    return _half(agree), (S * A, _present(sizes), _present(seen))
+
+
 def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> TheoremReport:
-    """Cross-check every applicable bound-equality/structure implication."""
+    """Cross-check every applicable bound-equality/structure implication.
+
+    Member a is the level set T == a of f's table, counted one at a time
+    (``_counts``); its dual reads the same record.  The sum mosaic's record
+    comes from the table (``_sum_counts``), and the sum is always resolvable:
+    the seed classes {(s, a) : a in A} partition every point set, and they are
+    the resolution ``find_resolution`` returns.
+    """
     report = TheoremReport(f.name)
     rep = classify(f, budget)
-    mos = mosaic_from_function(f, budget)
+    T = f.to_table(budget)._array
     X, S, A = f.x_size, f.s_size, f.a_size
+    variance = rep.regular and rep.equality.get("variance")
 
     def record(name, ok, details):
         report.implications.append({"name": name, "ok": ok, "details": details})
         if not ok:
             report.violations.append(name)
 
+    if rep.ocfu or variance:
+        report._member_counts = records = tuple(_counts(T == a) for a in range(A))
+
     if rep.ocfu:
         lam = rep.eps_acfu * Fraction(S, A)
         expect = dict(v=X, k=X // A, lam=lam, b=S, r=S // A)
         ok = True
-        for d in mos.members:
-            p = analyze_structure(d)
+        for p in itertools.starmap(_design_params, records):
             if not (
                 p.is_bibd
                 and p.v == X
@@ -508,12 +561,12 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
                 ok = False
         record("ocfu_members_are_bibds", ok, {k: str(v) for k, v in expect.items()})
 
-    if rep.regular and rep.equality.get("variance"):
+    if variance:
         mu = rep.eps_acfu * Fraction(S, A)
         ok = True
         details = {"mu": str(mu)}
-        for d in dual_mosaic(mos).members:
-            p = analyze_structure(d)
+        for points, blocks in records:
+            p = _design_params(blocks, points)
             if not (p.quasi_symmetric and set(p.intersection_numbers) == {0, mu}):
                 ok = False
             else:
@@ -527,11 +580,8 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
         record("variance_equality_dual_quasi_symmetric", ok, details)
 
     if rep.ou:
-        total = sum_mosaic(mos)
-        p = analyze_structure(total)
-        res = find_resolution(total)
-        ok = p.is_bibd and isinstance(res, Resolution)
-        record("ou_sum_is_resolvable_bibd", ok, {"sum_params": p.to_dict()})
+        p = _design_params(*_sum_counts(f, T))
+        record("ou_sum_is_resolvable_bibd", p.is_bibd, {"sum_params": p.to_dict()})
         au_bounds = seed_lower_bounds(X, A, rep.eps_au)
         if au_bounds.lb_au is not None and Fraction(S) == au_bounds.lb_au:
             ok_aff = p.affine_block_count and p.quasi_symmetric

@@ -3,11 +3,11 @@
 Every check reads the family's integer table T[x, s] (built once by
 ``HashFamily.to_table``) through two counters: ``_row_counts``, the
 histogram #{s : T[x, s] = a}, for regularity and BALANCED; and
-``_pair_max``, the histogram #{s : code[T[x, s], T[x', s]] = c} per pair
-x < x', read through folds.  One pass, memoised on the family, gives AU
-(diagonal sum), ACFU (largest diagonal bin) and ASU (largest bin) over
-the code a*|A| + a' of a regular table, or AU alone over the code [a = a']
-of an irregular one; ``construct.balanced_epsilon`` passes a difference
+``_pair_counts``, the histogram #{s : code[T[x, s], T[x', s]] = c} per
+pair x < x', read through ``_pair_max``'s folds.  One pass, memoised on
+the family, gives AU (diagonal sum), ACFU (largest diagonal bin) and ASU
+(largest bin) over the code a*|A| + a' of a regular table, or AU alone
+over the code [a = a'] of an irregular one; ``construct.balanced_epsilon`` passes a difference
 code.  N is invariant under a family's verified automorphisms (pi, sigma,
 tau), T[pi x, sigma s] = tau(T[x, s]), so only rows r that are the least
 of their X-orbit are counted (Kramer and Mesner's orbit method).  A
@@ -47,17 +47,14 @@ def _block_size(hist, ns):
     return block if rest == 0 and bool((hist == block).all()) else None
 
 
-def _pair_max(T, na, code=None, folds=(None,), rows=None):
-    """First strict maxima in (x, x', c) order, one (count, (x, x', c)) per
-    fold or (-1, None) without a pair, of counts[x', c] = #{s : code[T[x, s],
-    T[x', s]] = c} (code default c = a*na + a') over x in rows (default all)
-    and x' > x.  A fold maps a block's counts (rows x', codes) to (rows x', k)
-    values; None keeps them.  A bincount counts rows x' of about _BLOCK
-    entries and bins."""
+def _pair_counts(T, na, code=None, rows=None):
+    """Blocks (x, j, counts) of the histogram counts[k, c] = #{s : code[T[x, s],
+    T[j + k, s]] = c} (code default c = a*na + a') over x in rows (default all)
+    and every x' = j + k > x.  One bincount counts a block of rows x' of about
+    _BLOCK entries and bins."""
     nx, ns = T.shape
     ncodes = na * na if code is None else int(code.max()) + 1
     step = max(1, _BLOCK // max(ns, ncodes))
-    found = [(-1, None)] * len(folds)
     for i in range(nx) if rows is None else rows:
         row = T[i] * na
         for j in range(i + 1, nx, step):
@@ -66,18 +63,28 @@ def _pair_max(T, na, code=None, folds=(None,), rows=None):
                 keys = code.take(keys)
             m = keys.shape[0]
             keys += ncodes * np.arange(m)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=m * ncodes).reshape(m, ncodes)
-            for n, fold in enumerate(folds):
-                values = counts if fold is None else fold(counts)
-                k = int(values.argmax())
-                if values.flat[k] > found[n][0]:
-                    width = values.shape[1]
-                    found[n] = int(values.flat[k]), (i, j + k // width, k % width)
+            yield i, j, np.bincount(keys.ravel(), minlength=m * ncodes).reshape(m, ncodes)
+
+
+def _pair_max(T, na, code=None, folds=(None,), rows=None):
+    """First strict maxima in (x, x', c) order, one (count, (x, x', c)) per
+    fold or (-1, None) without a pair, of the counts of _pair_counts.  A fold
+    maps a block's counts (rows x', codes) to (rows x', k) values; None keeps
+    them."""
+    found = [(-1, None)] * len(folds)
+    for i, j, counts in _pair_counts(T, na, code, rows):
+        for n, fold in enumerate(folds):
+            values = counts if fold is None else fold(counts)
+            k = int(values.argmax())
+            if values.flat[k] > found[n][0]:
+                width = values.shape[1]
+                found[n] = int(values.flat[k]), (i, j + k // width, k % width)
     return found
 
 
-def _representatives(f: HashFamily, T):
-    """Least index of each X-orbit of f.automorphisms, each verified on T first."""
+def _representatives(f: HashFamily, T, side=0):
+    """Least index of each orbit of f.automorphisms on X (side 0) or S (side 1),
+    each automorphism verified on T first."""
     ranges = np.arange(T.shape[0]), np.arange(T.shape[1]), np.arange(f.a_size)
     small = T.astype(np.min_scalar_type(f.a_size - 1))  # gathers on it run several times faster
     for n, (pi, sigma, tau) in enumerate(f.automorphisms):
@@ -85,16 +92,17 @@ def _representatives(f: HashFamily, T):
         if not (perms and np.array_equal(small.take(pi, axis=0).take(sigma, axis=1),
                                          tau.astype(small.dtype)[small])):
             raise NotAnAutomorphism(f"automorphism {n} of {f.name} does not fix its table")
-    # least orbit index: spread minima along every pi, then halve the distances
-    low = ranges[0]
+    # least orbit index: spread minima along every generator, then halve the distances
+    low = ranges[side]
     while True:
         old = low
-        for pi, _, _ in f.automorphisms:
-            low = np.minimum(low, low[pi])
-            low[pi] = np.minimum(low[pi], low)
+        for gens in f.automorphisms:
+            perm = gens[side]
+            low = np.minimum(low, low[perm])
+            low[perm] = np.minimum(low[perm], low)
         low = low[low]
         if np.array_equal(low, old):
-            return np.flatnonzero(low == ranges[0])
+            return np.flatnonzero(low == ranges[side])
 
 
 def _pair_classes(f: HashFamily, T):
@@ -155,7 +163,8 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     AU is max sum_a N(x, x', a, a) / |S|, ACFU max N(x, x', a, a) and ASU
     max N(x, x', a, a'), both over |S|/|A|; the latter two raise
     NotRegular without (ACFU1).  BALANCED is max #{s : f(x, s) = a} / |S|
-    over x != 0 and raises NotHomomorphic unless f is linear in x.
+    over x != 0 and raises NotHomomorphic unless f is linear in x.  Every
+    class raises TrivialDomain for an empty seed set.
 
     The first AU, ACFU or ASU call counts all three in one pass and
     memoises them on f, counting only the rows that are the least of their
@@ -167,6 +176,8 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     """
     if hash_class not in CLASSES:
         raise ValueError(f"unknown hash class {hash_class!r}")
+    if f.s_size == 0:
+        raise TrivialDomain(f"{f.name} has an empty seed set; every epsilon is a share of |S|")
     T = f.to_table(budget)._array
     if hash_class != "BALANCED":
         if f._pairs is None:

@@ -490,14 +490,16 @@ def oracle_find_resolution(rows):
 
 
 def oracle_design_params(rows):
-    """DesignParams.to_dict() of a 0/1 matrix, by plain integer loops."""
+    """DesignParams.to_dict() of a 0/1 matrix, by plain integer loops; pair
+    counts are popcounts of the rows' and columns' bit masks."""
     v, b = len(rows), len(rows[0]) if rows else 0
     k_set = {sum(rows[i][j] for i in range(v)) for j in range(b)}
     r_set = {sum(row) for row in rows}
-    lam_set = {sum(rows[x][j] * rows[y][j] for j in range(b))
-               for x in range(v) for y in range(v) if x != y}
-    numbers = sorted({sum(rows[i][s] * rows[i][t] for i in range(v))
-                      for s in range(b) for t in range(b) if s != t})
+    row_bits = [sum(1 << j for j in range(b) if rows[i][j]) for i in range(v)]
+    col_bits = [sum(1 << i for i in range(v) if rows[i][j]) for j in range(b)]
+    lam_set = {(row_bits[x] & row_bits[y]).bit_count() for x in range(v) for y in range(x + 1, v)}
+    numbers = sorted({(col_bits[s] & col_bits[t]).bit_count()
+                      for s in range(b) for t in range(s + 1, b)})
     k = k_set.pop() if len(k_set) == 1 else None
     r = r_set.pop() if len(r_set) == 1 else None
     lam = lam_set.pop() if len(lam_set) == 1 else None
@@ -511,4 +513,50 @@ def oracle_design_params(rows):
         "quasi_symmetric": is_bibd and len(numbers) == 2,
         "relations_ok": relations_ok,
         "affine_block_count": r is not None and b == v + r - 1,
+    }
+
+
+def oracle_theorem_report(f, rep):
+    """TheoremReport.to_dict() of check_structure_theorems(f), given the report
+    rep of classify(f): members, their transposes and the sum mosaic are 0/1
+    rows built from ``evaluate``, counted by oracle_design_params, and the sum's
+    resolvability is decided by oracle_find_resolution."""
+    X, S, A = len(f.x_labels), len(f.s_labels), len(f.a_labels)
+    T = [[f.a_labels.index(f.evaluate(x, s)) for s in f.s_labels] for x in f.x_labels]
+    members = [[[int(T[x][s] == a) for s in range(S)] for x in range(X)] for a in range(A)]
+    found = []  # (name, ok, details)
+    if rep.ocfu:
+        lam = rep.eps_acfu * Fraction(S, A)
+        ok = all(p["is_bibd"] and (p["v"], p["k"], p["lambda"], p["b"], p["r"])
+                 == (X, X // A, lam, S, S // A)
+                 for p in map(oracle_design_params, members))
+        found.append(("ocfu_members_are_bibds", ok,
+                      {"v": str(X), "k": str(X // A), "lam": str(lam), "b": str(S),
+                       "r": str(S // A)}))
+    if rep.regular and rep.equality.get("variance"):
+        mu = rep.eps_acfu * Fraction(S, A)
+        ok = True
+        for m in members:
+            p = oracle_design_params([list(col) for col in zip(*m)])
+            if not (p["quasi_symmetric"] and set(p["intersection_numbers"]) == {0, mu}):
+                ok = False
+            elif p["r"] is not None and p["r"] > 1 and \
+                    Fraction((p["k"] - 1) * (p["lambda"] - 1), p["r"] - 1) + 1 != mu:
+                ok = False
+        found.append(("variance_equality_dual_quasi_symmetric", ok, {"mu": str(mu)}))
+    if rep.ou:
+        rows = [[int(T[x][s] == a) for s in range(S) for a in range(A)] for x in range(X)]
+        p = oracle_design_params(rows)
+        resolvable = oracle_find_resolution(rows)[0] is not None
+        found.append(("ou_sum_is_resolvable_bibd", p["is_bibd"] and resolvable,
+                      {"sum_params": p}))
+        den = rep.eps_au * A * (X - A) + A * A - X  # the AU seed bound X(A-1)/den
+        if den > 0 and Fraction(X * (A - 1)) / den == S:
+            found.append(("ou_au_equality_sum_is_affine",
+                          p["affine_block_count"] and p["quasi_symmetric"], p))
+    return {
+        "family": f.name,
+        "implications": [{"name": n, "ok": ok, "details": d} for n, ok, d in found],
+        "violations": [n for n, ok, _ in found if not ok],
+        "ok": all(ok for _, ok, _ in found),
     }

@@ -14,7 +14,7 @@ from mosaichash import (
 )
 from mosaichash import cli, designs
 from mosaichash.cli import main
-from oracles import ref_field_multiply
+from oracles import oracle_design_params, ref_field_multiply
 from util import flip_source
 
 
@@ -93,8 +93,12 @@ def test_verify_irregular_table(tmp_path, capsys):
     assert rep["eps_asu"] == "NotRegular"
 
 
-def test_design_theorems_affine(tmp_path, capsys):
+def test_design_theorems_affine(tmp_path, capsys, monkeypatch):
     path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+
+    def analysed_again(d):
+        raise AssertionError("members are read from the theorem check's records")
+    monkeypatch.setattr(cli, "analyze_structure", analysed_again)
     code, out, _ = run(capsys, "design", str(path), "--theorems")
     assert code == 0
     rep = json.loads(out)
@@ -102,6 +106,27 @@ def test_design_theorems_affine(tmp_path, capsys):
     for member in rep["members"]:
         assert (member["v"], member["k"], member["lambda"]) == (4, 2, 1)
         assert member["is_bibd"]
+
+
+def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--field-multiply", "q=2", "n=3", "m=1",
+                          "--exclude-zero")
+    code, out, _ = run(capsys, "design", str(path), "--theorems")
+    rep = json.loads(out)
+    assert code == 0 and [i["name"] for i in rep["theorems"]["implications"]] == [
+        "ou_sum_is_resolvable_bibd", "ou_au_equality_sum_is_affine"]
+    rows = FunctionTable.from_json(path.read_text()).entries
+    assert rep["members"] == [oracle_design_params([[int(v == a) for v in row] for row in rows])
+                              for a in range(2)]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["design", "--theorems"]])
+def test_empty_seed_set_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "f.json"
+    path.write_text(FunctionTable(range(3), [], range(2), [[], [], []]).to_json())
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "empty seed set" in err
 
 
 def test_design_resolve(tmp_path, capsys):

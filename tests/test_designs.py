@@ -4,7 +4,9 @@ import time
 import numpy as np
 import pytest
 
+import mosaichash
 from mosaichash import (
+    FunctionTable,
     IncidenceStructure,
     Mosaic,
     NotResolvable,
@@ -12,6 +14,7 @@ from mosaichash import (
     affine,
     analyze_structure,
     check_structure_theorems,
+    classify,
     dual_affine,
     dual_mosaic,
     field_multiply,
@@ -23,15 +26,16 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.designs import _refine, _split
+from mosaichash.designs import _design_params, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
     oracle_equitable_refinement,
     oracle_find_resolution,
     oracle_is_isomorphic,
+    oracle_theorem_report,
 )
-from util import random_table
+from util import planted_cyclic_table, random_regular_table, random_table
 
 FANO = [
     [1, 1, 0, 1, 0, 0, 0],
@@ -103,6 +107,11 @@ def test_mosaic_validation():
     assert len(ok.members) == 2
     with pytest.raises(NotAMosaic):
         Mosaic([])
+    # 257 members covering one entry sum to 1 in 8 bits
+    with pytest.raises(NotAMosaic, match="do not sum"):
+        Mosaic([IncidenceStructure([[1]])] * 257)
+    eye = np.eye(300, dtype=np.int8)
+    assert len(Mosaic([IncidenceStructure(eye[i:i + 1]) for i in range(300)]).members) == 300
 
 
 def test_mosaic_function_roundtrip():
@@ -159,11 +168,13 @@ def _sum_by_columns(m):
     lambda: mosaic_from_function(random_table(random.Random(6), 5, 7, 3)),
     lambda: Mosaic([IncidenceStructure([[1, 0]], ["x"], ["s", "t"]),
                     IncidenceStructure([[0, 1]], ["x"], ["s", "t"])], ["a", "b"]),
+    lambda: mosaic_from_function(FunctionTable([], range(3), range(2), []).to_family()),
 ])
 def test_sum_mosaic_matches_a_column_by_column_build(make):
     m = make()
     rows, labels = _sum_by_columns(m)
     total = sum_mosaic(m)
+    assert total.matrix.shape == (len(m.points), len(m.block_indices) * len(m.a_labels))
     assert total.matrix.tolist() == rows
     assert total.block_indices == tuple(labels) and total.points == m.points
 
@@ -522,5 +533,79 @@ def test_analyze_structure_matches_integer_loops():
     rng = random.Random(4)
     structures = [d for q, t in [(2, 2), (3, 2), (2, 3)] for d in _structures(q, t)]
     structures += [IncidenceStructure(FANO), IncidenceStructure(_random_01(rng, 9, 12))]
+    structures += [IncidenceStructure(np.ones((300, 300), dtype=np.int8))]  # counts past 8 bits
     for d in structures:
         assert analyze_structure(d).to_dict() == oracle_design_params(d.matrix.tolist())
+
+
+def test_find_resolution_of_any_sum_is_its_seed_classes():
+    """The blocks (s, a) of one seed partition the points, and the search
+    takes them in index order, so it returns the seed classes, empty blocks
+    and irregular tables included."""
+    rng = random.Random(22)
+    for _ in range(40):
+        nx, ns, na = rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 4)
+        res = find_resolution(_sum(random_table(rng, nx, ns, na)))
+        assert res.classes == tuple(tuple(range(h * na, (h + 1) * na)) for h in range(ns))
+
+
+@pytest.mark.parametrize("kind, args, kwargs", [
+    *[("affine", qt, {}) for qt in [(2, 2), (3, 2), (4, 2), (2, 3)]],
+    *[("dual_affine", qt, {}) for qt in [(2, 2), (3, 2), (2, 3)]],
+    *[("transversal", (q,), {"include_infinity": inf})
+      for q in (3, 4, 5, 8) for inf in (False, True)],
+    ("field_multiply", (2, 3, 1), {"exclude_zero": True}),
+], ids=repr)
+def test_theorem_reports_match_the_oracle_on_named_families(kind, args, kwargs):
+    f = getattr(mosaichash, kind)(*args, **kwargs)
+    assert check_structure_theorems(f).to_dict() == oracle_theorem_report(f, classify(f))
+
+
+def test_theorem_reports_match_the_oracle_on_random_regular_tables():
+    rng = random.Random(21)
+    checked = set()
+    for _ in range(40):
+        na = rng.choice([2, 3, 4])
+        f = random_regular_table(rng, rng.randint(na + 1, 9), na * rng.randint(1, 5), na)
+        report = check_structure_theorems(f).to_dict()
+        assert report == oracle_theorem_report(f, classify(f))
+        checked.update((i["name"], i["ok"]) for i in report["implications"])
+    # some tables meet the variance bound with equality; none has quasi-symmetric duals
+    assert checked == {("variance_equality_dual_quasi_symmetric", False)}
+
+
+def _oracle_members(f):
+    rows = f.to_table().entries
+    return [oracle_design_params([[int(v == a) for v in row] for row in rows])
+            for a in range(f.a_size)]
+
+
+@pytest.mark.parametrize("flag", ["ocfu", "variance", "ou"])
+def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch, flag):
+    """Each check forced on random regular tables and on planted tables, whose
+    automorphism makes the sum's scan read orbit representatives only."""
+    real = mosaichash.designs.classify
+
+    def forced(f, budget):
+        rep = real(f, budget)
+        if flag == "variance":
+            rep.equality = {**rep.equality, "variance": True}
+        else:
+            setattr(rep, flag, True)
+        return rep
+
+    monkeypatch.setattr(mosaichash.designs, "classify", forced)
+    rng = random.Random(23)
+    for n in range(12):
+        na = rng.choice([2, 3])
+        if n % 2:
+            f = planted_cyclic_table(rng, na, rng.randint(2, 3), rng.randint(1, 2), na)
+        else:
+            f = random_regular_table(rng, rng.randint(na + 1, 8), na * rng.randint(2, 4), na)
+        report = check_structure_theorems(f)
+        assert report.to_dict() == oracle_theorem_report(f, forced(f, 10**7))
+        assert not report.ok
+        records = report._member_counts  # the member parameters design --theorems prints
+        assert records is not None or flag == "ou"
+        assert records is None or [_design_params(*c).to_dict() for c in records] == \
+            _oracle_members(f)
