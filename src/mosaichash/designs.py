@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -65,36 +66,52 @@ class IncidenceStructure:
     @classmethod
     def from_json(cls, text: str) -> "IncidenceStructure":
         rows, points, blocks = json_fields(text, "rows", "points", "block_indices")
+        rows = rows or np.zeros((0, len(blocks)), dtype=np.int8)  # no rows: no row length to read
         return cls(rows, [decode_label(p) for p in points], [decode_label(s) for s in blocks])
 
 
 class Mosaic:
-    """Family of incidence structures whose matrices partition the all-ones matrix."""
+    """Family of incidence structures whose matrices partition the all-ones matrix,
+    held as one member-index table: ``_table[x, s]`` is the index in a_labels of
+    the member holding (x, s), a read-only integer array.  Members, duals and
+    sums are views of it; members are its level sets, built on first read.
+    """
 
     def __init__(self, members, a_labels=None):
         members = list(members)
         if not members:
             raise NotAMosaic("a mosaic needs at least one member")
-        shape = members[0].matrix.shape
-        if any(d.matrix.shape != shape for d in members):
+        first = members[0]
+        if any(d.matrix.shape != first.matrix.shape for d in members):
             raise NotAMosaic("members must share dimensions")
+        if any((d.points, d.block_indices) != (first.points, first.block_indices)
+               for d in members):
+            raise NotAMosaic("members must share point and block labels")
         stack = np.stack([d.matrix for d in members])  # summed in a type that holds len(members)
         if not (stack.sum(axis=0, dtype=np.min_scalar_type(len(members))) == 1).all():
             raise NotAMosaic("member matrices do not sum to the all-ones matrix")
-        self.members = members
-        self.a_labels = (
-            tuple(a_labels) if a_labels is not None else tuple(range(len(members)))
-        )
-        if len(self.a_labels) != len(members):
+        a_labels = tuple(a_labels) if a_labels is not None else tuple(range(len(members)))
+        if len(a_labels) != len(members):
             raise NotAMosaic("label count does not match member count")
+        self.points, self.block_indices = first.points, first.block_indices
+        self.a_labels, self._table = a_labels, stack.argmax(axis=0)
+        self._table.flags.writeable = False
 
-    @property
-    def points(self):
-        return self.members[0].points
+    @classmethod
+    def _of(cls, points, block_indices, a_labels, table) -> "Mosaic":
+        """The mosaic of a read-only member-index table, a partition by construction."""
+        if not a_labels:
+            raise NotAMosaic("a mosaic needs at least one member")
+        m = cls.__new__(cls)
+        m.points, m.block_indices = tuple(points), tuple(block_indices)
+        m.a_labels, m._table = tuple(a_labels), table
+        return m
 
-    @property
-    def block_indices(self):
-        return self.members[0].block_indices
+    @functools.cached_property
+    def members(self):
+        return [IncidenceStructure((self._table == a).view(np.int8), self.points,
+                                   self.block_indices)
+                for a in range(len(self.a_labels))]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -112,40 +129,30 @@ class Mosaic:
 
 
 def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:
-    T = f.to_table(budget)._array
-    members = [
-        IncidenceStructure((T == k).astype(np.int8), f.x_labels, f.s_labels)
-        for k in range(f.a_size)
-    ]
-    return Mosaic(members, f.a_labels)
+    return Mosaic._of(f.x_labels, f.s_labels, f.a_labels, f.to_table(budget)._array)
 
 
 def function_from_mosaic(m: Mosaic, name="mosaic") -> HashFamily:
-    stack = np.stack([d.matrix for d in m.members])
-    table = FunctionTable(m.points, m.block_indices, m.a_labels, stack.argmax(axis=0))
-    return table.to_family(name)
+    return FunctionTable(m.points, m.block_indices, m.a_labels, m._table).to_family(name)
 
 
 def dual_mosaic(m: Mosaic) -> Mosaic:
-    return Mosaic([d.dual() for d in m.members], m.a_labels)
+    return Mosaic._of(m.block_indices, m.points, m.a_labels, m._table.T)
 
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
     """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
     labels = [(s, a) for s in m.block_indices for a in m.a_labels]
-    matrix = np.stack([d.matrix for d in m.members], axis=2).reshape(len(m.points), len(labels))
-    return IncidenceStructure(matrix, m.points, labels)
+    matrix = (m._table[:, :, None] == np.arange(len(m.a_labels))).view(np.int8)
+    return IncidenceStructure(matrix.reshape(len(m.points), len(labels)), m.points, labels)
 
 
 @dataclass
 class DesignParams:
     v: int
     b: int
-    constant_k: bool
-    k: int | None
-    constant_r: bool
+    k: int | None  # None where not constant, as are r and lam
     r: int | None
-    constant_lambda: bool
     lam: int | None
     is_bibd: bool
     intersection_numbers: tuple
@@ -156,10 +163,7 @@ class DesignParams:
 
     def to_dict(self):
         return {
-            "v": self.v, "b": self.b,
-            "k": self.k if self.constant_k else None,
-            "r": self.r if self.constant_r else None,
-            "lambda": self.lam if self.constant_lambda else None,
+            "v": self.v, "b": self.b, "k": self.k, "r": self.r, "lambda": self.lam,
             "is_bibd": self.is_bibd,
             "intersection_numbers": sorted(self.intersection_numbers),
             "symmetric": self.symmetric,
@@ -201,27 +205,23 @@ def _counts(m):
 def _design_params(points, blocks) -> DesignParams:
     """DesignParams of the structure whose counts record is (points, blocks)."""
     (v, row_sums, lams), (b, col_sums, numbers) = points, blocks
-    constant_k, constant_r = len(col_sums) == 1, len(row_sums) == 1
-    k = col_sums[0] if constant_k else None
-    r = row_sums[0] if constant_r else None
-    constant_lambda = len(lams) == 1
-    lam = lams[0] if constant_lambda else None
+    k = col_sums[0] if len(col_sums) == 1 else None
+    r = row_sums[0] if len(row_sums) == 1 else None
+    lam = lams[0] if len(lams) == 1 else None
 
-    is_bibd = constant_k and constant_lambda and k is not None and lam is not None \
-        and lam >= 1 and k >= 1
+    is_bibd = k is not None and lam is not None and lam >= 1 and k >= 1
     symmetric = is_bibd and len(numbers) == 1
     quasi_symmetric = is_bibd and len(numbers) == 2
 
     relations_ok = True
-    if constant_k and constant_r:
+    if k is not None and r is not None:
         relations_ok = relations_ok and b * k == v * r
-    if is_bibd and constant_r:
+    if is_bibd and r is not None:
         relations_ok = relations_ok and lam * (v - 1) == r * (k - 1)
-    affine_block_count = constant_r and b == v + r - 1
+    affine_block_count = r is not None and b == v + r - 1
 
     return DesignParams(
-        v, b, constant_k, k, constant_r, r, constant_lambda, lam,
-        is_bibd, numbers, symmetric, quasi_symmetric, relations_ok,
+        v, b, k, r, lam, is_bibd, numbers, symmetric, quasi_symmetric, relations_ok,
         affine_block_count,
     )
 
@@ -324,6 +324,7 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
 
     class_indexing[h][i] is the position in a_labels assigned to the i-th
     block of class h; each class must enumerate every member label once.
+    Each incidence (x, j) of d sets table entry (x, class of j) to j's label.
     """
     n_classes = len(res.classes)
     if len(class_indexing) != n_classes:
@@ -332,31 +333,24 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
     if len(sizes) != 1:
         raise BadLabeling("parallel classes must have constant size")
     a_count = sizes.pop()
-    # validate the resolution against d
-    m = d.matrix
-    seen = set()
-    for cls in res.classes:
-        cover = np.zeros(d.v, dtype=np.int64)
-        for j in cls:
-            if j in seen:
-                raise BadLabeling("block index reused across classes")
-            seen.add(j)
-            cover += m[:, j]
-        if not (cover == 1).all():
-            raise BadLabeling("a parallel class does not cover every point once")
-    if len(seen) != d.b:
-        raise BadLabeling("resolution does not use every block index")
-
-    members = [np.zeros((d.v, n_classes), dtype=np.int8) for _ in range(a_count)]
-    for h, (cls, labeling) in enumerate(zip(res.classes, class_indexing)):
+    blocks = [j for cls in res.classes for j in cls]
+    if sorted(blocks) != list(range(d.b)):
+        raise BadLabeling("the classes must use every block index exactly once")
+    class_of = np.empty(d.b, dtype=np.int64)
+    class_of[blocks] = np.repeat(np.arange(n_classes), a_count)
+    xs, js = np.nonzero(d.matrix)
+    cells = xs * n_classes + class_of[js]
+    if not (np.bincount(cells, minlength=d.v * n_classes) == 1).all():
+        raise BadLabeling("a parallel class does not cover every point once")
+    for h, labeling in enumerate(class_indexing):
         if sorted(labeling) != list(range(a_count)):
             raise BadLabeling(f"class {h} labeling is not a bijection onto A")
-        for j, a in zip(cls, labeling):
-            members[a][:, h] = m[:, j]
-    structures = [
-        IncidenceStructure(mm, d.points, tuple(range(n_classes))) for mm in members
-    ]
-    return Mosaic(structures, tuple(range(a_count)))
+    label_of = np.empty(d.b, dtype=np.int64)
+    label_of[blocks] = np.array(class_indexing, dtype=np.int64).ravel()
+    table = np.empty((d.v, n_classes), dtype=np.int64)
+    table.flat[cells] = label_of[js]
+    table.flags.writeable = False
+    return Mosaic._of(d.points, range(n_classes), range(a_count), table)
 
 
 # ---------------------------------------------------------------------------

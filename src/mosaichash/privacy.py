@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     NegativeRadicand,
     TheoremViolation,
+    TrivialDomain,
     ZeroMassKeyValue,
 )
 from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label, json_fields
@@ -172,6 +173,8 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
     """
     if tuple(src.x_labels) != tuple(f.x_labels):
         raise AlphabetMismatch("source X alphabet differs from the family point set")
+    if f.s_size == 0:
+        raise TrivialDomain(f"{f.name} has an empty seed set; the joint is a share of |S|")
     T = f.to_table(budget)._array
     ns, na = f.s_size, f.a_size
     num = np.zeros((src.z_size, ns, na), dtype=src.num.dtype)

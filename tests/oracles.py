@@ -489,6 +489,19 @@ def oracle_find_resolution(rows):
     return (tuple(classes) if solve() else None), nodes
 
 
+def oracle_mosaic_from_resolution(rows, classes, class_indexing):
+    """The member matrices, as lists of 0/1 rows, of the mosaic built from a
+    resolution of the 0/1 matrix rows, filled one column at a time: column h
+    of member a is the column of the block of class h labelled a."""
+    a_count = len(classes[0])
+    members = [[[0] * len(classes) for _ in rows] for _ in range(a_count)]
+    for h, (cls, labeling) in enumerate(zip(classes, class_indexing)):
+        for j, a in zip(cls, labeling):
+            for x, row in enumerate(rows):
+                members[a][x][h] = row[j]
+    return members
+
+
 def oracle_design_params(rows):
     """DesignParams.to_dict() of a 0/1 matrix, by plain integer loops; pair
     counts are popcounts of the rows' and columns' bit masks."""

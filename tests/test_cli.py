@@ -120,11 +120,14 @@ def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
                               for a in range(2)]
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["design", "--theorems"]])
+@pytest.mark.parametrize("argv", [["verify", "{f}"], ["design", "{f}", "--theorems"],
+                                  ["pa", "{src}", "{f}"]])
 def test_empty_seed_set_exits_2(tmp_path, capsys, argv):
     path = tmp_path / "f.json"
     path.write_text(FunctionTable(range(3), [], range(2), [[], [], []]).to_json())
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    src = tmp_path / "src.json"
+    src.write_text(uniform_source([0, 1, 2]).to_json())
+    code, out, err = run(capsys, *[a.format(f=path, src=src) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "empty seed set" in err
 

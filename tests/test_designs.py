@@ -33,6 +33,7 @@ from oracles import (
     oracle_equitable_refinement,
     oracle_find_resolution,
     oracle_is_isomorphic,
+    oracle_mosaic_from_resolution,
     oracle_theorem_report,
 )
 from util import planted_cyclic_table, random_regular_table, random_table
@@ -112,6 +113,14 @@ def test_mosaic_validation():
         Mosaic([IncidenceStructure([[1]])] * 257)
     eye = np.eye(300, dtype=np.int8)
     assert len(Mosaic([IncidenceStructure(eye[i:i + 1]) for i in range(300)]).members) == 300
+    with pytest.raises(NotAMosaic, match="labels"):  # not member 0's labels kept silently
+        Mosaic([IncidenceStructure([[1, 0]], ["x"], ["s", "t"]),
+                IncidenceStructure([[0, 1]], ["y"], ["u", "v"])])
+    with pytest.raises(NotAMosaic, match="labels"):
+        Mosaic([IncidenceStructure([[1, 0]], ["x"], ["s", "t"]),
+                IncidenceStructure([[0, 1]], ["x"], ["s", "u"])])
+    with pytest.raises(NotAMosaic, match="at least one member"):  # classes of no blocks
+        mosaic_from_resolution(IncidenceStructure(np.zeros((0, 0))), Resolution(((),)), [[]])
 
 
 def test_mosaic_function_roundtrip():
@@ -247,6 +256,13 @@ def test_mosaic_from_resolution_bad_labeling():
         mosaic_from_resolution(d, res, [[0, 0]])  # repeated value in one class
     with pytest.raises(BadLabeling):
         mosaic_from_resolution(d, res, [[0, 1], [1, 0]])  # wrong class count
+    one = IncidenceStructure([[1, 1]])
+    for classes in [((1,), (-1,)), ((1,), (5,)), ((0,), (0,)), ((0,),)]:
+        with pytest.raises(BadLabeling, match="every block index exactly once"):
+            mosaic_from_resolution(one, Resolution(classes), [[0]] * len(classes))
+    for rows in [[[1, 1], [1, 0]], [[1, 0], [0, 0]]]:  # point 0 covered twice; point 1 never
+        with pytest.raises(BadLabeling, match="cover every point once"):
+            mosaic_from_resolution(IncidenceStructure(rows), Resolution(((0, 1),)), [[0, 1]])
 
 
 def test_is_isomorphic_permutation_invariance():
@@ -609,3 +625,92 @@ def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch
         assert records is not None or flag == "ou"
         assert records is None or [_design_params(*c).to_dict() for c in records] == \
             _oracle_members(f)
+
+
+def _seed_classes(f):
+    return Resolution(tuple(tuple(range(h * f.a_size, (h + 1) * f.a_size))
+                            for h in range(f.s_size)))
+
+
+def _assert_resolution_mosaic(rng, d, res):
+    """mosaic_from_resolution against the column-by-column oracle, under a
+    random labelling of each class."""
+    labeling = [rng.sample(range(len(c)), len(c)) for c in res.classes]
+    m = mosaic_from_resolution(d, res, labeling)
+    want = oracle_mosaic_from_resolution(d.matrix.tolist(), res.classes, labeling)
+    assert [x.matrix.tolist() for x in m.members] == want
+    assert m.points == d.points and m.block_indices == tuple(range(len(res.classes)))
+    assert m.a_labels == tuple(range(len(want)))
+    table = function_from_mosaic(m).to_table().entries  # entry (x, h): the member holding it
+    assert all(want[a][x][h] for x, row in enumerate(table) for h, a in enumerate(row))
+
+
+def test_mosaic_from_resolution_matches_the_column_by_column_fill():
+    rng = random.Random(31)
+    families = [affine(q, t) for q, t in [(2, 2), (3, 2), (4, 2), (2, 3)]]
+    families.append(transversal(4, include_infinity=True))
+    for _ in range(20):
+        na = rng.choice([2, 3, 4])
+        families.append(random_regular_table(rng, rng.randint(na + 1, 9), na * rng.randint(1, 4), na))
+    for f in families:
+        total = _sum(f)
+        for _ in range(3):
+            _assert_resolution_mosaic(rng, total, _seed_classes(f))
+
+
+def test_mosaic_from_resolution_of_found_resolutions_matches_the_fill():
+    """Sums with their block columns shuffled, so find_resolution returns
+    classes other than the seed classes."""
+    rng = random.Random(32)
+    for f in [affine(2, 2), affine(3, 2), affine(2, 3), transversal(3)]:
+        total = _sum(f)
+        order = rng.sample(range(total.b), total.b)
+        shuffled = IncidenceStructure(total.matrix[:, order], total.points,
+                                      [total.block_indices[j] for j in order])
+        res = find_resolution(shuffled)
+        assert isinstance(res, Resolution) and res.classes != _seed_classes(f).classes
+        for _ in range(3):
+            _assert_resolution_mosaic(rng, shuffled, res)
+
+
+def test_mosaic_views_read_the_table_and_build_no_members():
+    f = transversal(4, include_infinity=True)
+    m = mosaic_from_function(f)
+    assert m._table is f.to_table()._array and not m._table.flags.writeable
+    dual = dual_mosaic(m)
+    sum_mosaic(m)
+    sum_mosaic(dual)
+    g = function_from_mosaic(m)
+    function_from_mosaic(dual)
+    assert "members" not in m.__dict__ and "members" not in dual.__dict__
+    assert g.to_table().entries == f.to_table().entries
+    assert np.shares_memory(dual._table, m._table) and not dual._table.flags.writeable
+    assert [d.matrix.tolist() for d in m.members] == \
+        [[[int(v == a) for v in row] for row in f.to_table().entries] for a in range(f.a_size)]
+    assert m.members is m.members  # built once
+
+
+def test_function_from_mosaic_of_user_members_is_the_source_table():
+    rng = random.Random(33)
+    for _ in range(20):
+        nx, ns, na = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
+        t = random_table(rng, nx, ns, na).to_table()
+        members = [IncidenceStructure([[int(v == a) for v in row] for row in t.entries],
+                                      t.x_labels, t.s_labels) for a in range(na)]
+        labels = [f"a{a}" for a in range(na)]
+        back = function_from_mosaic(Mosaic(members, labels)).to_table()
+        assert back.entries == t.entries and back.a_labels == tuple(labels)
+        assert (back.x_labels, back.s_labels) == (t.x_labels, t.s_labels)
+
+
+def test_mosaic_and_sum_of_a_family_with_no_points_read_back_from_json():
+    f = FunctionTable([], range(3), range(2), []).to_family()
+    m = mosaic_from_function(f)
+    back = Mosaic.from_json(m.to_json())
+    assert back.to_json() == m.to_json() and back._table.shape == (0, 3)
+    assert back.block_indices == (0, 1, 2) and back.a_labels == (0, 1)
+    total = sum_mosaic(m)
+    again = IncidenceStructure.from_json(total.to_json())
+    assert again.matrix.shape == (0, 6) and again.to_json() == total.to_json()
+    d = IncidenceStructure.from_json('{"rows": [], "points": [], "block_indices": [0, 1, 2]}')
+    assert d.matrix.shape == (0, 3) and d.block_indices == (0, 1, 2)

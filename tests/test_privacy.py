@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mosaichash import (
+    FunctionTable,
     HashFamily,
     JointSource,
     affine,
@@ -28,6 +29,7 @@ from mosaichash.errors import (
     NegativeRadicand,
     NotRegular,
     TheoremViolation,
+    TrivialDomain,
     ZeroMassKeyValue,
 )
 from oracles import oracle_p_zsa, oracle_renyi_inner, oracle_security_distance
@@ -153,6 +155,14 @@ def test_run_pa_rejects_irregular_family():
     f = toeplitz(2, 1, 2)  # the zero seed breaks (ACFU1)
     with pytest.raises(NotRegular):
         run_pa(uniform_source(f.x_labels), f)
+
+
+def test_run_pa_rejects_an_empty_seed_set():
+    f = FunctionTable(range(3), [], range(2), [[], [], []]).to_family("no seeds")
+    with pytest.raises(TrivialDomain, match="empty seed set"):
+        run_pa(uniform_source([0, 1, 2]), f)
+    with pytest.raises(TrivialDomain, match="empty seed set"):
+        pa_joint(uniform_source([0, 1, 2]), f)
 
 
 def test_run_pa_single_value_family():
