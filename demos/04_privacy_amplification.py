@@ -41,7 +41,7 @@ print(f"flip-{p} source: H2(X|Z) = {h2:.4f} bits per letter")
 def relabel(fam, labels):
     # rename the point set positionally so it matches the product source
     T = fam.to_table()
-    return FunctionTable(labels, T.s_labels, T.a_labels, T.entries).to_family(fam.name)
+    return FunctionTable(labels, T.s_labels, T.a_labels, T.array).to_family(fam.name)
 
 
 # extract one bit from n observations; the exact security distance and

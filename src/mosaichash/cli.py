@@ -127,6 +127,8 @@ def cmd_verify(args):
 
 
 def cmd_design(args):
+    if args.output and args.dual and args.sum:
+        raise MosaicHashError("-o names one structure file: choose --dual or --sum")
     fam = _load_family(args.family)
     mosaic = mosaic_from_function(fam, args.budget)
     out = {}
@@ -246,10 +248,11 @@ def build_parser():
 
     con = sub.add_parser("construct", help="extensions and concatenation")
     con.add_argument("inputs", nargs="+")
-    con.add_argument("--seed-ext", dest="seed_ext", action="store_true")
-    con.add_argument("--point-ext", dest="point_ext", action="store_true")
-    con.add_argument("--double-ext", dest="double_ext", action="store_true")
-    con.add_argument("--concat", action="store_true")
+    how = con.add_mutually_exclusive_group()
+    how.add_argument("--seed-ext", dest="seed_ext", action="store_true")
+    how.add_argument("--point-ext", dest="point_ext", action="store_true")
+    how.add_argument("--double-ext", dest="double_ext", action="store_true")
+    how.add_argument("--concat", action="store_true")
     con.add_argument("--latin", default=None, help="latin square JSON file")
     con.set_defaults(func=cmd_construct)
 

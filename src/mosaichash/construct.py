@@ -43,7 +43,7 @@ def point_extension(g: HashFamily, q: Quasigroup,
                     budget=DEFAULT_TABLE_BUDGET) -> HashFamily:
     """f(y, b; s) = g(y, s) o b.  Inherits (ACFU1) only from an (ASU1) g."""
     to, back = _on_carrier(g.a_labels, q, f"value set of {g.name}")
-    if _block_size(_row_counts(g.to_table(budget)._array, g.a_size), g.s_size) is None:
+    if _block_size(_row_counts(g.to_table(budget).array, g.a_size), g.s_size) is None:
         warnings.warn(
             f"point extension of irregular {g.name}: the result fails (ACFU1)",
             stacklevel=2,
@@ -89,7 +89,7 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
     sub = np.empty_like(total)
     sub[total, every] = every[:, None]  # sub[u, v] = the c with a_c + a_v = a_u
-    [(best, where)] = _pair_max(a.to_table(budget)._array, a.a_size, sub)
+    [(best, where)] = _pair_max(a.to_table(budget).array, a.a_size, sub)
     if where is None:
         return Fraction(0), None
     i, j, b = where

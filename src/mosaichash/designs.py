@@ -35,7 +35,7 @@ class IncidenceStructure:
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
         if m.ndim != 2 or not ((m == 0) | (m == 1)).all():
             raise ValueError("incidence matrix must be a 2-d 0/1 array")
-        self.matrix = m = m.astype(np.int8)
+        self.matrix = m = m.astype(np.int8, copy=False)
         self.points = tuple(points) if points is not None else tuple(range(m.shape[0]))
         self.block_indices = (
             tuple(block_indices) if block_indices is not None else tuple(range(m.shape[1]))
@@ -93,6 +93,10 @@ class Mosaic:
         a_labels = tuple(a_labels) if a_labels is not None else tuple(range(len(members)))
         if len(a_labels) != len(members):
             raise NotAMosaic("label count does not match member count")
+        for labels, which in ((first.points, "point"), (first.block_indices, "block"),
+                              (a_labels, "member")):
+            if len(set(labels)) != len(labels):
+                raise NotAMosaic(f"repeated {which} labels")
         self.points, self.block_indices = first.points, first.block_indices
         self.a_labels, self._table = a_labels, stack.argmax(axis=0)
         self._table.flags.writeable = False
@@ -129,7 +133,7 @@ class Mosaic:
 
 
 def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:
-    return Mosaic._of(f.x_labels, f.s_labels, f.a_labels, f.to_table(budget)._array)
+    return Mosaic._of(f.x_labels, f.s_labels, f.a_labels, f.to_table(budget).array)
 
 
 def function_from_mosaic(m: Mosaic, name="mosaic") -> HashFamily:
@@ -527,7 +531,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)
-    T = f.to_table(budget)._array
+    T = f.to_table(budget).array
     X, S, A = f.x_size, f.s_size, f.a_size
     variance = rep.regular and rep.equality.get("variance")
 

@@ -24,7 +24,6 @@ read an operation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,17 +305,13 @@ def _formula_family(name, x_labels, s_labels, a_labels, index_fn, **groups):
     return f
 
 
-@dataclass(frozen=True)
 class FunctionTable:
-    x_labels: tuple
-    s_labels: tuple
-    a_labels: tuple
-    entries: tuple  # rows of a-indices
+    """f as its labels and ``array[x, s]``, a read-only int64 copy of its value indices."""
 
     def __init__(self, x_labels, s_labels, a_labels, entries):
-        object.__setattr__(self, "x_labels", tuple(x_labels))
-        object.__setattr__(self, "s_labels", tuple(s_labels))
-        object.__setattr__(self, "a_labels", tuple(a_labels))
+        self.x_labels = tuple(x_labels)
+        self.s_labels = tuple(s_labels)
+        self.a_labels = tuple(a_labels)
         shape = len(self.x_labels), len(self.s_labels)
         try:
             array = np.array(entries)
@@ -332,12 +327,16 @@ class FunctionTable:
         if array.size and not 0 <= array.min() <= array.max() < len(self.a_labels):
             raise DomainError("table entry out of range")
         array.flags.writeable = False
-        object.__setattr__(self, "_array", array)  # read-only int64 rows, not a field
-        object.__setattr__(self, "entries", tuple(map(tuple, array.tolist())))
+        self.array = array
+
+    def __eq__(self, other):
+        return (isinstance(other, FunctionTable) and np.array_equal(self.array, other.array)
+                and (self.x_labels, self.s_labels, self.a_labels)
+                == (other.x_labels, other.s_labels, other.a_labels))
 
     def to_family(self, name="table") -> HashFamily:
         """A formula over this table's array, with this table memoised."""
-        array = self._array
+        array = self.array
         f = _formula_family(name, self.x_labels, self.s_labels, self.a_labels,
                             lambda xi, si: array[xi, si])
         f._table = self
@@ -349,7 +348,7 @@ class FunctionTable:
                 "x_labels": [encode_label(x) for x in self.x_labels],
                 "s_labels": [encode_label(s) for s in self.s_labels],
                 "a_labels": [encode_label(a) for a in self.a_labels],
-                "rows": [list(r) for r in self.entries],
+                "rows": self.array.tolist(),
             }
         )
 

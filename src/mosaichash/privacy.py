@@ -175,7 +175,7 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
         raise AlphabetMismatch("source X alphabet differs from the family point set")
     if f.s_size == 0:
         raise TrivialDomain(f"{f.name} has an empty seed set; the joint is a share of |S|")
-    T = f.to_table(budget)._array
+    T = f.to_table(budget).array
     ns, na = f.s_size, f.a_size
     num = np.zeros((src.z_size, ns, na), dtype=src.num.dtype)
     np.add.at(num, (slice(None), np.arange(ns), T), src.num.T[:, :, None])

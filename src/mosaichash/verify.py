@@ -135,7 +135,7 @@ class RegularityResult:
 
 def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityResult:
     """Check property (ACFU1): every value is hit |S|/|A| times in each row."""
-    hist = _row_counts(f.to_table(budget)._array, f.a_size)
+    hist = _row_counts(f.to_table(budget).array, f.a_size)
     keys = ((x, a) for x in f.x_labels for a in f.a_labels)
     counts = dict(zip(keys, hist.ravel().tolist()))
     block = _block_size(hist, f.s_size)
@@ -178,7 +178,7 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
         raise ValueError(f"unknown hash class {hash_class!r}")
     if f.s_size == 0:
         raise TrivialDomain(f"{f.name} has an empty seed set; every epsilon is a share of |S|")
-    T = f.to_table(budget)._array
+    T = f.to_table(budget).array
     if hash_class != "BALANCED":
         if f._pairs is None:
             f._pairs = _pair_classes(f, T)

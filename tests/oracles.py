@@ -4,6 +4,7 @@ These deliberately avoid the library's counting code paths: everything
 is computed with plain Python loops directly over ``evaluate``.
 """
 
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -187,6 +188,20 @@ def oracle_renyi_inner(src):
         col = [src.p[xi][zi] for xi in range(src.x_size)]
         inner += sum(v * v for v in col) / sum(col)
     return inner
+
+
+def _oracle_label(label):
+    return [_oracle_label(x) for x in label] if isinstance(label, tuple) else label
+
+
+def oracle_table_json(f):
+    """The family file of f: its labels as JSON arrays, then one row of value
+    indices per point, read from evaluate one entry at a time."""
+    rows = [[f.a_labels.index(f.evaluate(x, s)) for s in f.s_labels] for x in f.x_labels]
+    return json.dumps({"x_labels": [_oracle_label(x) for x in f.x_labels],
+                       "s_labels": [_oracle_label(s) for s in f.s_labels],
+                       "a_labels": [_oracle_label(a) for a in f.a_labels],
+                       "rows": rows})
 
 
 def gf8_mul_table():

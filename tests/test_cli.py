@@ -43,7 +43,7 @@ def test_family_over_a_prime_above_the_table_size(tmp_path, capsys):
     path, _ = family_file(tmp_path, capsys, "--affine", "q=67", "t=1")
     T = FunctionTable.from_json(path.read_text())
     assert T.s_labels[5] == ((1,), 5) and T.a_labels == tuple(range(67))
-    assert [list(r) for r in T.entries] == [
+    assert T.array.tolist() == [
         [(x[0] + b) % 67 for (_, b) in T.s_labels] for x in T.x_labels
     ]
 
@@ -53,7 +53,7 @@ def test_family_over_gf256(tmp_path, capsys):
     T = FunctionTable.from_json(path.read_text())
     (X, S, A), rows = ref_field_multiply(2, 8, 4)
     assert (list(T.x_labels), list(T.s_labels), list(T.a_labels)) == (X, S, A)
-    assert [[T.a_labels[e] for e in row] for row in T.entries] == rows
+    assert [[T.a_labels[e] for e in row] for row in T.array.tolist()] == rows
 
 
 def test_family_requires_one_kind(capsys):
@@ -115,7 +115,7 @@ def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
     rep = json.loads(out)
     assert code == 0 and [i["name"] for i in rep["theorems"]["implications"]] == [
         "ou_sum_is_resolvable_bibd", "ou_au_equality_sum_is_affine"]
-    rows = FunctionTable.from_json(path.read_text()).entries
+    rows = FunctionTable.from_json(path.read_text()).array.tolist()
     assert rep["members"] == [oracle_design_params([[int(v == a) for v in row] for row in rows])
                               for a in range(2)]
 
@@ -147,7 +147,7 @@ def test_design_resolve_transversal_16(tmp_path, capsys):
     classes = json.loads(out)["resolution"]
     assert len(classes) == 256 and {len(c) for c in classes} == {16}
     assert sorted(j for c in classes for j in c) == list(range(256 * 16))
-    rows = FunctionTable.from_json(path.read_text()).entries
+    rows = FunctionTable.from_json(path.read_text()).array.tolist()
     for c in classes:  # block j of the sum is (seed j // 16, value j % 16)
         assert sorted(x for x, row in enumerate(rows) for j in c
                       if row[j // 16] == j % 16) == list(range(len(rows)))
@@ -177,6 +177,14 @@ def test_design_sum_output(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["sum"]["is_bibd"] is True
+
+
+def test_design_dual_and_sum_to_one_file_exits_2(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, "-o", str(out_path), "design", str(path), "--dual", "--sum")
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == "error: -o names one structure file: choose --dual or --sum\n"
 
 
 def test_construct_seed_extension(tmp_path, capsys):
@@ -222,6 +230,15 @@ def test_construct_wrong_input_count_exits_2(tmp_path, capsys, files, flag):
     assert err.splitlines() == [err.strip()] and err.startswith("error: ")
 
 
+def test_construct_takes_exactly_one_construction(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", str(path), "--seed-ext", "--double-ext"])
+    assert exc.value.code == 2 and "not allowed with" in capsys.readouterr().err
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 2 and out == "" and err == "error: choose a construction\n"
+
+
 def test_construct_double_extension(tmp_path, capsys):
     # a(y, h) = y * h mod 3 on value labels whose order is not alphabetical
     L = ["c", "a", "b"]
@@ -235,12 +252,12 @@ def test_construct_double_extension(tmp_path, capsys):
         return L[(L.index(u) + L.index(v)) % 3]
 
     def a(y, h):
-        return L[T.entries[y][h]]
+        return L[T.array[y, h]]
 
     D = FunctionTable.from_json(out_path.read_text())
     assert D.x_labels == tuple((y, b) for y in range(3) for b in L)
     assert D.s_labels == tuple((h, c) for h in range(3) for c in L)
-    assert [[D.a_labels[e] for e in row] for row in D.entries] == [
+    assert [[D.a_labels[e] for e in row] for row in D.array.tolist()] == [
         [add(add(a(y, h), b), c) for h, c in D.s_labels] for y, b in D.x_labels
     ]
 

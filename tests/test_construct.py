@@ -296,7 +296,7 @@ def assert_same_family(f, ref):
     """Labels, the whole table and evaluate on every entry all match ref."""
     (X, S, A), rows = ref
     assert (list(f.x_labels), list(f.s_labels), list(f.a_labels)) == (X, S, A)
-    assert [[A[e] for e in row] for row in f.to_table().entries] == rows
+    assert [[A[e] for e in row] for row in f.to_table().array.tolist()] == rows
     assert [[f.evaluate(x, s) for s in S] for x in X] == rows
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -79,6 +80,16 @@ def test_incidence_structure_accepts_0_1_entries_of_any_numeric_type(matrix, wan
     assert d.matrix.dtype == np.int8 and d.matrix.tolist() == want
 
 
+@pytest.mark.parametrize("make", [list, lambda rows: np.array(rows, dtype=np.int8)],
+                         ids=["list", "int8"])
+def test_incidence_structure_keeps_its_own_int8_copy(make):
+    given = make([[0, 1], [1, 0]])
+    d = IncidenceStructure(given)
+    given[0][0] = 1
+    assert d.matrix.dtype == np.int8 and d.matrix.tolist() == [[0, 1], [1, 0]]
+    assert not np.shares_memory(d.matrix, given)
+
+
 def test_incidence_json_roundtrip():
     d = IncidenceStructure(FANO)
     d2 = IncidenceStructure.from_json(d.to_json())
@@ -119,6 +130,17 @@ def test_mosaic_validation():
     with pytest.raises(NotAMosaic, match="labels"):
         Mosaic([IncidenceStructure([[1, 0]], ["x"], ["s", "t"]),
                 IncidenceStructure([[0, 1]], ["x"], ["s", "u"])])
+    for members, a_labels in (  # repeated labels, which function_from_mosaic would reject
+            ([IncidenceStructure([[1, 0]]), IncidenceStructure([[0, 1]])], ["a", "a"]),
+            ([IncidenceStructure([[1], [0]], ["x", "x"]),
+              IncidenceStructure([[0], [1]], ["x", "x"])], None),
+            ([IncidenceStructure([[1, 0]], None, ["s", "s"]),
+              IncidenceStructure([[0, 1]], None, ["s", "s"])], None)):
+        with pytest.raises(NotAMosaic, match="repeated"):
+            Mosaic(members, a_labels)
+        with pytest.raises(NotAMosaic, match="repeated"):
+            Mosaic.from_json(json.dumps({"a_labels": a_labels or [0, 1],
+                                         "members": [json.loads(d.to_json()) for d in members]}))
     with pytest.raises(NotAMosaic, match="at least one member"):  # classes of no blocks
         mosaic_from_resolution(IncidenceStructure(np.zeros((0, 0))), Resolution(((),)), [[]])
 
@@ -591,7 +613,7 @@ def test_theorem_reports_match_the_oracle_on_random_regular_tables():
 
 
 def _oracle_members(f):
-    rows = f.to_table().entries
+    rows = f.to_table().array.tolist()
     return [oracle_design_params([[int(v == a) for v in row] for row in rows])
             for a in range(f.a_size)]
 
@@ -641,8 +663,8 @@ def _assert_resolution_mosaic(rng, d, res):
     assert [x.matrix.tolist() for x in m.members] == want
     assert m.points == d.points and m.block_indices == tuple(range(len(res.classes)))
     assert m.a_labels == tuple(range(len(want)))
-    table = function_from_mosaic(m).to_table().entries  # entry (x, h): the member holding it
-    assert all(want[a][x][h] for x, row in enumerate(table) for h, a in enumerate(row))
+    table = function_from_mosaic(m).to_table().array  # entry (x, h): the member holding it
+    assert all(want[a][x][h] for x, row in enumerate(table.tolist()) for h, a in enumerate(row))
 
 
 def test_mosaic_from_resolution_matches_the_column_by_column_fill():
@@ -676,17 +698,18 @@ def test_mosaic_from_resolution_of_found_resolutions_matches_the_fill():
 def test_mosaic_views_read_the_table_and_build_no_members():
     f = transversal(4, include_infinity=True)
     m = mosaic_from_function(f)
-    assert m._table is f.to_table()._array and not m._table.flags.writeable
+    assert m._table is f.to_table().array and not m._table.flags.writeable
     dual = dual_mosaic(m)
     sum_mosaic(m)
     sum_mosaic(dual)
     g = function_from_mosaic(m)
     function_from_mosaic(dual)
     assert "members" not in m.__dict__ and "members" not in dual.__dict__
-    assert g.to_table().entries == f.to_table().entries
+    assert g.to_table().array.tolist() == f.to_table().array.tolist()
     assert np.shares_memory(dual._table, m._table) and not dual._table.flags.writeable
+    rows = f.to_table().array.tolist()
     assert [d.matrix.tolist() for d in m.members] == \
-        [[[int(v == a) for v in row] for row in f.to_table().entries] for a in range(f.a_size)]
+        [[[int(v == a) for v in row] for row in rows] for a in range(f.a_size)]
     assert m.members is m.members  # built once
 
 
@@ -695,11 +718,11 @@ def test_function_from_mosaic_of_user_members_is_the_source_table():
     for _ in range(20):
         nx, ns, na = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
         t = random_table(rng, nx, ns, na).to_table()
-        members = [IncidenceStructure([[int(v == a) for v in row] for row in t.entries],
+        members = [IncidenceStructure([[int(v == a) for v in row] for row in t.array.tolist()],
                                       t.x_labels, t.s_labels) for a in range(na)]
         labels = [f"a{a}" for a in range(na)]
         back = function_from_mosaic(Mosaic(members, labels)).to_table()
-        assert back.entries == t.entries and back.a_labels == tuple(labels)
+        assert back.array.tolist() == t.array.tolist() and back.a_labels == tuple(labels)
         assert (back.x_labels, back.s_labels) == (t.x_labels, t.s_labels)
 
 

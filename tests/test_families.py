@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import mosaichash.families as families
@@ -14,6 +15,7 @@ from mosaichash import (
     dual_affine,
     field_for_order,
     field_multiply,
+    seed_extension,
     toeplitz,
     transversal,
     transversal_dual_affine_relabeling,
@@ -35,12 +37,14 @@ from mosaichash.families import (
 )
 from oracles import (
     RefField,
+    oracle_table_json,
     ref_affine,
     ref_dual_affine,
     ref_field_multiply,
     ref_toeplitz,
     ref_transversal,
 )
+from util import random_table
 
 
 def test_label_codec_roundtrip():
@@ -67,7 +71,7 @@ def test_hash_family_domain_errors():
 def test_constant_family_table():
     f = HashFamily("c", [0, 1], [0, 1], ["a0", "a1"], lambda x, s: "a0")
     T = f.to_table()
-    assert all(e == 0 for row in T.entries for e in row)
+    assert all(e == 0 for row in T.array.tolist() for e in row)
 
 
 def test_table_budget():
@@ -259,7 +263,7 @@ def test_named_family_matches_reference_formula(kind, ref, params):
     f = build_named(kind, **params)
     assert (list(f.x_labels), list(f.s_labels), list(f.a_labels)) == (X, S, A)
     assert [[f.evaluate(x, s) for s in S] for x in X] == rows
-    assert [[f.a_labels[e] for e in row] for row in f.to_table().entries] == rows
+    assert [[f.a_labels[e] for e in row] for row in f.to_table().array.tolist()] == rows
 
 
 def test_transversal_over_a_prime_above_the_table_size():
@@ -270,15 +274,45 @@ def test_transversal_over_a_prime_above_the_table_size():
         x, s = rng.choice(f.x_labels), rng.choice(f.s_labels)
         (h, y), (s1, s2) = x, s
         want = (s1 + y) % 67 if h == INFINITY else (s2 - h * s1 + y) % 67
-        assert f.evaluate(x, s) == T.a_labels[T.entries[f.x_index[x]][f.s_index[s]]] == want
+        assert f.evaluate(x, s) == T.a_labels[T.array[f.x_index[x], f.s_index[s]]] == want
 
 
 def test_table_array_holds_the_entries():
     f = transversal(3, include_infinity=True)
     T = f.to_table()
-    assert f.to_table()._array is T._array and not T._array.flags.writeable
-    assert T._array.tolist() == [list(r) for r in T.entries]
-    assert all(type(e) is int for r in T.entries for e in r)
+    assert f.to_table().array is T.array and not T.array.flags.writeable
+
+
+def test_table_json_matches_the_evaluate_oracle():
+    g = field_multiply(2, 3, 1, exclude_zero=True)
+    fams = [affine(2, 2), affine(3, 2), transversal(4, include_infinity=True),
+            field_multiply(2, 4, 2), toeplitz(2, 2, 3), seed_extension(g, cyclic_group(g.a_labels)),
+            FunctionTable([], range(3), range(2), []).to_family("no points"),
+            FunctionTable(range(2), [], range(2), [[], []]).to_family("no seeds")]
+    rng = random.Random(14)
+    fams += [random_table(rng, rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5))
+             for _ in range(20)]
+    for f in fams:
+        assert f.to_table().to_json() == oracle_table_json(f), f.name
+
+
+def test_function_table_equality():
+    T = FunctionTable([0, 1], [(0, "s")], ["a", "b"], [[0], [1]])
+    assert T == FunctionTable((0, 1), [(0, "s")], ("a", "b"), np.array([[0], [1]], dtype=np.int8))
+    for other in (FunctionTable([0, 2], [(0, "s")], ["a", "b"], [[0], [1]]),
+                  FunctionTable([0, 1], [(1, "s")], ["a", "b"], [[0], [1]]),
+                  FunctionTable([0, 1], [(0, "s")], ["a", "c"], [[0], [1]]),
+                  FunctionTable([0, 1], [(0, "s")], ["a", "b"], [[1], [1]])):
+        assert T != other and not T == other
+    assert (T == [[0], [1]]) is False and (T == T.array) is False
+
+
+def test_function_table_keeps_its_own_copy_of_the_caller_array():
+    rows = np.array([[0, 1], [1, 0]])
+    T = FunctionTable([0, 1], [0, 1], [0, 1], rows)
+    rows[0, 0] = 1
+    assert T.array.tolist() == [[0, 1], [1, 0]] and rows.flags.writeable
+    assert not np.shares_memory(T.array, rows)
 
 
 def test_large_named_family_is_lazy_and_evaluates_above_budget():

@@ -141,7 +141,7 @@ def test_orbit_scan_equals_the_full_scan_of_a_fresh_table(build, args):
     f = build(*args)
     small = f.x_size <= 9
     T = f.to_table()
-    fresh = FunctionTable(T.x_labels, T.s_labels, T.a_labels, T.entries).to_family()
+    fresh = FunctionTable(T.x_labels, T.s_labels, T.a_labels, T.array).to_family()
     assert f.automorphisms and not fresh.automorphisms
     for cls in ("AU", "ACFU", "ASU"):
         got = _outcome(f, cls)

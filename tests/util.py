@@ -62,7 +62,7 @@ def random_latin(rng, labels):
 def relabel_points(f, new_labels):
     """Same function table with the point set renamed positionally."""
     T = f.to_table()
-    return FunctionTable(new_labels, T.s_labels, T.a_labels, T.entries).to_family(f.name)
+    return FunctionTable(new_labels, T.s_labels, T.a_labels, T.array).to_family(f.name)
 
 
 def flip_source(m, p):
