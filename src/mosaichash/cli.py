@@ -11,25 +11,6 @@ import argparse
 import json
 import sys
 
-from .construct import (
-    concatenate,
-    concatenation_bound,
-    double_extension,
-    point_extension,
-    seed_extension,
-)
-from .designs import (
-    IncidenceStructure,
-    Mosaic,
-    Resolution,
-    _design_params,
-    analyze_structure,
-    check_structure_theorems,
-    dual_mosaic,
-    find_resolution,
-    mosaic_from_function,
-    sum_mosaic,
-)
 from .errors import MosaicHashError, TheoremViolation
 from .families import (
     DEFAULT_TABLE_BUDGET,
@@ -39,7 +20,6 @@ from .families import (
     build_named,
     cyclic_group,
 )
-from .privacy import JointSource, iid_extend, run_pa
 from .verify import classify, min_epsilon
 
 USAGE_ERROR = 2
@@ -127,6 +107,9 @@ def cmd_verify(args):
 
 
 def cmd_design(args):
+    from .designs import (Resolution, _design_params, analyze_structure, check_structure_theorems,
+                          dual_mosaic, find_resolution, mosaic_from_function, sum_mosaic)
+
     if args.output and args.dual and args.sum:
         raise MosaicHashError("-o names one structure file: choose --dual or --sum")
     fam = _load_family(args.family)
@@ -147,13 +130,12 @@ def cmd_design(args):
         if args.output:
             _write(args.output, dual.to_json())
         out["dual"] = {"points": len(dual.points), "block_indices": len(dual.block_indices)}
+    total = sum_mosaic(mosaic) if args.sum or args.resolve else None
     if args.sum:
-        total = sum_mosaic(mosaic)
         if args.output:
             _write(args.output, total.to_json())
         out["sum"] = analyze_structure(total).to_dict()
     if args.resolve:
-        total = sum_mosaic(mosaic)
         res = find_resolution(total)
         if isinstance(res, Resolution):
             out["resolution"] = [list(c) for c in res.classes]
@@ -166,6 +148,9 @@ def cmd_design(args):
 
 
 def cmd_construct(args):
+    from .construct import (concatenate, concatenation_bound, double_extension,
+                            point_extension, seed_extension)
+
     want = "two family files" if args.concat else "one family file"
     if len(args.inputs) != 1 + args.concat:
         raise MosaicHashError(f"this construction takes {want}, got {len(args.inputs)}")
@@ -205,6 +190,8 @@ def cmd_construct(args):
 
 
 def cmd_pa(args):
+    from .privacy import JointSource, iid_extend, run_pa
+
     with open(args.source) as fh:
         src = JointSource.from_json(fh.read())
     fam = _load_family(args.family)

@@ -330,6 +330,8 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
     block of class h; each class must enumerate every member label once.
     Each incidence (x, j) of d sets table entry (x, class of j) to j's label.
     """
+    if len(set(d.points)) != d.v:
+        raise NotAMosaic("repeated point labels")
     n_classes = len(res.classes)
     if len(class_indexing) != n_classes:
         raise BadLabeling("one labeling per parallel class required")

@@ -12,10 +12,10 @@ from mosaichash import (
     toeplitz,
     uniform_source,
 )
-from mosaichash import cli, designs
+from mosaichash import designs
 from mosaichash.cli import main
 from oracles import oracle_design_params, ref_field_multiply
-from util import flip_source
+from util import flip_source, run_python
 
 
 def run(capsys, *argv):
@@ -98,7 +98,7 @@ def test_design_theorems_affine(tmp_path, capsys, monkeypatch):
 
     def analysed_again(d):
         raise AssertionError("members are read from the theorem check's records")
-    monkeypatch.setattr(cli, "analyze_structure", analysed_again)
+    monkeypatch.setattr(designs, "analyze_structure", analysed_again)
     code, out, _ = run(capsys, "design", str(path), "--theorems")
     assert code == 0
     rep = json.loads(out)
@@ -155,7 +155,8 @@ def test_design_resolve_transversal_16(tmp_path, capsys):
 
 def test_design_resolve_budget_exhausted(tmp_path, capsys, monkeypatch):
     path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=3")
-    monkeypatch.setattr(cli, "find_resolution", partial(designs.find_resolution, node_budget=3))
+    monkeypatch.setattr(designs, "find_resolution",
+                        partial(designs.find_resolution, node_budget=3))
     code, out, err = run(capsys, "design", str(path), "--resolve")
     assert code == 2 and out == ""
     assert err == "error: resolution search used 4 nodes, over its node_budget of 3\n"
@@ -177,6 +178,17 @@ def test_design_sum_output(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["sum"]["is_bibd"] is True
+
+
+def test_design_sum_and_resolve_build_the_sum_once(tmp_path, capsys, monkeypatch):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    alone = {**json.loads(run(capsys, "design", str(path), "--sum")[1]),
+             **json.loads(run(capsys, "design", str(path), "--resolve")[1])}
+    built, calls = designs.sum_mosaic, []
+    monkeypatch.setattr(designs, "sum_mosaic", lambda m: calls.append(m) or built(m))
+    code, out, _ = run(capsys, "design", str(path), "--sum", "--resolve")
+    assert code == 0 and len(calls) == 1
+    assert out == json.dumps(alone, indent=2, sort_keys=True) + "\n"
 
 
 def test_design_dual_and_sum_to_one_file_exits_2(tmp_path, capsys):
@@ -400,3 +412,33 @@ def test_table_format_output(tmp_path, capsys):
     code, out, _ = run(capsys, "--format", "table", "verify", str(path))
     assert code == 0
     assert "eps_acfu: 1/3" in out
+
+
+# Runs one command in a fresh interpreter and prints its exit code and the
+# mosaichash modules it loaded.
+LOADS = """
+import contextlib, io, json, sys
+from mosaichash.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mosaichash")]))
+"""
+CORE = ["cli", "errors", "families", "fields", "verify"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["-o", "{out}", "family", "--affine", "q=2", "t=2"], None),
+    (["verify", "{f}"], None),
+    (["design", "{f}", "--theorems", "--sum", "--resolve"], "designs"),
+    (["-o", "{out}", "construct", "{f}", "--seed-ext"], "construct"),
+    (["pa", "{src}", "{f}"], "privacy"),
+], ids=["family", "verify", "design", "construct", "pa"])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, extra):
+    f, src = tmp_path / "f.json", tmp_path / "src.json"
+    f.write_text(affine(2, 2).to_table().to_json())
+    src.write_text(uniform_source(affine(2, 2).x_labels).to_json())
+    res = run_python("-c", LOADS, *[a.format(f=f, src=src, out=tmp_path / "out.json")
+                                    for a in argv])
+    assert res.returncode == 0, res.stderr
+    want = ["mosaichash", *sorted(f"mosaichash.{m}" for m in CORE + [extra] if m)]
+    assert json.loads(res.stdout) == [0, want]

@@ -1,13 +1,9 @@
 """Each demo script runs to completion against the library in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from util import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,8 +13,5 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    res = run_python(str(demo))
     assert res.returncode == 0, res.stderr[-2000:]

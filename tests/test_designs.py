@@ -287,6 +287,12 @@ def test_mosaic_from_resolution_bad_labeling():
             mosaic_from_resolution(IncidenceStructure(rows), Resolution(((0, 1),)), [[0, 1]])
 
 
+def test_mosaic_from_resolution_rejects_repeated_point_labels():
+    d = IncidenceStructure([[1, 0], [0, 1]], ["x", "x"])
+    with pytest.raises(NotAMosaic, match="repeated point labels"):
+        mosaic_from_resolution(d, Resolution(((0, 1),)), [[0, 1]])
+
+
 def test_is_isomorphic_permutation_invariance():
     rng = random.Random(5)
     a = IncidenceStructure(FANO)

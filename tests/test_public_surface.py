@@ -1,4 +1,9 @@
+import json
+import sys
+import types
+
 import mosaichash
+from util import run_python
 
 # The public names of the package, one a line, so that adding or removing one
 # is a one-line change to review here.
@@ -67,3 +72,39 @@ verify
 
 def test_public_names_are_the_reviewed_list():
     assert sorted(mosaichash.__all__) == PUBLIC
+
+
+# Read in a fresh interpreter: here the tests have long since read the namespace.
+FRESH = """
+import json, sys
+import mosaichash
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "mosaichash")
+
+print(json.dumps({"import": loaded(), "dir": sorted(set(mosaichash.__all__) - set(dir(mosaichash))),
+                  "nope": hasattr(mosaichash, "nope"), "after_nope": loaded()}))
+"""
+
+
+def test_import_loads_no_submodule_and_a_miss_loads_none():
+    res = run_python("-c", FRESH)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"import": ["mosaichash"], "dir": [], "nope": False,
+                                      "after_nope": ["mosaichash"]}
+
+
+def test_star_import_binds_exactly_all():
+    ns = {}
+    exec("from mosaichash import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == PUBLIC
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in PUBLIC:
+        obj = getattr(mosaichash, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"mosaichash.{name}"]
+        else:
+            assert obj.__module__.startswith("mosaichash.")
+            assert getattr(sys.modules[obj.__module__], name) is obj

@@ -1,10 +1,25 @@
-"""Shared helpers for the test suite: random instances and relabelings."""
+"""Shared helpers for the test suite: random instances, relabelings and fresh
+interpreters."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from mosaichash import FunctionTable, JointSource, Quasigroup
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports the library from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_table(rng, nx, ns, na, name="rand"):
