@@ -80,6 +80,10 @@ def cmd_family(args):
     if len(kinds) != 1:
         raise MosaicHashError("choose exactly one family kind")
     kind = kinds[0]
+    if kind != "transversal" and (args.h_subset is not None or args.infinity):
+        raise MosaicHashError("--H and --infinity apply only to --transversal")
+    if kind != "field_multiply" and args.exclude_zero:
+        raise MosaicHashError("--exclude-zero applies only to --field-multiply")
     params = _parse_params(args.params)
     if kind == "transversal":
         if args.h_subset is not None:

@@ -389,6 +389,8 @@ def _dot(field: Field, u, v):
 
 def affine(q: int, t: int) -> HashFamily:
     """f(x; h, beta) = sum_i h_i x_i + beta on X = F_q^t."""
+    if t < 1:
+        raise UnsupportedParameters("the affine dimension t must be positive")
     field = field_for_order(q)
     hs = normalized_vectors(field, t)
     x_labels = _all_vectors(field, t)
@@ -437,8 +439,10 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
         r, y = xi // q, xi % q
         return field._add_ix(_dot(field, (c1[r], c2[r]), (si // q, si % q)), y)
 
-    f = _formula_family(
-        f"transversal({q})", x_labels, s_labels, field.elements(), index_fn,
+    h_name = "" if h_subset == list(field.elements()) else f",H=[{','.join(map(str, h_subset))}]"
+    f = _formula_family(  # H named in its given order, which orders the points
+        f"transversal({q}{h_name}{',' + INFINITY if include_infinity else ''})",
+        x_labels, s_labels, field.elements(), index_fn,
         a_group=field_group(field),
     )
     xs, ss, values = np.arange(f.x_size), np.arange(q * q), np.arange(q)
@@ -496,7 +500,7 @@ def field_multiply(q: int, n: int, m: int, exclude_zero: bool = False) -> HashFa
         lambda xi, si: big._mul_ix(si + first, xi) // shift,
         x_group=field_group(big), a_group=vector_group(base, m),
     )
-    c = big._exp[1]  # primitive: x -> cx with h -> h/c, orbits {0} and F*
+    c = big._exp_array[1]  # primitive: x -> cx with h -> h/c, orbits {0} and F*
     f.automorphisms = ((big._mul_ix(c, np.arange(f.x_size)),
                         big._mul_ix(big.inv(c), np.arange(f.s_size) + first) - first,
                         np.arange(f.a_size)),)

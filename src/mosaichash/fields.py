@@ -12,8 +12,8 @@ Trans. IT 1990): a*b = exp[log a + log b].  The log of zero is a
 sentinel whose sums land in a zero tail of exp, so no product branches.
 Addition is digit-wise mod p on the index, which is XOR for p = 2, one
 formula for ints and broadcasting index arrays.  The scalar ``mul``,
-``inv`` and ``neg`` read list copies of the arrays; ``_mul_ix``, with
-``_add_ix`` the named families' arithmetic, indexes the arrays.
+``inv`` and ``neg`` read the same arrays and return ints; ``_mul_ix``,
+with ``_add_ix`` the named families' arithmetic, indexes them on arrays.
 """
 
 from __future__ import annotations
@@ -147,8 +147,6 @@ class Field:
         self._log_array[powers] = np.arange(order)
         self._exp_array = np.concatenate([powers, powers, np.zeros(2 * order + 1, np.int64)])
         self._neg_array = sum(-(np.arange(q) // w) % p * w for w in self._weights)
-        self._log, self._exp = self._log_array.tolist(), self._exp_array.tolist()
-        self._neg = self._neg_array.tolist()
 
     # index <-> coefficient vector -------------------------------------
 
@@ -187,15 +185,15 @@ class Field:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return int(self._neg_array[a])
 
     def mul(self, a: int, b: int) -> int:
-        return self._exp[self._log[a] + self._log[b]]
+        return int(self._mul_ix(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self._exp[self.q - 1 - self._log[a]]
+        return int(self._exp_array[self.q - 1 - self._log_array[a]])
 
     def _mul_ix(self, a, b):
         """mul on element indices or broadcasting index arrays."""

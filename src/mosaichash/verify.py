@@ -3,12 +3,12 @@
 Every check reads the family's integer table T[x, s] (built once by
 ``HashFamily.to_table``) through two counters: ``_row_counts``, the
 histogram #{s : T[x, s] = a}, for regularity and BALANCED; and
-``_pair_counts``, the histogram #{s : code[T[x, s], T[x', s]] = c} per
-pair x < x', read through ``_pair_max``'s folds.  One pass, memoised on
-the family, gives AU (diagonal sum), ACFU (largest diagonal bin) and ASU
-(largest bin) over the code a*|A| + a' of a regular table, or AU alone
-over the code [a = a'] of an irregular one; ``construct.balanced_epsilon`` passes a difference
-code.  N is invariant under a family's verified automorphisms (pi, sigma,
+``_pair_counts``, the collision histogram N(x, x', a, a') over the one
+pair code a*|A| + a', which each caller folds through ``_pair_max``.  One
+pass, memoised on the family, gives AU (diagonal sum) and, for a regular
+table, ACFU (largest diagonal bin) and ASU (largest bin);
+``construct.balanced_epsilon`` folds the same counts by value difference.
+N is invariant under a family's verified automorphisms (pi, sigma,
 tau), T[pi x, sigma s] = tau(T[x, s]), so only rows r that are the least
 of their X-orbit are counted (Kramer and Mesner's orbit method).  A
 witness is the first strict maximum in the scan order x, x', a, a' (label
@@ -47,34 +47,38 @@ def _block_size(hist, ns):
     return block if rest == 0 and bool((hist == block).all()) else None
 
 
-def _pair_counts(T, na, code=None, rows=None):
-    """Blocks (x, j, counts) of the histogram counts[k, c] = #{s : code[T[x, s],
-    T[j + k, s]] = c} (code default c = a*na + a') over x in rows (default all)
-    and every x' = j + k > x.  One bincount counts a block of rows x' of about
-    _BLOCK entries and bins."""
+def _pair_counts(T, na, rows=None):
+    """Blocks (x, j, counts) of counts[k, a*na + a'] = #{s : T[x, s] = a, T[j + k, s]
+    = a'} over x in rows (default all) and every x' = j + k > x, one bincount per
+    block of about _BLOCK entries and bins.  A row whose bins outnumber both _BLOCK
+    and 16 times its entries is added into one kept block and its entries cleared
+    after, as zeroing every bin per pair would cost more than counting; that block
+    is valid until the next is drawn."""
     nx, ns = T.shape
-    ncodes = na * na if code is None else int(code.max()) + 1
-    step = max(1, _BLOCK // max(ns, ncodes))
+    nc = na * na
+    step = max(1, _BLOCK // max(ns, nc))
+    offsets = nc * np.arange(min(step, nx))[:, None]  # row k of a block counts from k*nc
+    kept = np.zeros(nc, dtype=np.int64) if nc > max(_BLOCK, 16 * ns) else None
     for i in range(nx) if rows is None else rows:
-        row = T[i] * na
+        base = offsets + T[i] * na
         for j in range(i + 1, nx, step):
-            keys = row + T[j:j + step]
-            if code is not None:
-                keys = code.take(keys)
-            m = keys.shape[0]
-            keys += ncodes * np.arange(m)[:, None]
-            yield i, j, np.bincount(keys.ravel(), minlength=m * ncodes).reshape(m, ncodes)
+            keys = T[j:j + step] + base[:nx - j]
+            if kept is None:
+                yield i, j, np.bincount(keys.ravel(), minlength=len(keys) * nc).reshape(-1, nc)
+            else:  # one row x' per block
+                np.add.at(kept, keys[0], 1)
+                yield i, j, kept[None]
+                kept[keys[0]] = 0
 
 
-def _pair_max(T, na, code=None, folds=(None,), rows=None):
-    """First strict maxima in (x, x', c) order, one (count, (x, x', c)) per
+def _pair_max(T, na, folds, rows=None):
+    """First strict maxima in (x, x', k) order, one (count, (x, x', k)) per
     fold or (-1, None) without a pair, of the counts of _pair_counts.  A fold
-    maps a block's counts (rows x', codes) to (rows x', k) values; None keeps
-    them."""
+    maps a block's counts (rows x', codes a*na + a') to (rows x', k) values."""
     found = [(-1, None)] * len(folds)
-    for i, j, counts in _pair_counts(T, na, code, rows):
+    for i, j, counts in _pair_counts(T, na, rows):
         for n, fold in enumerate(folds):
-            values = counts if fold is None else fold(counts)
+            values = fold(counts)
             k = int(values.argmax())
             if values.flat[k] > found[n][0]:
                 width = values.shape[1]
@@ -109,13 +113,12 @@ def _pair_classes(f: HashFamily, T):
     """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular."""
     X, A, na = f.x_labels, f.a_labels, f.a_size
     block = _block_size(_row_counts(T, na), f.s_size)
-    if block is None:  # code 0 where a = a'
-        names, code, folds = ("AU",), 1 - np.eye(na, dtype=np.int64), (lambda c: c[:, :1],)
-    else:  # code a * |A| + a'
-        names, code, diag = ("AU", "ACFU", "ASU"), None, np.arange(na) * (na + 1)
-        folds = (lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], None)
+    diag = np.arange(na) * (na + 1)  # the codes a*na + a
+    folds = (lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], lambda c: c)
+    names = ("AU",) if block is None else ("AU", "ACFU", "ASU")
     out = {}
-    for name, (best, where) in zip(names, _pair_max(T, na, code, folds, _representatives(f, T))):
+    for name, (best, where) in zip(names, _pair_max(T, na, folds[:len(names)],
+                                                    _representatives(f, T))):
         if where is None:
             out[name] = Fraction(0), None
             continue
@@ -143,17 +146,24 @@ def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityRe
 
 
 def _homomorphic_in_x(f: HashFamily, T) -> bool:
-    """Whether f(x + y, s) = f(x, s) + f(y, s); stops at the first failing x."""
+    """Whether f(x + y, s) = f(x, s) + f(y, s), by induction from f(0, s) = 0 and
+    f(x + g, s) = f(x, s) + f(g, s) for every x and each g of a generating set:
+    g is the first point outside the span of those before, so at most log2 |X|."""
     gx, ga = f.x_group, f.a_group
     if gx is None or ga is None:
         return False
     to_x, back_x = _on_carrier(f.x_labels, gx, f"point set of {f.name}")
     to_a, back_a = _on_carrier(f.a_labels, ga, f"value set of {f.name}")
     add = back_a[ga._op(to_a[:, None], to_a)]  # value index of a_u + a_v
-    for i in range(f.x_size):
-        if not np.array_equal(add[T[i], T], T[back_x[gx._op(to_x[i], to_x)]]):
-            return False
-    return True
+    span = np.arange(f.x_size) == f.x_index[gx.zero]
+    linear = np.array_equal(add[T[span], T[span]], T[span])  # f(0, s) = 0
+    while linear and not span.all():
+        g = int(span.argmin())
+        shift = back_x[gx._op(to_x, to_x[g])]  # index of x + g, for every x
+        linear = np.array_equal(T[shift], add[T, T[g]])
+        while not span[shift[span]].all():  # close the span under + g
+            span[shift[span]] = True
+    return linear
 
 
 def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
@@ -332,17 +342,10 @@ class VerificationReport:
 
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
-    witnesses = {}
-    eps_au, w = min_epsilon(f, "AU", budget)
-    witnesses["AU"] = w
-    regular = "ACFU" in f._pairs  # which min_epsilon memoised: ACFU and ASU only if regular
-
-    eps_acfu = eps_asu = None
-    if regular:
-        eps_acfu, w = min_epsilon(f, "ACFU", budget)
-        witnesses["ACFU"] = w
-        eps_asu, w = min_epsilon(f, "ASU", budget)
-        witnesses["ASU"] = w
+    min_epsilon(f, "AU", budget)  # counts AU, and ACFU and ASU if f is regular, into f._pairs
+    witnesses = {name: w for name, (_, w) in f._pairs.items()}
+    eps_au, eps_acfu, eps_asu = (f._pairs.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
+    regular = eps_acfu is not None
 
     eps_balanced = None
     try:

@@ -63,6 +63,28 @@ def test_family_requires_one_kind(capsys):
     assert code == 2
 
 
+def test_family_rejects_a_dimension_below_one(capsys):
+    code, out, err = run(capsys, "family", "--affine", "q=2", "t=-1")
+    assert (code, out, err) == (2, "", "error: the affine dimension t must be positive\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--affine", "--H", "0,1", "q=2", "t=2"], "--H and --infinity apply only to --transversal"),
+    (["--affine", "--infinity", "q=2", "t=2"], "--H and --infinity apply only to --transversal"),
+    (["--transversal", "--exclude-zero", "q=3"], "--exclude-zero applies only to --field-multiply"),
+])
+def test_family_rejects_an_option_of_another_kind(capsys, argv, err):
+    assert run(capsys, "family", *argv) == (2, "", f"error: {err}\n")
+
+
+def test_budget_flag_bounds_the_table(tmp_path, capsys):
+    code, out, err = run(capsys, "--budget", "3", "family", "--affine", "q=2", "t=2")
+    assert (code, out, err) == (2, "", "error: 4 x 6 table exceeds budget 3\n")
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    code, out, err = run(capsys, "--budget", "3", "verify", str(path))
+    assert (code, out, err) == (2, "", "error: 4 x 6 table exceeds budget 3\n")
+
+
 def test_verify_affine(tmp_path, capsys):
     path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
     code, out, _ = run(capsys, "verify", str(path))

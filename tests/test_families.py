@@ -167,6 +167,21 @@ def test_transversal_formula_and_infinity_rows():
         transversal(3, h_subset=[5])
 
 
+def test_transversal_variants_have_distinct_names():
+    names = [transversal(5).name, transversal(5, h_subset=[0, 1, 2]).name,
+             transversal(5, include_infinity=True).name,
+             transversal(5, h_subset=[0, 1, 2], include_infinity=True).name]
+    assert names == ["transversal(5)", "transversal(5,H=[0,1,2])", "transversal(5,inf)",
+                     "transversal(5,H=[0,1,2],inf)"]
+    assert transversal(5, h_subset=range(5)).name == "transversal(5)"
+
+
+@pytest.mark.parametrize("build, t", [(affine, -1), (affine, 0), (dual_affine, -2)])
+def test_affine_dimension_must_be_positive(build, t):
+    with pytest.raises(UnsupportedParameters, match="dimension t must be positive"):
+        build(2, t)
+
+
 def test_toeplitz_matches_manual_matrix_product():
     f = toeplitz(2, 2, 3)
     assert f.x_size == 8 and f.s_size == 16 and f.a_size == 4

@@ -78,6 +78,31 @@ def test_truncate():
         truncate(f, a, 0)
 
 
+@pytest.mark.parametrize("q", [8, 9])
+def test_coefficient_views_match_the_reference_field(q):
+    f, ref = field_for_order(q), RefField(q)
+    assert f.modulus == ref.modulus
+    for a in f.elements():
+        assert f.coeffs(a) == ref.elems[a] and f.index(ref.elems[a]) == a
+        for m in range(1, f.m + 1):
+            assert truncate(f, a, m) == ref.elems[a][:m]
+        assert field_arith(f, "neg", ref.elems[a]) == ref.elems[ref.neg(a)]
+        if a:
+            assert field_arith(f, "inv", ref.elems[a]) == ref.elems[ref.inv(a)]
+        for b in f.elements():
+            va, vb = ref.elems[a], ref.elems[b]
+            assert field_arith(f, "add", va, vb) == ref.elems[ref.add(a, b)]
+            assert field_arith(f, "sub", va, vb) == ref.elems[ref.add(a, ref.neg(b))]
+            assert field_arith(f, "mul", va, vb) == ref.elems[ref.mul(a, b)]
+    with pytest.raises(ZeroInverse):
+        field_arith(f, "inv", ref.elems[0])
+
+
+def test_scalar_arithmetic_returns_ints():
+    f = field_new(2, 3)
+    assert all(type(v) is int for v in (f.mul(3, 5), f.inv(3), f.neg(3), f.sub(3, 5)))
+
+
 def test_validation_errors():
     with pytest.raises(NotPrime):
         field_new(4)

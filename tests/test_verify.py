@@ -28,9 +28,11 @@ from mosaichash.errors import (
     TrivialDomain,
 )
 from mosaichash import verify
-from mosaichash.families import Group
+from mosaichash.families import Group, cyclic_group, vector_group
+from mosaichash.fields import field_new
 from mosaichash.verify import rational_str
 from oracles import (
+    _oracle_homomorphic,
     oracle_balanced_epsilon,
     oracle_eps_acfu,
     oracle_eps_asu,
@@ -108,6 +110,14 @@ def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
         f = planted_cyclic_table(rng, k, rng.randrange(2, 4), na * rng.randrange(1, 3), na)
         f.a_group = _cyclic_group(na)
         fams.append(f)
+    # |A|^2 bins above 16 |S| (the kept block when _BLOCK is 1), and above |A| = 32
+    # balanced_epsilon's gather in place of its product
+    rng = random.Random(41)
+    for na, ns in ((5, 1), (6, 2), (33, 1), (40, 2), (33, 33)):
+        build = random_regular_table if ns == na else random_table
+        f = build(rng, rng.randrange(2, 5), ns, na)
+        f.x_group, f.a_group = _cyclic_group(f.x_size), _cyclic_group(na)
+        fams.append(f)
     late = 0  # planted class maxima first reached in a later orbit representative
     for f in fams:
         for cls in ("AU", "ACFU", "ASU", "BALANCED"):
@@ -150,6 +160,103 @@ def test_orbit_scan_equals_the_full_scan_of_a_fresh_table(build, args):
             assert got == oracle_witness(f, cls), (f.name, cls)
 
 
+@pytest.mark.parametrize("build, args", LADDER, ids=[f"{b.__name__}{a}" for b, a in LADDER])
+def test_balanced_orbit_scan_equals_the_full_scan_of_a_fresh_table(build, args):
+    f = build(*args)
+    T = f.to_table()
+    fresh = FunctionTable(T.x_labels, T.s_labels, T.a_labels, T.array).to_family()
+    fresh.a_group = f.a_group
+    assert balanced_epsilon(f) == balanced_epsilon(fresh), f.name
+
+
+def _swapped_pairs_table(rng, nx0, ns, name="swapped"):
+    """T[(i, x0), s] = tau^i(R[x0, s]) over Z_4 with tau = (0 1), attached with
+    (i, x0) -> (1 - i, x0) as an automorphism; tau is not affine, so it does
+    not keep the differences."""
+    R = [[rng.randrange(4) for _ in range(ns)] for _ in range(nx0)]
+    tau = [1, 0, 2, 3]
+    rows = [[tau[a] if i else a for a in R[x0]] for x0 in range(nx0) for i in range(2)]
+    f = FunctionTable([(i, x0) for x0 in range(nx0) for i in range(2)], range(ns), range(4),
+                      rows).to_family(name)
+    f.a_group = cyclic_group(range(4))
+    swap = np.arange(2 * nx0) ^ 1
+    f.automorphisms = ((swap, np.arange(ns), np.array(tau)),)
+    return f
+
+
+def test_balanced_scans_every_row_unless_each_tau_is_a_translation():
+    rng = random.Random(31)
+    late = 0  # witnesses in a row that is not the least of its orbit
+    for _ in range(40):
+        f = _swapped_pairs_table(rng, rng.randrange(2, 4), rng.randrange(2, 6))
+        want = oracle_balanced_epsilon(f)
+        assert balanced_epsilon(f) == want
+        late += want[1][0][0] == 1
+    assert late > 0
+
+
+def _linear_family(rng, x_group, a_group, n_seeds, value):
+    """value(x, s) as a table, its points and values listed in a shuffled order."""
+    xs, values = list(x_group.labels), list(a_group.labels)
+    rng.shuffle(xs)
+    rng.shuffle(values)
+    rows = [[values.index(value(x, s)) for s in range(n_seeds)] for x in xs]
+    f = FunctionTable(xs, range(n_seeds), values, rows).to_family("linear")
+    f.x_group, f.a_group = x_group, a_group
+    return f
+
+
+def _random_linear_family(rng):
+    """A homomorphism per seed from Z_n to Z_m, or from F_2^t to F_2^r."""
+    if rng.random() < 0.5:
+        n, m = rng.randrange(1, 9), rng.randrange(1, 7)
+        scales = [c for c in range(m) if c * n % m == 0]  # x -> c x is well defined on Z_n
+        cs = [rng.choice(scales) for _ in range(rng.randrange(1, 5))]
+        return _linear_family(rng, cyclic_group(range(n)), cyclic_group(range(m)), len(cs),
+                              lambda x, s: x * cs[s] % m)
+    t, r = rng.randrange(1, 4), rng.randrange(1, 3)
+    ms = [[[rng.randrange(2) for _ in range(t)] for _ in range(r)]
+          for _ in range(rng.randrange(1, 4))]
+    f2 = field_new(2)
+
+    def value(x, s):
+        return tuple(sum(a * b for a, b in zip(row, x)) % 2 for row in ms[s])
+    return _linear_family(rng, vector_group(f2, t), vector_group(f2, r), len(ms), value)
+
+
+def test_linearity_check_agrees_with_the_oracle_on_random_tables():
+    rng = random.Random(37)
+    linear = 0
+    for n in range(400):
+        f = _random_linear_family(rng)
+        if n % 3 == 0:  # perturb one entry
+            rows = f.to_table().array.copy()
+            rows[rng.randrange(f.x_size), rng.randrange(f.s_size)] = rng.randrange(f.a_size)
+            g = FunctionTable(f.x_labels, f.s_labels, f.a_labels, rows).to_family("perturbed")
+            g.x_group, g.a_group = f.x_group, f.a_group
+            f = g
+        want = _oracle_homomorphic(f)
+        linear += want
+        assert verify._homomorphic_in_x(f, f.to_table().array) == want
+    assert 200 < linear < 400
+
+
+@pytest.mark.parametrize("build, args", [(field_multiply, (2, 6, 3)), (toeplitz, (3, 2, 3)),
+                                         (toeplitz, (2, 2, 4))])
+def test_linearity_check_reads_at_most_log2_points(build, args):
+    f = build(*args)
+    T = f.to_table().array
+    calls = Counter()
+    op = f.x_group._op
+
+    def counted(i, j):
+        calls["op"] += 1
+        return op(i, j)
+    f.x_group._op = counted
+    assert verify._homomorphic_in_x(f, T)
+    assert 1 <= calls["op"] <= np.log2(f.x_size)
+
+
 def test_a_wrong_automorphism_raises_before_any_epsilon():
     f = transversal(4, include_infinity=True)
     *good, (pi, sigma, tau) = f.automorphisms
@@ -161,6 +268,8 @@ def test_a_wrong_automorphism_raises_before_any_epsilon():
                 min_epsilon(f, cls)
         with pytest.raises(NotAnAutomorphism):
             classify(f)
+        with pytest.raises(NotAnAutomorphism):
+            balanced_epsilon(f)
 
 
 def test_an_irregular_family_with_automorphisms_gets_au_only():
