@@ -24,7 +24,7 @@ from .families import (
     _formula_family,
     _on_carrier,
 )
-from .verify import _block_size, _pair_max, _representatives, _row_counts, min_epsilon
+from .verify import _block_size, _pair_blocks, _pair_max, _row_counts, min_epsilon
 
 
 def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
@@ -79,28 +79,19 @@ def concatenate(f1: HashFamily, f2: HashFamily) -> HashFamily:
 def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     """Least eps with |{h : a(y,h) - a(y',h) = b}| <= eps|H| for all y != y', b.
 
-    Needs an abelian group on the value set only.  Sums the pair counts
-    N(y, y', a_b + a_v, a_v) over v; translations keep differences, so if
-    every automorphism's tau is one, only the least row of each orbit is
-    scanned (NotAnAutomorphism if one fails on a).  Returns (eps, witness);
-    the witness (y, y', b) is the first strict maximum in label order.
+    Needs an abelian group on the value set only.  Counts the differences
+    of each pair of rows through a subtraction table of that group, O(|H|)
+    per pair plus one bin per value.  Returns (eps, witness); the witness
+    (y, y', b) is the first strict maximum in label order.
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
     to, back = _on_carrier(a.a_labels, a.a_group, f"value set of {a.name}")
-    na, every, T = a.a_size, np.arange(a.a_size), a.to_table(budget).array
+    na, T = a.a_size, a.to_table(budget).array
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
-    codes = total * na + every  # codes[b, v] = u*na + v with a_u - a_v = a_b
-    if na <= 32:  # one exact 0/1 product while its |A|^3 entries are few
-        diff = np.zeros((na * na, na))
-        diff[codes, every[:, None]] = 1
-        folds = (lambda c: np.dot(c, diff),)
-    else:
-        folds = (lambda c: c[:, codes].sum(axis=2),)
-    rows, zero = _representatives(a, T), a.a_index[a.a_group.zero]
-    if not all(np.array_equal(tau, total[tau[zero]]) for *_, tau in a.automorphisms):
-        rows = None
-    [(best, where)] = _pair_max(T, na, folds, rows)
+    minus = total[:, (total == a.a_index[a.a_group.zero]).argmax(axis=0)]  # of a_u - a_v
+    [(best, where)] = _pair_max((i, j, _row_counts(minus.take(row * na + rest), na))
+                                for i, j, row, rest in _pair_blocks(T, bins=na))
     if where is None:
         return Fraction(0), None
     i, j, b = where

@@ -1,13 +1,15 @@
 """Exhaustive verification: minimal epsilon per hash class and seed bounds.
 
 Every check reads the family's integer table T[x, s] (built once by
-``HashFamily.to_table``) through two counters: ``_row_counts``, the
-histogram #{s : T[x, s] = a}, for regularity and BALANCED; and
-``_pair_counts``, the collision histogram N(x, x', a, a') over the one
-pair code a*|A| + a', which each caller folds through ``_pair_max``.  One
-pass, memoised on the family, gives AU (diagonal sum) and, for a regular
-table, ACFU (largest diagonal bin) and ASU (largest bin);
-``construct.balanced_epsilon`` folds the same counts by value difference.
+``HashFamily.to_table``) through ``_row_counts``, the histogram
+#{s : T[x, s] = a}, or through ``_pair_blocks``, the rows x' > x in blocks
+for each x, whose first strict maxima ``_pair_max`` keeps.  One pass,
+memoised on the family, gives AU, and ACFU and ASU for a regular table:
+the diagonal sum, the largest diagonal bin and the largest bin of
+``_pair_counts``, the collision histogram N(x, x', a, a') over the pair
+code a*|A| + a'.  An irregular table has AU alone, the seeds where two
+rows agree, O(|S|) per pair where the histogram has |A|^2 bins;
+``construct.balanced_epsilon`` counts each pair's differences alike.
 N is invariant under a family's verified automorphisms (pi, sigma,
 tau), T[pi x, sigma s] = tau(T[x, s]), so only rows r that are the least
 of their X-orbit are counted (Kramer and Mesner's orbit method).  A
@@ -30,7 +32,7 @@ from .families import DEFAULT_TABLE_BUDGET, HashFamily, _on_carrier
 
 CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
 
-# entries that one bincount of _pair_max reads or counts, unless one row is larger
+# entries or bins of one block of _pair_blocks, unless one row is larger
 _BLOCK = 1 << 15
 
 
@@ -47,38 +49,33 @@ def _block_size(hist, ns):
     return block if rest == 0 and bool((hist == block).all()) else None
 
 
+def _pair_blocks(T, rows=None, bins=1):
+    """Blocks (x, j, T[x], T[j:j + m]) over x in rows (default all) and the rows
+    x' = j + k > x, m per block so that it holds about _BLOCK entries or bins * m."""
+    nx, ns = T.shape
+    step = max(1, _BLOCK // max(ns, bins))
+    for i in range(nx) if rows is None else rows:
+        for j in range(i + 1, nx, step):
+            yield i, j, T[i], T[j:j + step]
+
+
 def _pair_counts(T, na, rows=None):
     """Blocks (x, j, counts) of counts[k, a*na + a'] = #{s : T[x, s] = a, T[j + k, s]
-    = a'} over x in rows (default all) and every x' = j + k > x, one bincount per
-    block of about _BLOCK entries and bins.  A row whose bins outnumber both _BLOCK
-    and 16 times its entries is added into one kept block and its entries cleared
-    after, as zeroing every bin per pair would cost more than counting; that block
-    is valid until the next is drawn."""
-    nx, ns = T.shape
+    = a'} over the blocks of _pair_blocks, one bincount each."""
     nc = na * na
-    step = max(1, _BLOCK // max(ns, nc))
-    offsets = nc * np.arange(min(step, nx))[:, None]  # row k of a block counts from k*nc
-    kept = np.zeros(nc, dtype=np.int64) if nc > max(_BLOCK, 16 * ns) else None
-    for i in range(nx) if rows is None else rows:
-        base = offsets + T[i] * na
-        for j in range(i + 1, nx, step):
-            keys = T[j:j + step] + base[:nx - j]
-            if kept is None:
-                yield i, j, np.bincount(keys.ravel(), minlength=len(keys) * nc).reshape(-1, nc)
-            else:  # one row x' per block
-                np.add.at(kept, keys[0], 1)
-                yield i, j, kept[None]
-                kept[keys[0]] = 0
+    for i, j, row, block in _pair_blocks(T, rows, nc):
+        keys = block + (row * na + nc * np.arange(len(block))[:, None])
+        yield i, j, np.bincount(keys.ravel(), minlength=len(block) * nc).reshape(-1, nc)
 
 
-def _pair_max(T, na, folds, rows=None):
-    """First strict maxima in (x, x', k) order, one (count, (x, x', k)) per
-    fold or (-1, None) without a pair, of the counts of _pair_counts.  A fold
-    maps a block's counts (rows x', codes a*na + a') to (rows x', k) values."""
+def _pair_max(blocks, folds=(lambda v: v,)):
+    """First strict maxima in (x, x', k) order, one (count, (x, x', k)) per fold
+    or (-1, None) without a pair, over blocks (x, j, values) of rows x' = j + k.
+    A fold maps a block's values to (rows x', k) values."""
     found = [(-1, None)] * len(folds)
-    for i, j, counts in _pair_counts(T, na, rows):
+    for i, j, block in blocks:
         for n, fold in enumerate(folds):
-            values = fold(counts)
+            values = fold(block)
             k = int(values.argmax())
             if values.flat[k] > found[n][0]:
                 width = values.shape[1]
@@ -112,13 +109,18 @@ def _representatives(f: HashFamily, T, side=0):
 def _pair_classes(f: HashFamily, T):
     """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular."""
     X, A, na = f.x_labels, f.a_labels, f.a_size
-    block = _block_size(_row_counts(T, na), f.s_size)
-    diag = np.arange(na) * (na + 1)  # the codes a*na + a
-    folds = (lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], lambda c: c)
-    names = ("AU",) if block is None else ("AU", "ACFU", "ASU")
+    block, rows = _block_size(_row_counts(T, na), f.s_size), _representatives(f, T)
+    if block is None:  # AU alone: the seeds where x and x' agree, O(|S|) per pair
+        names = ("AU",)
+        found = _pair_max((i, j, (row == rest).sum(axis=1, keepdims=True))
+                          for i, j, row, rest in _pair_blocks(T, rows))
+    else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
+        diag = np.arange(na) * (na + 1)  # the codes a*na + a
+        names = ("AU", "ACFU", "ASU")
+        found = _pair_max(_pair_counts(T, na, rows), (
+            lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], lambda c: c))
     out = {}
-    for name, (best, where) in zip(names, _pair_max(T, na, folds[:len(names)],
-                                                    _representatives(f, T))):
+    for name, (best, where) in zip(names, found):
         if where is None:
             out[name] = Fraction(0), None
             continue
@@ -342,9 +344,10 @@ class VerificationReport:
 
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
-    min_epsilon(f, "AU", budget)  # counts AU, and ACFU and ASU if f is regular, into f._pairs
-    witnesses = {name: w for name, (_, w) in f._pairs.items()}
-    eps_au, eps_acfu, eps_asu = (f._pairs.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
+    found = {"AU": min_epsilon(f, "AU", budget)}  # memoises ACFU and ASU too if f is regular
+    found.update((name, min_epsilon(f, name, budget)) for name in f._pairs if name != "AU")
+    witnesses = {name: w for name, (_, w) in found.items()}
+    eps_au, eps_acfu, eps_asu = (found.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
     regular = eps_acfu is not None
 
     eps_balanced = None
