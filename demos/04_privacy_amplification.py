@@ -47,7 +47,7 @@ def relabel(fam, labels):
 # extract one bit from n observations; the exact security distance and
 # the theorem bound both decay as n grows
 print("n  distance (exact)   2*sqrt(radicand)")
-for n in (1, 2, 3):
+for n in range(1, 9):
     src = iid_extend(base, n)
     fam = relabel(affine(2, n), src.x_labels)
     res = run_pa(src, fam)

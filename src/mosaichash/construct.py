@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainMismatch, NotBalanced, TheoremViolation
+from .errors import BudgetExceeded, DomainMismatch, NotBalanced, TheoremViolation
 from .families import (
     DEFAULT_TABLE_BUDGET,
     HashFamily,
@@ -82,10 +82,15 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     Needs an abelian group on the value set only.  Counts the differences
     of each pair of rows through a subtraction table of that group, O(|H|)
     per pair plus one bin per value.  Returns (eps, witness); the witness
-    (y, y', b) is the first strict maximum in label order.
+    (y, y', b) is the first strict maximum in label order.  The table holds
+    |A|^2 entries, and BudgetExceeded is raised before it is built if that
+    exceeds budget.
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
+    if a.a_size**2 > budget:
+        raise BudgetExceeded(f"{a.a_size}^2 = {a.a_size**2} entry subtraction table of "
+                             f"{a.name} exceeds budget {budget}")
     to, back = _on_carrier(a.a_labels, a.a_group, f"value set of {a.name}")
     na, T = a.a_size, a.to_table(budget).array
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v

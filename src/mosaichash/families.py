@@ -186,10 +186,10 @@ def vector_group(field: Field, t: int) -> Group:
     """Additive group of F_q^t, on t-tuples of element indices."""
     q = field.q
 
-    def add(i, j):
+    def add(i, j):  # one digit at a time, so index arrays take no t-fold copy
         out = 0
-        for a, b in zip(_digits(i, q, t), _digits(j, q, t)):
-            out = out * q + field._add_ix(a, b)
+        for w in (q ** (t - 1 - k) for k in range(t)):
+            out = out * q + field._add_ix(i // w % q, j // w % q)
         return out
 
     return Group._formula(_all_vectors(field, t), add, (field.zero,) * t)

@@ -150,19 +150,25 @@ def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityRe
 def _homomorphic_in_x(f: HashFamily, T) -> bool:
     """Whether f(x + y, s) = f(x, s) + f(y, s), by induction from f(0, s) = 0 and
     f(x + g, s) = f(x, s) + f(g, s) for every x and each g of a generating set:
-    g is the first point outside the span of those before, so at most log2 |X|."""
+    g is the first point outside the span of those before, so at most log2 |X|.
+    The value group's |A| x |A| table is kept only while it is no larger than
+    f's own; past that its operation is evaluated at the entries read."""
     gx, ga = f.x_group, f.a_group
     if gx is None or ga is None:
         return False
     to_x, back_x = _on_carrier(f.x_labels, gx, f"point set of {f.name}")
     to_a, back_a = _on_carrier(f.a_labels, ga, f"value set of {f.name}")
-    add = back_a[ga._op(to_a[:, None], to_a)]  # value index of a_u + a_v
+    if f.a_size**2 <= T.size:
+        table = back_a[ga._op(to_a[:, None], to_a)]
+        add = lambda u, v: table[u, v]  # value index of a_u + a_v
+    else:
+        add = lambda u, v: back_a[ga._op(to_a[u], to_a[v])]
     span = np.arange(f.x_size) == f.x_index[gx.zero]
-    linear = np.array_equal(add[T[span], T[span]], T[span])  # f(0, s) = 0
+    linear = np.array_equal(add(T[span], T[span]), T[span])  # f(0, s) = 0
     while linear and not span.all():
         g = int(span.argmin())
         shift = back_x[gx._op(to_x, to_x[g])]  # index of x + g, for every x
-        linear = np.array_equal(T[shift], add[T, T[g]])
+        linear = np.array_equal(T[shift], add(T, T[g]))
         while not span[shift[span]].all():  # close the span under + g
             span[shift[span]] = True
     return linear

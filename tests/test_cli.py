@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -427,6 +428,17 @@ def test_pa_iid_below_one_exits_2(tmp_path, capsys, n, code):
     src.write_text(uniform_source(affine(2, 1).x_labels).to_json())
     got, _, err = run(capsys, "pa", str(src), str(fam), "--iid", n)
     assert got == code and ("n must be >= 1" in err) == (code == 2)
+
+
+def test_pa_iid_past_the_budget_exits_2_at_once(tmp_path, capsys):
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=3", "t=1")
+    src = tmp_path / "src.json"
+    src.write_text(uniform_source(affine(3, 1).x_labels).to_json())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pa", str(src), str(fam), "--iid", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: 100000000-tuple labels exceed budget 1000000"]
 
 
 def test_table_format_output(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -246,7 +248,7 @@ def test_integer_joint_matches_oracles_on_random_sources(seed):
 
 def test_iid_extend_is_the_hand_product():
     src = random_source(random.Random(5), [0, 1, 2], 2)
-    for n in (2, 3):
+    for n in (2, 3, 5):  # 5 = 0b101 takes both branches of the repeated squaring
         ext = iid_extend(src, n)
         xs = list(itertools.product(range(src.x_size), repeat=n))
         zs = list(itertools.product(range(src.z_size), repeat=n))
@@ -302,3 +304,106 @@ def test_int64_counts_whose_key_sums_pass_int64():
     g = relabel_points(f, ext.x_labels)
     assert assert_matches_oracles(ext, g).independence_verified
     assert run_pa(ext, g).key_marginal == [Fraction(1, 2)] * 2
+
+
+def test_iid_extend_refuses_a_huge_power_at_once():
+    three = JointSource("abc", [0], [[Fraction(1, 3)]] * 3)
+    one = JointSource(["a"], [0], [[Fraction(1)]])
+    for src, n, why in ((three, 10**8, "100000000-tuple labels exceed"),
+                        (one, 10**8, "100000000-tuple labels exceed"),
+                        (three, 10**4, "product alphabet of 10000 factors reaches 1594323 cells,"
+                                       " exceeds")):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"^{why} budget 1000000$"):
+            iid_extend(src, n)
+        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    ext = iid_extend(one, 10**5)  # within budget: O(log n) Kronecker products
+    assert time.perf_counter() - start < 1
+    assert ext.x_labels == (("a",) * 10**5,) and ext.num.tolist() == [[1]] and ext.den == 1
+
+
+def counts_source(x_labels, z_labels, w):
+    """The source whose counts are the rows w, over their total."""
+    total = sum(map(sum, w))
+    return JointSource(x_labels, z_labels, [[Fraction(v, total) for v in r] for r in w])
+
+
+@pytest.mark.parametrize("w", [
+    [[2**53 - 23, 2], [4, 6], [8, 1], [2, 0]],  # den = 2^53: the float64 product is exact
+    [[2**53 + 1, 2], [4, 6], [8, 1], [3, 5]],  # den = 2^53 + 30: float64 would round
+])
+def test_joint_counts_around_2_53(w):
+    f = affine(2, 2)
+    assert privacy._product_pays(2, f.a_size)  # the shape is on the product's side
+    src = counts_source(f.x_labels, "ab", w)
+    assert src.den == sum(map(sum, w)) and src.num.dtype == np.int64
+    joint = assert_matches_oracles(src, f)
+    assert joint.num.dtype == np.int64 and joint.independence_verified
+
+
+@pytest.mark.parametrize("m0, reduced_fits", [(3 * 2**59, True), (2**60 + 1, False)])
+def test_distance_of_unequal_key_masses(m0, reduced_fits):
+    """One seed, so key a carries exactly the row of x = a, and m_a is that
+    row's mass.  The unreduced cross products P_0 m_1 pass 2^63; with
+    g = gcd(m_0, m_1) the reduced sum, at most 2 m_0 m_1 / g, stays in int64
+    for m_1 = 2^59 | m_0 and passes it for coprime masses."""
+    f = FunctionTable([0, 1], ["s"], ["k0", "k1"], [[0], [1]]).to_family("split")
+    m1 = 2**61 - m0
+    src = counts_source(f.x_labels, "uvw", [[m0 // 3, m0 // 3, m0 - 2 * (m0 // 3)],
+                                            [m1 // 5, 3 * (m1 // 5), m1 - 4 * (m1 // 5)]])
+    assert src.den == 2**61 and src.num.dtype == np.int64
+    joint = pa_joint(src, f)
+    assert not joint.independence_verified and joint.key_marginal == [Fraction(m0, 2**61),
+                                                                      Fraction(m1, 2**61)]
+    assert int(src.num.max()) * m1 > 2**63
+    assert (2 * m0 * m1 // math.gcd(m0, m1) < 2**63) is reduced_fits
+    dist, witness = security_distance(joint)
+    assert dist == oracle_security_distance(src, f) and witness == ("k0", "k1")
+
+
+@pytest.mark.parametrize("block", [privacy._BLOCK, 1])  # 1: one seed or one z per block
+@pytest.mark.parametrize("nz, na, product", [
+    (1, 2, True), (1, 3, False), (3, 6, True), (2, 5, False), (40, 64, True), (30, 65, False),
+])
+def test_both_joint_kernels_match_the_oracle(nz, na, product, block, monkeypatch):
+    assert privacy._product_pays(nz, na) is product
+    monkeypatch.setattr(privacy, "_BLOCK", block)
+    rng = random.Random(100 * nz + na)
+    f = random_table(rng, 5, 7, na)
+    src = counts_source(f.x_labels, range(nz), [[rng.randint(1, 9) for _ in range(nz)]
+                                               for _ in f.x_labels])
+    assert src.z_size == nz
+    assert_matches_oracles(src, f)
+
+
+def test_pa_joint_peak_memory_stays_near_the_joint():
+    """|X| = |S| = |A| = 1024 and |Z| = 2: a full one-hot table would hold
+    2^30 cells, the joint holds 2^21."""
+    rng = np.random.default_rng(7)
+    n = 1024
+    T = rng.integers(0, n, (n, n))
+    f = FunctionTable(range(n), range(n), range(n), T).to_family("wide")
+    src = counts_source(f.x_labels, "ab", rng.integers(1, 1000, (n, 2)).tolist())
+    tracemalloc.start()
+    try:
+        joint = pa_joint(src, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * joint.num.nbytes + f.to_table().array.nbytes
+    for s in (0, 517, n - 1):  # the seed's cells, summed directly
+        cells = np.zeros((2, n), dtype=np.int64)
+        for x in range(n):
+            cells[:, T[x, s]] += src.num[x]
+        assert np.array_equal(joint.num[:, s, :], cells)
+    assert joint.num.sum() == src.den * n
+
+
+def test_distance_witness_is_the_first_strict_maximum():
+    f = FunctionTable([0, 1, 2], ["s"], ["k0", "k1", "k2"], [[0], [1], [2]]).to_family("id")
+    third = Fraction(1, 3)
+    seen = JointSource(f.x_labels, "abc", [[third if x == z else 0 for z in range(3)]
+                                           for x in range(3)])
+    assert security_distance(pa_joint(seen, f)) == (2, ("k0", "k1"))  # every pair is at 2
+    assert security_distance(pa_joint(uniform_source(f.x_labels), f)) == (0, ("k0", "k0"))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from mosaichash import (
     transversal,
 )
 from mosaichash.errors import (
+    BudgetExceeded,
     InfeasibleEpsilon,
     NotAnAutomorphism,
     NotHomomorphic,
@@ -252,6 +254,32 @@ def test_irregular_au_counts_no_bin_per_value_pair():
     agree = [int((T[i] == T[j]).sum()) for i, j in pairs]
     i, j = pairs[agree.index(max(agree))]
     assert min_epsilon(f, "AU") == (Fraction(max(agree), f.s_size), (f.x_labels[i], f.x_labels[j]))
+
+
+def test_classify_builds_no_value_table_larger_than_the_family():
+    """|A|^2 = 2^32 entries against |X||S| = 2^19: the linearity check
+    evaluates the value group's operation at the entries it reads."""
+    f = toeplitz(2, 16, 2)
+    tracemalloc.start()
+    try:
+        rep = classify(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    T = f.to_table().array
+    nonzero = [i for i, x in enumerate(f.x_labels) if x != f.x_group.zero]
+    hits = max(int(np.bincount(T[i], minlength=f.a_size).max()) for i in nonzero)
+    assert rep.eps_balanced == Fraction(hits, f.s_size) == Fraction(1, f.a_size)
+    assert not rep.regular and rep.eps_au == min_epsilon(f, "AU")[0]
+
+
+def test_balanced_epsilon_refuses_a_difference_table_over_budget():
+    f = toeplitz(2, 16, 2)
+    with pytest.raises(BudgetExceeded, match=r"65536\^2 = 4294967296 entry .* budget 10000000"):
+        balanced_epsilon(f)
+    with pytest.raises(BudgetExceeded, match=r"8\^2 = 64 entry subtraction table .* budget 20"):
+        balanced_epsilon(toeplitz(2, 3, 1), budget=20)  # its own 2 x 8 table fits
 
 
 def test_classify_evaluates_each_entry_once():
