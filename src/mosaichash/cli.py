@@ -2,7 +2,7 @@
 
 Structured JSON is the canonical output; ``--format table`` renders a
 human view of the same data.  Exit codes: 0 success, 1 verification or
-theorem failure, 2 usage or input error.
+theorem failure, 2 usage or input error or too little memory for the input.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def cmd_verify(args):
 
 
 def cmd_design(args):
-    from .designs import (Resolution, _design_params, analyze_structure, check_structure_theorems,
-                          dual_mosaic, find_resolution, mosaic_from_function, sum_mosaic)
+    from .designs import (Resolution, analyze_structure, check_structure_theorems, dual_mosaic,
+                          find_resolution, mosaic_from_function, sum_mosaic)
 
     if args.output and args.dual and args.sum:
         raise MosaicHashError("-o names one structure file: choose --dual or --sum")
@@ -123,9 +123,7 @@ def cmd_design(args):
     if args.theorems:
         rep = check_structure_theorems(fam, args.budget)
         out["theorems"] = rep.to_dict()
-        records = rep._member_counts
-        members = ([_design_params(*c) for c in records] if records
-                   else [analyze_structure(d) for d in mosaic.members])
+        members = rep.members or [analyze_structure(d) for d in mosaic.members]
         out["members"] = [p.to_dict() for p in members]
         if not rep.ok:
             rc = CHECK_FAILED
@@ -266,6 +264,9 @@ def main(argv=None):
         return CHECK_FAILED
     except (MosaicHashError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory for this input", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -26,6 +26,7 @@ from .families import (
 from .verify import _pair_counts, _representatives, _row_counts, classify, seed_lower_bounds
 
 DEFAULT_NODE_BUDGET = 10**6
+_BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
 
 
 class IncidenceStructure:
@@ -179,55 +180,59 @@ class DesignParams:
 
 def _present(counts):
     """The values of nonzero count in a histogram, in order."""
-    return tuple(np.flatnonzero(counts).tolist())
+    return tuple(itertools.compress(range(len(counts)), counts))
 
 
-def _half(g):
-    """(size, distinct diagonal entries, distinct off-diagonal entries) of a
-    square count matrix."""
-    g = g.astype(np.int64)
-    counts = np.bincount(g.ravel(), minlength=1)
-    on_diagonal = np.bincount(np.diagonal(g), minlength=len(counts))
-    return len(g), _present(on_diagonal), _present(counts - on_diagonal)
+def _exact(top):
+    """A float type in which every sum of 0/1 products up to top is exact."""
+    return np.float32 if top < 1 << 24 else np.float64
+
+
+def _rows(n):
+    """Slices of the rows of an n x n product, each a block of about _BLOCK entries."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _half(on, blocks):
+    """Half a counts record: the value histograms (entry k counts the entries
+    equal to k) of the diagonal and off-diagonal of a square count matrix, from
+    on, the diagonal's, and its row blocks; no entry exceeds the diagonal's top."""
+    off = -on  # the blocks' histograms add the diagonal back
+    for g in blocks:
+        off += np.bincount(g.astype(np.intp).ravel(), minlength=len(on))
+    return tuple(on.tolist()), tuple(off.tolist())
 
 
 def _counts(m):
-    """The counts record of a 0/1 matrix: its points half (v, the distinct row
-    sums and the distinct pair counts of m m^T) and its blocks half (b, the
-    distinct column sums and block intersections of m^T m); the dual's record
-    is the same two halves swapped.  A record holds only ints, so it is small
-    enough to keep.
+    """The counts record of a 0/1 matrix: its points half (the histograms of
+    the row sums and the pair counts of m m^T) and its blocks half (of the
+    column sums and block intersections of m^T m); the dual's record is the
+    same two halves swapped.  A record holds only ints, small enough to keep.
 
-    Both products run in float32, exact because every entry is a count of at
-    most max(v, b) and any matrix whose two products fit in memory has
-    max(v, b) < 2^24 (one product would otherwise hold 2^48 entries).
+    m is converted once, and each product taken one row block at a time, in
+    float32 while every row and column sum is below 2^24, which makes every
+    entry, a count of at most such a sum, exact, and in float64 beyond.
     """
-    m = np.asarray(m, dtype=np.float32)
-    return _half(m @ m.T), _half(m.T @ m)
+    m = np.asarray(m)
+    ons = [np.bincount(m.sum(axis=axis), minlength=1) for axis in (1, 0)]  # of row, column sums
+    m = m.astype(_exact(max(map(len, ons)) - 1))
+    return tuple(_half(on, (g[s] @ g.T for s in _rows(len(g)))) for g, on in zip((m, m.T), ons))
 
 
 def _design_params(points, blocks) -> DesignParams:
-    """DesignParams of the structure whose counts record is (points, blocks)."""
-    (v, row_sums, lams), (b, col_sums, numbers) = points, blocks
-    k = col_sums[0] if len(col_sums) == 1 else None
-    r = row_sums[0] if len(row_sums) == 1 else None
-    lam = lams[0] if len(lams) == 1 else None
-
+    """DesignParams of the structure whose counts record is (points, blocks),
+    read off which entries of its histograms are nonzero."""
+    v, b = sum(points[0]), sum(blocks[0])
+    row_sums, lams, col_sums, numbers = map(_present, (*points, *blocks))
+    k, r, lam = (vals[0] if len(vals) == 1 else None for vals in (col_sums, row_sums, lams))
     is_bibd = k is not None and lam is not None and lam >= 1 and k >= 1
-    symmetric = is_bibd and len(numbers) == 1
-    quasi_symmetric = is_bibd and len(numbers) == 2
-
-    relations_ok = True
-    if k is not None and r is not None:
-        relations_ok = relations_ok and b * k == v * r
-    if is_bibd and r is not None:
-        relations_ok = relations_ok and lam * (v - 1) == r * (k - 1)
-    affine_block_count = r is not None and b == v + r - 1
-
+    relations_ok = (k is None or r is None or b * k == v * r) and (
+        not is_bibd or r is None or lam * (v - 1) == r * (k - 1))
     return DesignParams(
-        v, b, k, r, lam, is_bibd, numbers, symmetric, quasi_symmetric, relations_ok,
-        affine_block_count,
-    )
+        v, b, k, r, lam, is_bibd, numbers, symmetric=is_bibd and len(numbers) == 1,
+        quasi_symmetric=is_bibd and len(numbers) == 2, relations_ok=relations_ok,
+        affine_block_count=r is not None and b == v + r - 1)
 
 
 def analyze_structure(d: IncidenceStructure) -> DesignParams:
@@ -421,8 +426,8 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
                   node_budget=DEFAULT_NODE_BUDGET) -> bool:
     """Exact test for row and column permutations taking a's matrix to b's.
 
-    Cheap invariants first: the shape, the sorted row and column sums and
-    the sorted entries of A A^T and A^T A.  Then individualisation-refinement
+    Cheap invariants first: the shape and the two counts records (``_counts``),
+    the same for any isomorphic copy.  Then individualisation-refinement
     on the point-block incidence graph (McKay & Piperno 2014): A follows one
     path that individualises the first point of its first largest row cell,
     and B tries every point of the matching cell, each refinement compared
@@ -434,17 +439,12 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     multisets: an isomorphism.  Every refinement of B is a node; past
     node_budget nodes SearchBudgetExceeded states the nodes used and the budget.
     """
-    A, B = a.matrix.astype(np.float64), b.matrix.astype(np.float64)
-    if A.shape != B.shape:
+    if a.matrix.shape != b.matrix.shape or _counts(a.matrix) != _counts(b.matrix):
         return False
-    for inv in (lambda m: m.sum(axis=0), lambda m: m.sum(axis=1),
-                lambda m: m @ m.T, lambda m: m.T @ m):
-        if not np.array_equal(np.sort(inv(A), axis=None), np.sort(inv(B), axis=None)):
-            return False
-    if A.size == 0:
+    if a.matrix.size == 0:
         return True
     inc_a, inc_b = np.nonzero(a.matrix), np.nonzero(b.matrix)
-    start = np.zeros(A.shape[0], dtype=np.int64), np.zeros(A.shape[1], dtype=np.int64)
+    start = np.zeros(a.v, dtype=np.int64), np.zeros(a.b, dtype=np.int64)
     path = [_refine(inc_a, *start)]  # A's colourings and trace at each depth
     stack = [(0, start)]  # B's nodes: depth and colouring before refinement
     nodes = 0
@@ -481,8 +481,7 @@ class TheoremReport:
     family: str
     implications: list = field(default_factory=list)  # (name, details)
     violations: list = field(default_factory=list)
-    # the member counts records the checks read, for ``design --theorems``; None if none did
-    _member_counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    members: list | None = None  # the member DesignParams the checks read; None if none did
 
     @property
     def ok(self):
@@ -498,38 +497,43 @@ class TheoremReport:
 
 
 def _sum_counts(f: HashFamily, T):
-    """The counts record of f's sum mosaic, read off f's table T.
+    """The counts record of f's sum mosaic, read off f's table T, its block
+    intersections marked present, not counted.
 
     Points x, x' share one block per seed where they agree, so the pair counts
-    are the agreement product, summed over the level sets T == a; each point
-    lies in one block per seed.  Block (s, a) has #{x : T[x, s] = a} points.
-    Blocks of one seed are disjoint, and blocks (s, a), (s', a') of two seeds
-    meet in the pair count of seeds s, s' and values a, a' of the transposed
-    table, constant on the orbits of f's automorphisms, so only the seeds least
-    in their orbit are scanned.
+    are the agreement matrix, summed over the level sets T == a by row blocks,
+    in float32 while |S| < 2^24; each point lies in one block per seed.  Block
+    (s, a) has #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and
+    blocks (s, a), (s', a') of two seeds meet in the pair count of seeds s, s'
+    and values a, a' of the transposed table, constant on the orbits of f's
+    automorphisms, so only the seeds least in their orbit are scanned.
     """
     X, S, A = f.x_size, f.s_size, f.a_size
-    agree = np.zeros((X, X), dtype=np.float32)
+    dtype, rows = _exact(S), _rows(X)
+    agree = np.zeros((X, X), dtype=dtype)
     for a in range(A):
-        m = (T == a).astype(np.float32)
-        agree += m @ m.T
+        m = (T == a).astype(dtype)
+        for s in rows:
+            agree[s] += m[s] @ m.T
     seen = np.zeros(X + 1, dtype=bool)
     seen[0] = A >= 2
     seeds = np.ascontiguousarray(T.T)
     for _, _, counts in _pair_counts(seeds, A, rows=_representatives(f, T, side=1)):
         seen[counts] = True
     sizes = np.bincount(_row_counts(seeds, A).ravel())
-    return _half(agree), (S * A, _present(sizes), _present(seen))
+    return (_half(np.bincount(np.full(X, S), minlength=1), (agree[s] for s in rows)),
+            (tuple(sizes.tolist()), tuple(seen.tolist())))
 
 
 def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> TheoremReport:
     """Cross-check every applicable bound-equality/structure implication.
 
-    Member a is the level set T == a of f's table, counted one at a time
-    (``_counts``); its dual reads the same record.  The sum mosaic's record
-    comes from the table (``_sum_counts``), and the sum is always resolvable:
-    the seed classes {(s, a) : a in A} partition every point set, and they are
-    the resolution ``find_resolution`` returns.
+    Member a is the level set T == a of f's table, counted one at a time by
+    ``_counts`` (in float32 while its row and column sums are below 2^24); its
+    dual reads the same record, and its DesignParams go on ``members``.  The
+    sum mosaic's record comes from the table (``_sum_counts``), and the sum is
+    always resolvable: the seed classes {(s, a) : a in A} partition every point
+    set, and they are the resolution ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)
@@ -543,41 +547,24 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
             report.violations.append(name)
 
     if rep.ocfu or variance:
-        report._member_counts = records = tuple(_counts(T == a) for a in range(A))
+        records = [_counts(T == a) for a in range(A)]
+        report.members = [_design_params(*c) for c in records]
 
     if rep.ocfu:
         lam = rep.eps_acfu * Fraction(S, A)
         expect = dict(v=X, k=X // A, lam=lam, b=S, r=S // A)
-        ok = True
-        for p in itertools.starmap(_design_params, records):
-            if not (
-                p.is_bibd
-                and p.v == X
-                and p.k == X // A
-                and Fraction(p.lam) == lam
-                and p.b == S
-                and p.r == S // A
-            ):
-                ok = False
+        ok = all(p.is_bibd and (p.v, p.k, Fraction(p.lam), p.b, p.r) == (X, X // A, lam, S, S // A)
+                 for p in report.members)
         record("ocfu_members_are_bibds", ok, {k: str(v) for k, v in expect.items()})
 
     if variance:
         mu = rep.eps_acfu * Fraction(S, A)
-        ok = True
-        details = {"mu": str(mu)}
-        for points, blocks in records:
-            p = _design_params(blocks, points)
-            if not (p.quasi_symmetric and set(p.intersection_numbers) == {0, mu}):
-                ok = False
-            else:
-                # mu = (k-1)(lambda-1)/(r-1) + 1 for intersection numbers {0, mu}
-                if p.r is not None and p.r > 1:
-                    mu_formula = Fraction((p.k - 1) * (p.lam - 1), p.r - 1) + 1
-                    if mu_formula != mu:
-                        ok = False
-                if p.symmetric:
-                    ok = False
-        record("variance_equality_dual_quasi_symmetric", ok, details)
+        duals = (_design_params(blocks, points) for points, blocks in records)
+        # mu = (k-1)(lambda-1)/(r-1) + 1 for intersection numbers {0, mu}
+        ok = all(p.quasi_symmetric and set(p.intersection_numbers) == {0, mu} and (
+            p.r is None or p.r <= 1 or Fraction((p.k - 1) * (p.lam - 1), p.r - 1) + 1 == mu)
+            for p in duals)
+        record("variance_equality_dual_quasi_symmetric", ok, {"mu": str(mu)})
 
     if rep.ou:
         p = _design_params(*_sum_counts(f, T))

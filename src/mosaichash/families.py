@@ -471,10 +471,11 @@ def toeplitz(q: int, m: int, n: int) -> HashFamily:
     a_labels = _all_vectors(field, m)
 
     def index_fn(xi, si):
-        h, x = _digits(si, q, m + n - 1), _digits(xi, q, n)
+        x = _digits(xi, q, n)
         value = 0
-        for i in range(m):  # row i reads h[i + n - 1], ..., h[i] against x[0], ..., x[n-1]
-            value = value * q + _dot(field, h[i:i + n][::-1], x)
+        for i in range(m):  # row i reads h[i + n - 1 - j] = si // q**(m - 1 - i + j) % q
+            row = (si // q ** (m - 1 - i + j) % q for j in range(n))  # against x[j], one at a time
+            value = value * q + _dot(field, row, x)
         return value
 
     return _formula_family(

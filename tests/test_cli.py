@@ -1,7 +1,9 @@
+import ast
 import json
 import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from mosaichash import (
     toeplitz,
     uniform_source,
 )
-from mosaichash import designs
+from mosaichash import cli, designs
 from mosaichash.cli import main
 from oracles import oracle_design_params, ref_field_multiply
 from util import flip_source, run_python
@@ -419,6 +421,27 @@ def test_bad_json_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "construct", str(fam), "--seed-ext", "--latin", str(latin))
         assert code == 2 and why in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """Exit 1 says a check failed; a command that cannot finish is an input error."""
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+
+    def exhausted(f, budget):
+        raise MemoryError
+    monkeypatch.setattr(cli, "classify", exhausted)
+    code, out, err = run(capsys, "verify", str(fam))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "mosaichash")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 @pytest.mark.parametrize("n, code", [("0", 2), ("-2", 2), ("1", 0)])

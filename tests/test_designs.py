@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.designs import _design_params, _refine, _split
+from mosaichash.designs import _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
@@ -582,6 +583,20 @@ def test_analyze_structure_matches_integer_loops():
         assert analyze_structure(d).to_dict() == oracle_design_params(d.matrix.tolist())
 
 
+def test_analyze_structure_counts_a_wide_matrix_by_row_blocks():
+    """m^T m of 3 x 6000 holds 36e6 entries, 144 MB in float32: the blocks
+    intersections are counted one row block of the product at a time."""
+    d = IncidenceStructure(np.random.default_rng(5).integers(0, 2, size=(3, 6000)))
+    tracemalloc.start()
+    try:
+        p = analyze_structure(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert p.to_dict() == oracle_design_params(d.matrix.tolist())
+
+
 def test_find_resolution_of_any_sum_is_its_seed_classes():
     """The blocks (s, a) of one seed partition the points, and the search
     takes them in index order, so it returns the seed classes, empty blocks
@@ -602,7 +617,17 @@ def test_find_resolution_of_any_sum_is_its_seed_classes():
 ], ids=repr)
 def test_theorem_reports_match_the_oracle_on_named_families(kind, args, kwargs):
     f = getattr(mosaichash, kind)(*args, **kwargs)
-    assert check_structure_theorems(f).to_dict() == oracle_theorem_report(f, classify(f))
+    report, rep = check_structure_theorems(f), classify(f)
+    assert report.to_dict() == oracle_theorem_report(f, rep)
+    _assert_members(f, report, rep)
+
+
+def _assert_members(f, report, rep):
+    """The report's members are those of the member checks, None without one."""
+    if rep.ocfu or (rep.regular and rep.equality.get("variance")):
+        assert report.members == [analyze_structure(d) for d in mosaic_from_function(f).members]
+    else:
+        assert report.members is None
 
 
 def test_theorem_reports_match_the_oracle_on_random_regular_tables():
@@ -611,9 +636,10 @@ def test_theorem_reports_match_the_oracle_on_random_regular_tables():
     for _ in range(40):
         na = rng.choice([2, 3, 4])
         f = random_regular_table(rng, rng.randint(na + 1, 9), na * rng.randint(1, 5), na)
-        report = check_structure_theorems(f).to_dict()
-        assert report == oracle_theorem_report(f, classify(f))
-        checked.update((i["name"], i["ok"]) for i in report["implications"])
+        report, rep = check_structure_theorems(f), classify(f)
+        assert report.to_dict() == oracle_theorem_report(f, rep)
+        _assert_members(f, report, rep)
+        checked.update((i["name"], i["ok"]) for i in report.implications)
     # some tables meet the variance bound with equality; none has quasi-symmetric duals
     assert checked == {("variance_equality_dual_quasi_symmetric", False)}
 
@@ -649,10 +675,9 @@ def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch
         report = check_structure_theorems(f)
         assert report.to_dict() == oracle_theorem_report(f, forced(f, 10**7))
         assert not report.ok
-        records = report._member_counts  # the member parameters design --theorems prints
-        assert records is not None or flag == "ou"
-        assert records is None or [_design_params(*c).to_dict() for c in records] == \
-            _oracle_members(f)
+        members = report.members  # the member parameters design --theorems prints
+        assert members is not None or flag == "ou"
+        assert members is None or [p.to_dict() for p in members] == _oracle_members(f)
 
 
 def _seed_classes(f):

@@ -195,6 +195,22 @@ def test_toeplitz_matches_manual_matrix_product():
         toeplitz(2, 0, 3)
 
 
+def test_toeplitz_table_reads_one_seed_digit_at_a_time():
+    """The 4 MB table of toeplitz(2,16,2) is built without holding all 17
+    seed-digit arrays over its 2^17 seeds at once."""
+    f = toeplitz(2, 16, 2)
+    tracemalloc.start()
+    try:
+        T = f.to_table().array
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    rng = random.Random(7)
+    for x, s in [(rng.randrange(f.x_size), rng.randrange(f.s_size)) for _ in range(50)]:
+        assert f.a_labels[T[x, s]] == f.evaluate(f.x_labels[x], f.s_labels[s])
+
+
 def test_field_multiply_parameters():
     f = field_multiply(2, 3, 1, exclude_zero=True)
     assert f.x_size == 8 and f.s_size == 7 and f.a_size == 2
