@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import MosaicHashError, TheoremViolation
 from .families import (
@@ -50,13 +51,9 @@ def _table_lines(data, prefix=""):
     return lines
 
 
-def _load_table(path) -> FunctionTable:
-    with open(path) as fh:
-        return FunctionTable.from_json(fh.read())
-
-
 def _load_family(path) -> HashFamily:
-    return _load_table(path).to_family(name=path)
+    with open(path) as fh:
+        return FunctionTable.from_json(fh.read()).to_family(name=path)
 
 
 def _write(path, text):
@@ -255,19 +252,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
-    except (MosaicHashError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except MemoryError:
-        print("error: out of memory for this input", file=sys.stderr)
-        return USAGE_ERROR
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():  # each library warning as one stderr line
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except TheoremViolation as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return CHECK_FAILED
+        except (MosaicHashError, OSError, json.JSONDecodeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except MemoryError:
+            print("error: out of memory for this input", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

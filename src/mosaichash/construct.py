@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainMismatch, NotBalanced, TheoremViolation
+from .errors import BudgetExceeded, DomainMismatch, NotBalanced, TheoremViolation, TrivialDomain
 from .families import (
     DEFAULT_TABLE_BUDGET,
     HashFamily,
@@ -88,6 +88,8 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
+    if a.s_size == 0:
+        raise TrivialDomain(f"{a.name} has an empty seed set; every epsilon is a share of |S|")
     if a.a_size**2 > budget:
         raise BudgetExceeded(f"{a.a_size}^2 = {a.a_size**2} entry subtraction table of "
                              f"{a.name} exceeds budget {budget}")

@@ -23,7 +23,8 @@ from .families import (
     encode_label,
     json_fields,
 )
-from .verify import _pair_counts, _representatives, _row_counts, classify, seed_lower_bounds
+from .verify import (_pair_counts, _pair_pass, _representatives, _row_counts, classify,
+                     seed_lower_bounds)
 
 DEFAULT_NODE_BUDGET = 10**6
 _BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
@@ -183,41 +184,28 @@ def _present(counts):
     return tuple(itertools.compress(range(len(counts)), counts))
 
 
-def _exact(top):
-    """A float type in which every sum of 0/1 products up to top is exact."""
-    return np.float32 if top < 1 << 24 else np.float64
-
-
-def _rows(n):
-    """Slices of the rows of an n x n product, each a block of about _BLOCK entries."""
-    step = max(1, _BLOCK // max(n, 1))
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
-def _half(on, blocks):
-    """Half a counts record: the value histograms (entry k counts the entries
-    equal to k) of the diagonal and off-diagonal of a square count matrix, from
-    on, the diagonal's, and its row blocks; no entry exceeds the diagonal's top."""
-    off = -on  # the blocks' histograms add the diagonal back
-    for g in blocks:
-        off += np.bincount(g.astype(np.intp).ravel(), minlength=len(on))
-    return tuple(on.tolist()), tuple(off.tolist())
-
-
 def _counts(m):
     """The counts record of a 0/1 matrix: its points half (the histograms of
     the row sums and the pair counts of m m^T) and its blocks half (of the
-    column sums and block intersections of m^T m); the dual's record is the
-    same two halves swapped.  A record holds only ints, small enough to keep.
+    column sums and block intersections of m^T m), where a histogram's entry k
+    counts the entries equal to k; the dual's record is the same two halves
+    swapped.  A record holds only ints, small enough to keep.
 
-    m is converted once, and each product taken one row block at a time, in
-    float32 while every row and column sum is below 2^24, which makes every
-    entry, a count of at most such a sum, exact, and in float64 beyond.
+    m is converted once, and each product g g^T taken one row block of about
+    _BLOCK entries at a time, in float32 while every row and column sum is
+    below 2^24, which makes every entry, a count of at most such a sum, exact,
+    and in float64 beyond.  No entry exceeds the diagonal's top.
     """
     m = np.asarray(m)
     ons = [np.bincount(m.sum(axis=axis), minlength=1) for axis in (1, 0)]  # of row, column sums
-    m = m.astype(_exact(max(map(len, ons)) - 1))
-    return tuple(_half(on, (g[s] @ g.T for s in _rows(len(g)))) for g, on in zip((m, m.T), ons))
+    m = m.astype(np.float32 if max(map(len, ons)) <= 1 << 24 else np.float64)
+    halves = []
+    for g, on in zip((m, m.T), ons):
+        off, step = -on, max(1, _BLOCK // max(len(g), 1))  # the blocks add the diagonal back
+        for i in range(0, len(g), step):
+            off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
+        halves.append((tuple(on.tolist()), tuple(off.tolist())))
+    return tuple(halves)
 
 
 def _design_params(points, blocks) -> DesignParams:
@@ -497,31 +485,25 @@ class TheoremReport:
 
 
 def _sum_counts(f: HashFamily, T):
-    """The counts record of f's sum mosaic, read off f's table T, its block
-    intersections marked present, not counted.
+    """The counts record of f's sum mosaic, read off f's table T, its pair counts
+    and block intersections marked present, not counted.
 
-    Points x, x' share one block per seed where they agree, so the pair counts
-    are the agreement matrix, summed over the level sets T == a by row blocks,
-    in float32 while |S| < 2^24; each point lies in one block per seed.  Block
-    (s, a) has #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and
-    blocks (s, a), (s', a') of two seeds meet in the pair count of seeds s, s'
-    and values a, a' of the transposed table, constant on the orbits of f's
+    Each point lies in one block per seed, and points x, x' share one block per
+    seed where they agree: the pair counts are the agreement counts that
+    verify's memoised pair pass marked (``_pair_pass``).  Block (s, a) has
+    #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and blocks
+    (s, a), (s', a') of two seeds meet in the pair count of seeds s, s' and
+    values a, a' of the transposed table, constant on the orbits of f's
     automorphisms, so only the seeds least in their orbit are scanned.
     """
     X, S, A = f.x_size, f.s_size, f.a_size
-    dtype, rows = _exact(S), _rows(X)
-    agree = np.zeros((X, X), dtype=dtype)
-    for a in range(A):
-        m = (T == a).astype(dtype)
-        for s in rows:
-            agree[s] += m[s] @ m.T
     seen = np.zeros(X + 1, dtype=bool)
     seen[0] = A >= 2
     seeds = np.ascontiguousarray(T.T)
     for _, _, counts in _pair_counts(seeds, A, rows=_representatives(f, T, side=1)):
         seen[counts] = True
     sizes = np.bincount(_row_counts(seeds, A).ravel())
-    return (_half(np.bincount(np.full(X, S), minlength=1), (agree[s] for s in rows)),
+    return (((0,) * S + (X,), tuple(_pair_pass(f, T)["agree"].tolist())),
             (tuple(sizes.tolist()), tuple(seen.tolist())))
 
 
@@ -531,9 +513,10 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
     Member a is the level set T == a of f's table, counted one at a time by
     ``_counts`` (in float32 while its row and column sums are below 2^24); its
     dual reads the same record, and its DesignParams go on ``members``.  The
-    sum mosaic's record comes from the table (``_sum_counts``), and the sum is
-    always resolvable: the seed classes {(s, a) : a in A} partition every point
-    set, and they are the resolution ``find_resolution`` returns.
+    sum mosaic's record comes from the table (``_sum_counts``), its pair counts
+    being the agreement counts of classify's pair pass, and the sum is always
+    resolvable: the seed classes {(s, a) : a in A} partition every point set,
+    and they are the resolution ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)

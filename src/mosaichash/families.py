@@ -242,7 +242,7 @@ class HashFamily:
         self.a_group = a_group
         self.automorphisms = ()
         self._table = None
-        self._pairs = None  # verify's AU, ACFU and ASU results, from one pass
+        self._pairs = None  # verify's AU, ACFU and ASU results and agreement counts, from one pass
 
     @property
     def x_size(self):

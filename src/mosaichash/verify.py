@@ -9,15 +9,18 @@ the diagonal sum, the largest diagonal bin and the largest bin of
 ``_pair_counts``, the collision histogram N(x, x', a, a') over the pair
 code a*|A| + a'.  An irregular table has AU alone, the seeds where two
 rows agree, O(|S|) per pair where the histogram has |A|^2 bins;
-``construct.balanced_epsilon`` counts each pair's differences alike.
-N is invariant under a family's verified automorphisms (pi, sigma,
-tau), T[pi x, sigma s] = tau(T[x, s]), so only rows r that are the least
-of their X-orbit are counted (Kramer and Mesner's orbit method).  A
-witness is the first strict maximum in the scan order x, x', a, a' (label
-order); the first row to reach a maximum is such an r, as (x, x') maps to
-(r, y) with r <= x and, if y < r, on to (r', z) with r' <= y.  All
-epsilons and bound values are exact ``Fraction``s, so equality against
-the lower bounds is decidable with zero tolerance.
+``construct.balanced_epsilon`` counts each pair's differences alike.  The
+pass also marks which agreement counts #{s : T[x, s] = T[x', s]} occur: the
+sum mosaic's pair counts (``designs._sum_counts``).  N is invariant under a
+family's verified automorphisms (pi, sigma, tau), T[pi x, sigma s] =
+tau(T[x, s]), so only rows r that are the least of their X-orbit are
+counted (Kramer and Mesner's orbit method).  A witness is the first strict
+maximum in the scan order x, x', a, a' (label order); the first row to
+reach a maximum is such an r, as (x, x') maps to (r, y) with r <= x and,
+if y < r, on to (r', z) with r' <= y.  That descent takes every pair to a
+scanned one of equal counts, so the marked set is exact too.  All epsilons
+and bound values are exact ``Fraction``s, so equality against the lower
+bounds is decidable with zero tolerance.
 """
 
 from __future__ import annotations
@@ -107,19 +110,26 @@ def _representatives(f: HashFamily, T, side=0):
 
 
 def _pair_classes(f: HashFamily, T):
-    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular."""
+    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular, and
+    under "agree" the agreement counts: agree[c] iff some x != x' agree on c seeds."""
     X, A, na = f.x_labels, f.a_labels, f.a_size
     block, rows = _block_size(_row_counts(T, na), f.s_size), _representatives(f, T)
+    seen = np.zeros(f.s_size + 1, dtype=bool)
+
+    def agree(hits):  # a block's agreement counts, its row sums, marked in seen
+        counts = hits.sum(axis=1, keepdims=True)
+        seen[counts] = True
+        return counts
+
     if block is None:  # AU alone: the seeds where x and x' agree, O(|S|) per pair
         names = ("AU",)
-        found = _pair_max((i, j, (row == rest).sum(axis=1, keepdims=True))
-                          for i, j, row, rest in _pair_blocks(T, rows))
+        found = _pair_max((i, j, agree(row == rest)) for i, j, row, rest in _pair_blocks(T, rows))
     else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
         diag = np.arange(na) * (na + 1)  # the codes a*na + a
         names = ("AU", "ACFU", "ASU")
         found = _pair_max(_pair_counts(T, na, rows), (
-            lambda c: c[:, diag].sum(axis=1, keepdims=True), lambda c: c[:, diag], lambda c: c))
-    out = {}
+            lambda c: agree(c[:, diag]), lambda c: c[:, diag], lambda c: c))
+    out = {"agree": seen}
     for name, (best, where) in zip(names, found):
         if where is None:
             out[name] = Fraction(0), None
@@ -129,6 +139,13 @@ def _pair_classes(f: HashFamily, T):
         out[name] = (Fraction(best, f.s_size if name == "AU" else block),
                      (X[i], X[j], *(A[k] for k in values)))
     return out
+
+
+def _pair_pass(f: HashFamily, T):
+    """f's memoised ``_pair_classes``, counted on T at the first call."""
+    if f._pairs is None:
+        f._pairs = _pair_classes(f, T)
+    return f._pairs
 
 
 @dataclass
@@ -198,11 +215,10 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
         raise TrivialDomain(f"{f.name} has an empty seed set; every epsilon is a share of |S|")
     T = f.to_table(budget).array
     if hash_class != "BALANCED":
-        if f._pairs is None:
-            f._pairs = _pair_classes(f, T)
-        if hash_class not in f._pairs:
+        pairs = _pair_pass(f, T)
+        if hash_class not in pairs:
             raise NotRegular(f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable")
-        return f._pairs[hash_class]
+        return pairs[hash_class]
 
     X, A, na = f.x_labels, f.a_labels, f.a_size
     if not _homomorphic_in_x(f, T):
@@ -351,7 +367,7 @@ class VerificationReport:
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
     found = {"AU": min_epsilon(f, "AU", budget)}  # memoises ACFU and ASU too if f is regular
-    found.update((name, min_epsilon(f, name, budget)) for name in f._pairs if name != "AU")
+    found.update((n, min_epsilon(f, n, budget)) for n in ("ACFU", "ASU") if n in f._pairs)
     witnesses = {name: w for name, (_, w) in found.items()}
     eps_au, eps_acfu, eps_asu = (found.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
     regular = eps_acfu is not None

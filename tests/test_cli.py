@@ -146,7 +146,7 @@ def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "{f}"], ["design", "{f}", "--theorems"],
-                                  ["pa", "{src}", "{f}"]])
+                                  ["pa", "{src}", "{f}"], ["construct", "{f}", "--double-ext"]])
 def test_empty_seed_set_exits_2(tmp_path, capsys, argv):
     path = tmp_path / "f.json"
     path.write_text(FunctionTable(range(3), [], range(2), [[], [], []]).to_json())
@@ -155,6 +155,23 @@ def test_empty_seed_set_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(f=path, src=src) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "empty seed set" in err
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["construct", "{irregular}", "--point-ext"],
+     "point extension of irregular {irregular}: the result fails (ACFU1)"),
+    (["pa", "{src}", "{regular}"], "dropping z letters with zero mass"),
+], ids=["construct", "pa"])
+def test_library_warnings_print_as_one_line(tmp_path, capsys, argv, warning):
+    paths = {"irregular": tmp_path / "i.json", "regular": tmp_path / "r.json",
+             "src": tmp_path / "src.json"}
+    paths["irregular"].write_text(FunctionTable([0, 1], [0, 1], [0, 1], [[0, 1], [0, 0]]).to_json())
+    paths["regular"].write_text(FunctionTable([0, 1], [0, 1], [0, 1], [[0, 1], [1, 0]]).to_json())
+    paths["src"].write_text(json.dumps({"x_labels": [0, 1], "z_labels": ["z", "dead"],
+                                        "probabilities": [["1/2", "0"], ["1/2", "0"]]}))
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 0 and out
+    assert err == f"warning: {warning.format(**paths)}\n"
 
 
 def test_design_resolve(tmp_path, capsys):

@@ -35,6 +35,7 @@ from mosaichash.errors import (
     NotHomomorphic,
     NotLatinSquare,
     TheoremViolation,
+    TrivialDomain,
 )
 from mosaichash.families import INFINITY, FunctionTable, field_group, vector_group
 from oracles import (
@@ -186,6 +187,14 @@ def test_balanced_epsilon_of_one_point_family_is_zero():
     f = HashFamily("one point", [0], field.elements(), field.elements(),
                    lambda x, s: s, a_group=field_group(field))
     assert balanced_epsilon(f) == (Fraction(0), None)
+
+
+def test_balanced_epsilon_rejects_an_empty_seed_set():
+    f = FunctionTable(range(3), [], range(2), [[], [], []]).to_family("empty")
+    f.a_group = mosaichash.cyclic_group(range(2))
+    for build in (balanced_epsilon, double_extension):
+        with pytest.raises(TrivialDomain, match="empty seed set"):
+            build(f)
 
 
 def test_krawczyk_lift_is_asu():

@@ -650,10 +650,9 @@ def _oracle_members(f):
             for a in range(f.a_size)]
 
 
-@pytest.mark.parametrize("flag", ["ocfu", "variance", "ou"])
-def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch, flag):
-    """Each check forced on random regular tables and on planted tables, whose
-    automorphism makes the sum's scan read orbit representatives only."""
+def _force(monkeypatch, flag):
+    """Make check_structure_theorems read classify reports with flag set, and
+    return that classify."""
     real = mosaichash.designs.classify
 
     def forced(f, budget):
@@ -665,6 +664,14 @@ def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch
         return rep
 
     monkeypatch.setattr(mosaichash.designs, "classify", forced)
+    return forced
+
+
+@pytest.mark.parametrize("flag", ["ocfu", "variance", "ou"])
+def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch, flag):
+    """Each check forced on random regular tables and on planted tables, whose
+    automorphism makes the sum's scan read orbit representatives only."""
+    forced = _force(monkeypatch, flag)
     rng = random.Random(23)
     for n in range(12):
         na = rng.choice([2, 3])
@@ -678,6 +685,38 @@ def test_theorem_checks_fail_on_tables_whose_members_are_not_designs(monkeypatch
         members = report.members  # the member parameters design --theorems prints
         assert members is not None or flag == "ou"
         assert members is None or [p.to_dict() for p in members] == _oracle_members(f)
+
+
+def test_forced_ou_checks_match_the_oracle_on_irregular_and_value_moving_families(monkeypatch):
+    """The sum's pair counts are the agreement counts of classify's pass: exact
+    on irregular tables, whose pass counts agreements alone, and under
+    automorphisms that move values or split the point orbits."""
+    forced = _force(monkeypatch, "ou")
+    rng = random.Random(29)
+    families = [transversal(q, include_infinity=inf) for q in (3, 4, 5) for inf in (False, True)]
+    families.append(field_multiply(2, 4, 2))
+    for _ in range(12):
+        na = rng.choice([2, 3])
+        families.append(random_table(rng, rng.randint(na + 1, 9), rng.randint(1, 8), na))
+    assert not all(classify(f).regular for f in families)
+    for f in families:
+        report = check_structure_theorems(f)
+        assert report.to_dict() == oracle_theorem_report(f, forced(f, 10**7))
+
+
+@pytest.mark.parametrize("table_backed", [False, True])
+def test_theorem_checks_reuse_the_pair_pass_of_classify(monkeypatch, table_backed):
+    f = affine(4, 2)
+    if table_backed:
+        f = f.to_table().to_family("a42")
+    real, calls = mosaichash.verify._pair_classes, []
+    monkeypatch.setattr(mosaichash.verify, "_pair_classes",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = classify(f)
+    report = check_structure_theorems(f)
+    assert rep.ou and report.ok
+    assert "ou_sum_is_resolvable_bibd" in [i["name"] for i in report.implications]
+    assert len(calls) == 1
 
 
 def _seed_classes(f):
