@@ -21,20 +21,20 @@ from .families import (
     build_named,
     cyclic_group,
 )
-from .verify import classify, min_epsilon
+from .verify import classify, min_epsilon, rational_str
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
 def _emit(data: dict, fmt: str, path=None):
+    """data as JSON or table lines, to the file at path or else to stdout."""
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
     else:
         text = "\n".join(_table_lines(data))
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, text)
     else:
         print(text)
 
@@ -58,7 +58,17 @@ def _load_family(path) -> HashFamily:
 
 def _write(path, text):
     with open(path, "w") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+        print(text, file=fh)
+
+
+def _write_family(fam: HashFamily, args, **note):
+    """The tail of family and construct: fam's table to -o, its summary to stdout."""
+    table = fam.to_table(args.budget)
+    if args.output:
+        _write(args.output, table.to_json())
+    _emit({"family": fam.name, "x_size": fam.x_size, "s_size": fam.s_size,
+           "a_size": fam.a_size, "output": args.output, **note}, args.format)
+    return 0
 
 
 def _parse_params(pairs):
@@ -88,16 +98,7 @@ def cmd_family(args):
         params["include_infinity"] = args.infinity
     if kind == "field_multiply":
         params["exclude_zero"] = args.exclude_zero
-    fam = build_named(kind, **params)
-    table = fam.to_table(args.budget)
-    if args.output:
-        _write(args.output, table.to_json())
-    _emit(
-        {"family": fam.name, "x_size": fam.x_size, "s_size": fam.s_size,
-         "a_size": fam.a_size, "output": args.output},
-        args.format,
-    )
-    return 0
+    return _write_family(build_named(kind, **params), args)
 
 
 def cmd_verify(args):
@@ -160,7 +161,7 @@ def cmd_construct(args):
         eps2, _ = min_epsilon(f2, "ACFU", args.budget)
         fam = concatenate(f1, f2)
         bound = concatenation_bound(eps1, eps2, f1.a_size)
-        note = {"acfu_bound": f"{bound.numerator}/{bound.denominator}"}
+        note = {"acfu_bound": rational_str(bound)}
     else:
         g = _load_family(args.inputs[0])
         q = cyclic = cyclic_group(g.a_labels)  # on the value labels, in their order
@@ -177,15 +178,7 @@ def cmd_construct(args):
             fam = double_extension(g, budget=args.budget)
         else:
             raise MosaicHashError("choose a construction")
-    table = fam.to_table(args.budget)
-    if args.output:
-        _write(args.output, table.to_json())
-    _emit(
-        {"family": fam.name, "x_size": fam.x_size, "s_size": fam.s_size,
-         "a_size": fam.a_size, "output": args.output, **note},
-        args.format,
-    )
-    return 0
+    return _write_family(fam, args, **note)
 
 
 def cmd_pa(args):

@@ -20,11 +20,10 @@ from .families import (
     FunctionTable,
     HashFamily,
     decode_label,
-    encode_label,
     json_fields,
 )
-from .verify import (_pair_counts, _pair_pass, _representatives, _row_counts, classify,
-                     seed_lower_bounds)
+from .verify import (_pair_counts, _pair_pass, _render, _representatives, _row_counts,
+                     classify, seed_lower_bounds)
 
 DEFAULT_NODE_BUDGET = 10**6
 _BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
@@ -57,13 +56,8 @@ class IncidenceStructure:
         return IncidenceStructure(self.matrix.T, self.block_indices, self.points)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "points": [encode_label(p) for p in self.points],
-                "block_indices": [encode_label(s) for s in self.block_indices],
-                "rows": self.matrix.tolist(),
-            }
-        )
+        return json.dumps({"points": self.points, "block_indices": self.block_indices,
+                           "rows": self.matrix.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceStructure":
@@ -120,12 +114,8 @@ class Mosaic:
                 for a in range(len(self.a_labels))]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a_labels": [encode_label(a) for a in self.a_labels],
-                "members": [json.loads(d.to_json()) for d in self.members],
-            }
-        )
+        return json.dumps({"a_labels": self.a_labels,
+                           "members": [json.loads(d.to_json()) for d in self.members]})
 
     @classmethod
     def from_json(cls, text: str) -> "Mosaic":
@@ -168,15 +158,8 @@ class DesignParams:
     affine_block_count: bool  # b = v + r - 1
 
     def to_dict(self):
-        return {
-            "v": self.v, "b": self.b, "k": self.k, "r": self.r, "lambda": self.lam,
-            "is_bibd": self.is_bibd,
-            "intersection_numbers": sorted(self.intersection_numbers),
-            "symmetric": self.symmetric,
-            "quasi_symmetric": self.quasi_symmetric,
-            "relations_ok": self.relations_ok,
-            "affine_block_count": self.affine_block_count,
-        }
+        return _render(self, "lam", **{"lambda": self.lam},
+                       intersection_numbers=sorted(self.intersection_numbers))
 
 
 def _present(counts):
@@ -476,12 +459,7 @@ class TheoremReport:
         return not self.violations
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "implications": self.implications,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+        return _render(self, "members", ok=self.ok)
 
 
 def _sum_counts(f: HashFamily, T):

@@ -3,7 +3,9 @@
 A family carries ordered, duplicate-free label sets for its three
 domains plus one index formula, value index = formula(x index, s index),
 on ints or broadcasting index arrays.  Labels are ints, strings, or
-(nested) tuples, so they round-trip through JSON as nested arrays.
+(nested) tuples, which ``json.dumps`` writes as nested arrays and
+``decode_label`` reads back.  A named builder raises BudgetExceeded before
+it enumerates a label set of more than DEFAULT_TABLE_BUDGET labels.
 
 A named family's formula runs its field's array arithmetic (``_add_ix``,
 ``_mul_ix``), a ``FunctionTable.to_family`` family indexes the table's array,
@@ -23,6 +25,7 @@ read an operation.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -42,12 +45,6 @@ DEFAULT_TABLE_BUDGET = 10**7
 
 #: label of the extra point row of the infinity-extended transversal family
 INFINITY = "inf"
-
-
-def encode_label(label):
-    if isinstance(label, tuple):
-        return [encode_label(x) for x in label]
-    return label
 
 
 def decode_label(obj):
@@ -123,13 +120,8 @@ class Quasigroup:
         return self.labels[int(np.flatnonzero(column == self._ix(a))[0])]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": [encode_label(a) for a in self.labels],
-                "rows": [[encode_label(self.labels[e]) for e in row]
-                         for row in self._table().tolist()],
-            }
-        )
+        rows = [[self.labels[e] for e in row] for row in self._table().tolist()]
+        return json.dumps({"labels": self.labels, "rows": rows})
 
     @classmethod
     def from_json(cls, text: str) -> "Quasigroup":
@@ -206,10 +198,15 @@ def _on_carrier(labels, q: Quasigroup, what):
 
 
 def _all_vectors(field: Field, t: int):
-    vecs = [()]
-    for _ in range(t):
-        vecs = [v + (c,) for v in vecs for c in field.elements()]
-    return vecs
+    return list(itertools.product(field.elements(), repeat=t))
+
+
+def _within_budget(name, **sizes):
+    """BudgetExceeded naming the first of sizes, label counts by domain, above
+    DEFAULT_TABLE_BUDGET; called before any label set is enumerated."""
+    for what, n in sizes.items():
+        if n > DEFAULT_TABLE_BUDGET:
+            raise BudgetExceeded(f"{n} {what} of {name} exceed budget {DEFAULT_TABLE_BUDGET}")
 
 
 class HashFamily:
@@ -343,14 +340,8 @@ class FunctionTable:
         return f
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x_labels": [encode_label(x) for x in self.x_labels],
-                "s_labels": [encode_label(s) for s in self.s_labels],
-                "a_labels": [encode_label(a) for a in self.a_labels],
-                "rows": self.array.tolist(),
-            }
-        )
+        return json.dumps({"x_labels": self.x_labels, "s_labels": self.s_labels,
+                           "a_labels": self.a_labels, "rows": self.array.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionTable":
@@ -365,13 +356,10 @@ class FunctionTable:
 
 
 def normalized_vectors(field: Field, t: int):
-    """Nonzero vectors of F_q^t whose first nonzero component is 1, in lex order."""
-    out = []
-    for v in _all_vectors(field, t):
-        nz = [c for c in v if c != field.zero]
-        if nz and nz[0] == field.one:
-            out.append(v)
-    return out
+    """Nonzero vectors of F_q^t whose first nonzero component is 1, in lex order:
+    the more leading zeros (index 0, the least), the earlier."""
+    return [(field.zero,) * i + (field.one,) + tail for i in reversed(range(t))
+            for tail in itertools.product(field.elements(), repeat=t - 1 - i)]
 
 
 def _digits(index, q: int, t: int):
@@ -392,9 +380,11 @@ def affine(q: int, t: int) -> HashFamily:
     if t < 1:
         raise UnsupportedParameters("the affine dimension t must be positive")
     field = field_for_order(q)
+    name = f"affine({q},{t})"
+    _within_budget(name, points=q**t, seeds=(q**t - 1) // (q - 1) * q)
     hs = normalized_vectors(field, t)
-    x_labels = _all_vectors(field, t)
-    s_labels = [(h, b) for h in hs for b in field.elements()]
+    x_group = vector_group(field, t)
+    s_labels = list(itertools.product(hs, field.elements()))
     h_columns = np.array(hs, dtype=np.int64).reshape(len(hs), t).T
 
     def index_fn(xi, si):
@@ -402,8 +392,8 @@ def affine(q: int, t: int) -> HashFamily:
         return field._add_ix(acc, si % q)
 
     f = _formula_family(
-        f"affine({q},{t})", x_labels, s_labels, field.elements(), index_fn,
-        x_group=vector_group(field, t), a_group=field_group(field),
+        name, x_group.labels, s_labels, field.elements(), index_fn,
+        x_group=x_group, a_group=field_group(field),
     )
     xs, ss = np.arange(f.x_size), np.arange(f.s_size)
     x, h, b = _digits(xs, q, t), h_columns[:, ss // q], ss % q
@@ -427,10 +417,13 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
     h_subset = list(field.elements() if h_subset is None else h_subset)
     if len(set(h_subset)) != len(h_subset) or any(not 0 <= h < q for h in h_subset):
         raise UnsupportedParameters("H must be a duplicate-free subset of F_q")
-    x_labels = [(h, y) for h in h_subset for y in field.elements()]
-    if include_infinity:
-        x_labels += [(INFINITY, y) for y in field.elements()]
-    s_labels = [(s1, s2) for s1 in field.elements() for s2 in field.elements()]
+    h_name = "" if h_subset == list(field.elements()) else f",H=[{','.join(map(str, h_subset))}]"
+    # H named in its given order, which orders the points
+    name = f"transversal({q}{h_name}{',' + INFINITY if include_infinity else ''})"
+    rows = h_subset + ([INFINITY] if include_infinity else [])
+    _within_budget(name, points=len(rows) * q, seeds=q * q)
+    x_labels = list(itertools.product(rows, field.elements()))
+    s_labels = list(itertools.product(field.elements(), repeat=2))
     # coefficients of (s1, s2) in point row r: (-h, 1) for h = h_subset[r], (1, 0) at infinity
     c1 = np.array([field.neg(h) for h in h_subset] + [field.one], dtype=np.int64)
     c2 = np.array([field.one] * len(h_subset) + [field.zero], dtype=np.int64)
@@ -439,12 +432,8 @@ def transversal(q: int, h_subset=None, include_infinity: bool = False) -> HashFa
         r, y = xi // q, xi % q
         return field._add_ix(_dot(field, (c1[r], c2[r]), (si // q, si % q)), y)
 
-    h_name = "" if h_subset == list(field.elements()) else f",H=[{','.join(map(str, h_subset))}]"
-    f = _formula_family(  # H named in its given order, which orders the points
-        f"transversal({q}{h_name}{',' + INFINITY if include_infinity else ''})",
-        x_labels, s_labels, field.elements(), index_fn,
-        a_group=field_group(field),
-    )
+    f = _formula_family(name, x_labels, s_labels, field.elements(), index_fn,
+                        a_group=field_group(field))
     xs, ss, values = np.arange(f.x_size), np.arange(q * q), np.arange(q)
     r, y, s1, s2 = xs // q, xs % q, ss // q, ss % q
     # (h, y) -> (h, y + w) on every row with a -> a + w: one orbit per row of H
@@ -466,9 +455,9 @@ def toeplitz(q: int, m: int, n: int) -> HashFamily:
     if m < 1 or n < 1:
         raise UnsupportedParameters("Toeplitz dimensions must be positive")
     field = field_for_order(q)
-    x_labels = _all_vectors(field, n)
-    s_labels = _all_vectors(field, m + n - 1)
-    a_labels = _all_vectors(field, m)
+    name = f"toeplitz({q},{m},{n})"
+    _within_budget(name, points=q**n, seeds=q ** (m + n - 1), values=q**m)
+    x_group, a_group = vector_group(field, n), vector_group(field, m)
 
     def index_fn(xi, si):
         x = _digits(xi, q, n)
@@ -478,10 +467,8 @@ def toeplitz(q: int, m: int, n: int) -> HashFamily:
             value = value * q + _dot(field, row, x)
         return value
 
-    return _formula_family(
-        f"toeplitz({q},{m},{n})", x_labels, s_labels, a_labels, index_fn,
-        x_group=vector_group(field, n), a_group=vector_group(field, m),
-    )
+    return _formula_family(name, x_group.labels, _all_vectors(field, m + n - 1), a_group.labels,
+                           index_fn, x_group=x_group, a_group=a_group)
 
 
 def field_multiply(q: int, n: int, m: int, exclude_zero: bool = False) -> HashFamily:

@@ -36,8 +36,8 @@ from .errors import (
     TrivialDomain,
     ZeroMassKeyValue,
 )
-from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, encode_label, json_fields
-from .verify import min_epsilon, rational_str
+from .families import DEFAULT_TABLE_BUDGET, HashFamily, decode_label, json_fields
+from .verify import _json, _render, min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(count, den)
@@ -123,15 +123,8 @@ class JointSource:
         return _fraction(self.num.sum(axis=0), self.den).tolist()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x_labels": [encode_label(x) for x in self.x_labels],
-                "z_labels": [encode_label(z) for z in self.z_labels],
-                "probabilities": [
-                    [f"{v.numerator}/{v.denominator}" for v in row] for row in self.p
-                ],
-            }
-        )
+        return json.dumps({"x_labels": self.x_labels, "z_labels": self.z_labels,
+                           "probabilities": _json(self.p)})
 
     @classmethod
     def from_json(cls, text: str) -> "JointSource":
@@ -323,19 +316,8 @@ class PAResult:
     theorem_bound: float
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "eps_acfu": rational_str(self.eps_acfu),
-            "key_marginal": [rational_str(v) for v in self.key_marginal],
-            "independence_verified": self.independence_verified,
-            "security_distance": rational_str(self.security_distance),
-            "security_distance_float": float(self.security_distance),
-            "distance_witness": repr(self.distance_witness),
-            "entropy_h2": self.entropy_h2,
-            "renyi_inner": rational_str(self.renyi_inner),
-            "radicand": rational_str(self.radicand),
-            "theorem_bound": self.theorem_bound,
-        }
+        return _render(self, security_distance_float=float(self.security_distance),
+                       distance_witness=repr(self.distance_witness))
 
 
 def run_pa(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PAResult:

@@ -20,7 +20,8 @@ reach a maximum is such an r, as (x, x') maps to (r, y) with r <= x and,
 if y < r, on to (r', z) with r' <= y.  That descent takes every pair to a
 scanned one of equal counts, so the marked set is exact too.  All epsilons
 and bound values are exact ``Fraction``s, so equality against the lower
-bounds is decidable with zero tolerance.
+bounds is decidable with zero tolerance.  Every report of the library renders
+its dict through ``_render``: its own fields, a ``Fraction`` as "n/d".
 """
 
 from __future__ import annotations
@@ -64,11 +65,9 @@ def _pair_blocks(T, rows=None, bins=1):
 
 def _pair_counts(T, na, rows=None):
     """Blocks (x, j, counts) of counts[k, a*na + a'] = #{s : T[x, s] = a, T[j + k, s]
-    = a'} over the blocks of _pair_blocks, one bincount each."""
-    nc = na * na
-    for i, j, row, block in _pair_blocks(T, rows, nc):
-        keys = block + (row * na + nc * np.arange(len(block))[:, None])
-        yield i, j, np.bincount(keys.ravel(), minlength=len(block) * nc).reshape(-1, nc)
+    = a'} over the blocks of _pair_blocks: the row histograms of the pair codes."""
+    for i, j, row, block in _pair_blocks(T, rows, na * na):
+        yield i, j, _row_counts(block + row * na, na * na)
 
 
 def _pair_max(blocks, folds=(lambda v: v,)):
@@ -266,18 +265,7 @@ class BoundReport:
         }
 
     def to_dict(self) -> dict:
-        out = {
-            "x_size": self.x_size,
-            "a_size": self.a_size,
-            "eps": rational_str(self.eps),
-            "optimal_eps": rational_str(self.optimal_eps),
-            "variance_applies": self.variance_applies,
-            "variance_interval_nonempty": self.variance_interval_nonempty,
-            "asu_simple_applies": self.asu_simple_applies,
-        }
-        for name, val in self.bounds().items():
-            out["lb_" + name] = rational_str(val)
-        return out
+        return _render(self)
 
 
 def rational_str(x):
@@ -285,6 +273,23 @@ def rational_str(x):
         return None
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _json(value):
+    """value as JSON: a Fraction as "n/d", a list item by item, a report by its to_dict."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, list):
+        return [_json(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _render(report, *drop, **keys) -> dict:
+    """A report's dict, the one rule of every report: its fields (``vars``) under
+    their own names, less those named in drop, and keys, the ones it renders
+    otherwise; every value as ``_json`` writes it."""
+    fields = {**{k: v for k, v in vars(report).items() if k not in drop}, **keys}
+    return {k: _json(v) for k, v in fields.items()}
 
 
 def seed_lower_bounds(x_size: int, a_size: int, eps) -> BoundReport:
@@ -339,29 +344,9 @@ class VerificationReport:
     equality: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "x_size": self.x_size,
-            "s_size": self.s_size,
-            "a_size": self.a_size,
-            "regular": self.regular,
-            "block_size": self.block_size,
-            "eps_au": rational_str(self.eps_au),
-            "eps_acfu": rational_str(self.eps_acfu)
-            if self.eps_acfu is not None
-            else "NotRegular",
-            "eps_asu": rational_str(self.eps_asu)
-            if self.eps_asu is not None
-            else "NotRegular",
-            "eps_balanced": rational_str(self.eps_balanced),
-            "witnesses": {
-                k: repr(v) for k, v in self.witnesses.items()
-            },
-            "ocfu": self.ocfu,
-            "ou": self.ou,
-            "bounds": self.bounds.to_dict() if self.bounds else None,
-            "equality": self.equality,
-        }
+        irregular = {n: "NotRegular" for n in ("eps_acfu", "eps_asu") if getattr(self, n) is None}
+        witnesses = {k: repr(v) for k, v in self.witnesses.items()}
+        return _render(self, witnesses=witnesses, **irregular)
 
 
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:

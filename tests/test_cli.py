@@ -80,6 +80,14 @@ def test_family_rejects_an_option_of_another_kind(capsys, argv, err):
     assert run(capsys, "family", *argv) == (2, "", f"error: {err}\n")
 
 
+def test_family_over_the_label_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "--affine", "q=2", "t=30")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: 1073741824 points of affine(2,30) exceed budget "
+                                       "10000000\n")
+
+
 def test_budget_flag_bounds_the_table(tmp_path, capsys):
     code, out, err = run(capsys, "--budget", "3", "family", "--affine", "q=2", "t=2")
     assert (code, out, err) == (2, "", "error: 4 x 6 table exceeds budget 3\n")

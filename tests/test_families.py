@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from mosaichash.families import (
     INFINITY,
     cyclic_group,
     decode_label,
-    encode_label,
     field_group,
     normalized_vectors,
     vector_group,
@@ -50,8 +50,8 @@ from util import random_table
 def test_label_codec_roundtrip():
     labels = [0, "inf", (1, 2), ((0, 1), "z"), ()]
     for lab in labels:
-        assert decode_label(encode_label(lab)) == lab
-        assert json.loads(json.dumps(encode_label(lab))) == encode_label(lab)
+        assert decode_label(json.loads(json.dumps(lab))) == lab
+    assert json.loads(json.dumps(labels)) == [0, "inf", [1, 2], [[0, 1], "z"], []]
 
 
 def test_hash_family_domain_errors():
@@ -78,6 +78,27 @@ def test_table_budget():
     f = affine(2, 2)
     with pytest.raises(BudgetExceeded):
         f.to_table(budget=1)
+
+
+@pytest.mark.parametrize("build, count, what", [
+    (lambda: affine(2, 30), 2**30, "points of affine(2,30)"),
+    (lambda: toeplitz(2, 20, 20), 2**39, "seeds of toeplitz(2,20,20)"),
+    (lambda: transversal(4096), 4096**2, "points of transversal(4096)"),
+])
+def test_named_builders_refuse_a_label_set_over_the_budget_before_building_it(build, count, what):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        build()
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"{count} {what} exceed budget {DEFAULT_TABLE_BUDGET}"
+
+
+def test_a_table_over_the_budget_with_label_sets_under_it_still_evaluates():
+    f = transversal(64, include_infinity=True)
+    assert f.x_size * f.s_size > DEFAULT_TABLE_BUDGET
+    with pytest.raises(BudgetExceeded):
+        f.to_table()
+    assert f.evaluate((INFINITY, 1), (2, 3)) == 2 ^ 1  # s1 + y; GF(2^6) adds indices by XOR
 
 
 def test_cached_table_still_checks_budget():
