@@ -1,0 +1,179 @@
+"""Every count the library decides with, and ``exact``, the one rule for the
+dtype each is summed in.
+
+A family's table T[x, s] is read through ``row_counts``, the histogram
+#{s : T[x, s] = a}, or ``pair_blocks``, the rows x' > x in blocks for each
+x, whose first strict maxima ``pair_max`` keeps.  One pass, memoised on the
+family (``pair_pass``), gives AU, and ACFU and ASU for a regular table: the
+diagonal sum, the largest diagonal bin and the largest bin of
+``pair_counts``, the collision histogram N(x, x', a, a') over the pair code
+a*|A| + a'.  An irregular table has AU alone, the seeds where two rows
+agree, O(|S|) per pair where the histogram has |A|^2 bins.  The pass also
+marks which agreement counts #{s : T[x, s] = T[x', s]} occur: the sum
+mosaic's pair counts.  N is invariant under a family's verified
+automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]), so only
+rows r that are the least of their X-orbit are counted (Kramer and Mesner's
+orbit method).  A witness is the first strict maximum in the scan order x,
+x', a, a' (label order); the first row to reach a maximum is such an r, as
+(x, x') maps to (r, y) with r <= x and, if y < r, on to (r', z) with
+r' <= y.  That descent takes every pair to a scanned one of equal counts, so
+the marked set is exact too.
+
+``exact`` reads a proven bound on every partial sum of non-negative
+integers: a ``product`` is exact in float32 up to 2^24 and in float64 up to
+2^53, as each partial sum is then an integer the float holds; any sum is
+exact in int64 up to 2^63 - 1 (a wrapped int64 raises nothing) and in
+Python ints (object) beyond.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import NotAnAutomorphism
+
+PAIR_BLOCK = 1 << 15  # entries or bins of one block of pair_blocks, unless one row is larger
+GRAM_BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
+
+
+def exact(bound, product=False):
+    """The smallest dtype in which sums whose partial sums never pass bound are exact."""
+    if product and bound <= 2**24:
+        return np.float32
+    if product and bound <= 2**53:
+        return np.float64
+    return np.int64 if bound <= 2**63 - 1 else object
+
+
+def row_counts(T, na):
+    """counts[x, a] = #{s : T[x, s] = a}."""
+    nx = T.shape[0]
+    keys = T + na * np.arange(nx)[:, None]
+    return np.bincount(keys.ravel(), minlength=nx * na).reshape(nx, na)
+
+
+def regular_block(T, na):
+    """|S|/|A| if every value is hit that often in every row of T (ACFU1), else None."""
+    block, rest = divmod(T.shape[1], na)
+    return block if rest == 0 and bool((row_counts(T, na) == block).all()) else None
+
+
+def pair_blocks(T, rows=None, bins=1):
+    """Blocks (x, j, T[x], T[j:j + m]) over x in rows (default all) and the rows
+    x' = j + k > x, m per block so that it holds about PAIR_BLOCK entries or bins * m."""
+    nx, ns = T.shape
+    step = max(1, PAIR_BLOCK // max(ns, bins))
+    for i in range(nx) if rows is None else rows:
+        for j in range(i + 1, nx, step):
+            yield i, j, T[i], T[j:j + step]
+
+
+def pair_counts(T, na, rows=None):
+    """Blocks (x, j, counts) of counts[k, a*na + a'] = #{s : T[x, s] = a, T[j + k, s]
+    = a'} over the blocks of pair_blocks: the row histograms of the pair codes."""
+    for i, j, row, block in pair_blocks(T, rows, na * na):
+        yield i, j, row_counts(block + row * na, na * na)
+
+
+def pair_max(blocks, folds=(lambda v: v,)):
+    """First strict maxima in (x, x', k) order, one (count, (x, x', k)) per fold
+    or (-1, None) without a pair, over blocks (x, j, values) of rows x' = j + k.
+    A fold maps a block's values to (rows x', k) values."""
+    found = [(-1, None)] * len(folds)
+    for i, j, block in blocks:
+        for n, fold in enumerate(folds):
+            values = fold(block)
+            k = int(values.argmax())
+            if values.flat[k] > found[n][0]:
+                width = values.shape[1]
+                found[n] = int(values.flat[k]), (i, j + k // width, k % width)
+    return found
+
+
+def representatives(f, T, side=0):
+    """Least index of each orbit of f.automorphisms on X (side 0) or S (side 1),
+    each automorphism verified on T first."""
+    ranges = np.arange(T.shape[0]), np.arange(T.shape[1]), np.arange(f.a_size)
+    small = T.astype(np.min_scalar_type(f.a_size - 1))  # gathers on it run several times faster
+    for n, (pi, sigma, tau) in enumerate(f.automorphisms):
+        perms = all(np.array_equal(np.sort(p), r) for p, r in zip((pi, sigma, tau), ranges))
+        if not (perms and np.array_equal(small.take(pi, axis=0).take(sigma, axis=1),
+                                         tau.astype(small.dtype)[small])):
+            raise NotAnAutomorphism(f"automorphism {n} of {f.name} does not fix its table")
+    # least orbit index: spread minima along every generator, then halve the distances
+    low = ranges[side]
+    while True:
+        old = low
+        for gens in f.automorphisms:
+            perm = gens[side]
+            low = np.minimum(low, low[perm])
+            low[perm] = np.minimum(low[perm], low)
+        low = low[low]
+        if np.array_equal(low, old):
+            return np.flatnonzero(low == ranges[side])
+
+
+def pair_classes(f, T):
+    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular, and
+    under "agree" the agreement counts: agree[c] iff some x != x' agree on c seeds."""
+    X, A, na = f.x_labels, f.a_labels, f.a_size
+    block, rows = regular_block(T, na), representatives(f, T)
+    seen = np.zeros(f.s_size + 1, dtype=bool)
+
+    def agree(hits):  # a block's agreement counts, its row sums, marked in seen
+        counts = hits.sum(axis=1, keepdims=True)
+        seen[counts] = True
+        return counts
+
+    if block is None:  # AU alone: the seeds where x and x' agree, O(|S|) per pair
+        names = ("AU",)
+        found = pair_max((i, j, agree(row == rest)) for i, j, row, rest in pair_blocks(T, rows))
+    else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
+        diag = np.arange(na) * (na + 1)  # the codes a*na + a
+        names = ("AU", "ACFU", "ASU")
+        found = pair_max(pair_counts(T, na, rows), (
+            lambda c: agree(c[:, diag]), lambda c: c[:, diag], lambda c: c))
+    out = {"agree": seen}
+    for name, (best, where) in zip(names, found):
+        if where is None:
+            out[name] = Fraction(0), None
+            continue
+        i, j, c = where
+        values = {"AU": (), "ACFU": (c,), "ASU": divmod(c, na)}[name]
+        out[name] = (Fraction(best, f.s_size if name == "AU" else block),
+                     (X[i], X[j], *(A[k] for k in values)))
+    return out
+
+
+def pair_pass(f, T):
+    """f's memoised ``pair_classes``, counted on T at the first call."""
+    if f._pairs is None:
+        f._pairs = pair_classes(f, T)
+    return f._pairs
+
+
+def present(counts):
+    """The values of nonzero count in a histogram, in order."""
+    return tuple(itertools.compress(range(len(counts)), counts))
+
+
+def gram_counts(m):
+    """The counts record of a 0/1 matrix, only ints: its points half (the
+    histograms of the row sums and the pair counts of m m^T) and its blocks
+    half (of the column sums and block intersections of m^T m), where a
+    histogram's entry k counts the entries equal to k; the dual's record is
+    the two halves swapped.  Each product g g^T is taken one row block of
+    about GRAM_BLOCK entries at a time; no partial sum passes the diagonal."""
+    m = np.asarray(m)
+    ons = [np.bincount(m.sum(axis=axis), minlength=1) for axis in (1, 0)]  # of row, column sums
+    m = m.astype(exact(max(map(len, ons)) - 1, product=True))
+    halves = []
+    for g, on in zip((m, m.T), ons):
+        off, step = -on, max(1, GRAM_BLOCK // max(len(g), 1))  # the blocks add the diagonal back
+        for i in range(0, len(g), step):
+            off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
+        halves.append((tuple(on.tolist()), tuple(off.tolist())))
+    return tuple(halves)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._count import pair_blocks, pair_max, regular_block, row_counts
 from .errors import BudgetExceeded, DomainMismatch, NotBalanced, TheoremViolation, TrivialDomain
 from .families import (
     DEFAULT_TABLE_BUDGET,
@@ -24,7 +25,7 @@ from .families import (
     _formula_family,
     _on_carrier,
 )
-from .verify import _block_size, _pair_blocks, _pair_max, _row_counts, min_epsilon
+from .verify import min_epsilon
 
 
 def seed_extension(g: HashFamily, q: Quasigroup) -> HashFamily:
@@ -43,7 +44,7 @@ def point_extension(g: HashFamily, q: Quasigroup,
                     budget=DEFAULT_TABLE_BUDGET) -> HashFamily:
     """f(y, b; s) = g(y, s) o b.  Inherits (ACFU1) only from an (ASU1) g."""
     to, back = _on_carrier(g.a_labels, q, f"value set of {g.name}")
-    if _block_size(_row_counts(g.to_table(budget).array, g.a_size), g.s_size) is None:
+    if regular_block(g.to_table(budget).array, g.a_size) is None:
         warnings.warn(
             f"point extension of irregular {g.name}: the result fails (ACFU1)",
             stacklevel=2,
@@ -97,8 +98,8 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     na, T = a.a_size, a.to_table(budget).array
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
     minus = total[:, (total == a.a_index[a.a_group.zero]).argmax(axis=0)]  # of a_u - a_v
-    [(best, where)] = _pair_max((i, j, _row_counts(minus.take(row * na + rest), na))
-                                for i, j, row, rest in _pair_blocks(T, bins=na))
+    [(best, where)] = pair_max((i, j, row_counts(minus.take(row * na + rest), na))
+                               for i, j, row, rest in pair_blocks(T, bins=na))
     if where is None:
         return Fraction(0), None
     i, j, b = where

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._count import gram_counts, pair_counts, pair_pass, present, representatives, row_counts
 from .errors import (
     BadLabeling,
     NotAMosaic,
@@ -22,11 +23,9 @@ from .families import (
     decode_label,
     json_fields,
 )
-from .verify import (_pair_counts, _pair_pass, _render, _representatives, _row_counts,
-                     classify, seed_lower_bounds)
+from .verify import _render, classify, seed_lower_bounds
 
 DEFAULT_NODE_BUDGET = 10**6
-_BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
 
 
 class IncidenceStructure:
@@ -162,40 +161,11 @@ class DesignParams:
                        intersection_numbers=sorted(self.intersection_numbers))
 
 
-def _present(counts):
-    """The values of nonzero count in a histogram, in order."""
-    return tuple(itertools.compress(range(len(counts)), counts))
-
-
-def _counts(m):
-    """The counts record of a 0/1 matrix: its points half (the histograms of
-    the row sums and the pair counts of m m^T) and its blocks half (of the
-    column sums and block intersections of m^T m), where a histogram's entry k
-    counts the entries equal to k; the dual's record is the same two halves
-    swapped.  A record holds only ints, small enough to keep.
-
-    m is converted once, and each product g g^T taken one row block of about
-    _BLOCK entries at a time, in float32 while every row and column sum is
-    below 2^24, which makes every entry, a count of at most such a sum, exact,
-    and in float64 beyond.  No entry exceeds the diagonal's top.
-    """
-    m = np.asarray(m)
-    ons = [np.bincount(m.sum(axis=axis), minlength=1) for axis in (1, 0)]  # of row, column sums
-    m = m.astype(np.float32 if max(map(len, ons)) <= 1 << 24 else np.float64)
-    halves = []
-    for g, on in zip((m, m.T), ons):
-        off, step = -on, max(1, _BLOCK // max(len(g), 1))  # the blocks add the diagonal back
-        for i in range(0, len(g), step):
-            off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
-        halves.append((tuple(on.tolist()), tuple(off.tolist())))
-    return tuple(halves)
-
-
 def _design_params(points, blocks) -> DesignParams:
     """DesignParams of the structure whose counts record is (points, blocks),
     read off which entries of its histograms are nonzero."""
     v, b = sum(points[0]), sum(blocks[0])
-    row_sums, lams, col_sums, numbers = map(_present, (*points, *blocks))
+    row_sums, lams, col_sums, numbers = map(present, (*points, *blocks))
     k, r, lam = (vals[0] if len(vals) == 1 else None for vals in (col_sums, row_sums, lams))
     is_bibd = k is not None and lam is not None and lam >= 1 and k >= 1
     relations_ok = (k is None or r is None or b * k == v * r) and (
@@ -208,8 +178,8 @@ def _design_params(points, blocks) -> DesignParams:
 
 def analyze_structure(d: IncidenceStructure) -> DesignParams:
     """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting:
-    the pair counts m m^T and block intersections m^T m of ``_counts``."""
-    return _design_params(*_counts(d.matrix))
+    the pair counts m m^T and block intersections m^T m of ``gram_counts``."""
+    return _design_params(*gram_counts(d.matrix))
 
 
 @dataclass
@@ -397,7 +367,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
                   node_budget=DEFAULT_NODE_BUDGET) -> bool:
     """Exact test for row and column permutations taking a's matrix to b's.
 
-    Cheap invariants first: the shape and the two counts records (``_counts``),
+    Cheap invariants first: the shape and the two counts records (``gram_counts``),
     the same for any isomorphic copy.  Then individualisation-refinement
     on the point-block incidence graph (McKay & Piperno 2014): A follows one
     path that individualises the first point of its first largest row cell,
@@ -410,7 +380,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     multisets: an isomorphism.  Every refinement of B is a node; past
     node_budget nodes SearchBudgetExceeded states the nodes used and the budget.
     """
-    if a.matrix.shape != b.matrix.shape or _counts(a.matrix) != _counts(b.matrix):
+    if a.matrix.shape != b.matrix.shape or gram_counts(a.matrix) != gram_counts(b.matrix):
         return False
     if a.matrix.size == 0:
         return True
@@ -467,8 +437,8 @@ def _sum_counts(f: HashFamily, T):
     and block intersections marked present, not counted.
 
     Each point lies in one block per seed, and points x, x' share one block per
-    seed where they agree: the pair counts are the agreement counts that
-    verify's memoised pair pass marked (``_pair_pass``).  Block (s, a) has
+    seed where they agree: the pair counts are the agreement counts that the
+    memoised pair pass marked (``pair_pass``).  Block (s, a) has
     #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and blocks
     (s, a), (s', a') of two seeds meet in the pair count of seeds s, s' and
     values a, a' of the transposed table, constant on the orbits of f's
@@ -478,10 +448,10 @@ def _sum_counts(f: HashFamily, T):
     seen = np.zeros(X + 1, dtype=bool)
     seen[0] = A >= 2
     seeds = np.ascontiguousarray(T.T)
-    for _, _, counts in _pair_counts(seeds, A, rows=_representatives(f, T, side=1)):
+    for _, _, counts in pair_counts(seeds, A, rows=representatives(f, T, side=1)):
         seen[counts] = True
-    sizes = np.bincount(_row_counts(seeds, A).ravel())
-    return (((0,) * S + (X,), tuple(_pair_pass(f, T)["agree"].tolist())),
+    sizes = np.bincount(row_counts(seeds, A).ravel())
+    return (((0,) * S + (X,), tuple(pair_pass(f, T)["agree"].tolist())),
             (tuple(sizes.tolist()), tuple(seen.tolist())))
 
 
@@ -489,12 +459,12 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
     """Cross-check every applicable bound-equality/structure implication.
 
     Member a is the level set T == a of f's table, counted one at a time by
-    ``_counts`` (in float32 while its row and column sums are below 2^24); its
-    dual reads the same record, and its DesignParams go on ``members``.  The
-    sum mosaic's record comes from the table (``_sum_counts``), its pair counts
-    being the agreement counts of classify's pair pass, and the sum is always
-    resolvable: the seed classes {(s, a) : a in A} partition every point set,
-    and they are the resolution ``find_resolution`` returns.
+    ``gram_counts``; its dual reads the same record, and its DesignParams go
+    on ``members``.  The sum mosaic's record comes from the table
+    (``_sum_counts``), its pair counts being the agreement counts of
+    classify's pair pass, and the sum is always resolvable: the seed classes
+    {(s, a) : a in A} partition every point set, and they are the resolution
+    ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)
@@ -508,7 +478,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
             report.violations.append(name)
 
     if rep.ocfu or variance:
-        records = [_counts(T == a) for a in range(A)]
+        records = [gram_counts(T == a) for a in range(A)]
         report.members = [_design_params(*c) for c in records]
 
     if rep.ocfu:

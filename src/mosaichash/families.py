@@ -239,7 +239,7 @@ class HashFamily:
         self.a_group = a_group
         self.automorphisms = ()
         self._table = None
-        self._pairs = None  # verify's AU, ACFU and ASU results and agreement counts, from one pass
+        self._pairs = None  # AU, ACFU and ASU and the agreement counts of _count.pair_pass
 
     @property
     def x_size(self):

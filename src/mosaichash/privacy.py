@@ -1,18 +1,10 @@
 """Exact privacy-amplification evaluation.
 
-Sources and joints are integer count arrays over one common denominator.  A
+Sources and joints are integer count arrays over one common denominator,
+each summed in the dtype ``_count.exact`` gives a bound on its sums.  A
 ``Fraction`` is built only for a reported value or a cached ``.p`` view, and
 floating point only for the final logarithm / square root of reported
 scalars; the headline inequality is checked on squared quantities exactly.
-
-Every count array is summed in machine arithmetic wherever a bound proves it
-exact, and one rule, ``_dtype``, makes each choice from that bound: a sum of
-non-negative integers that never passes 2^53 is exact as a float64 matrix
-product, one that never passes 2^63 - 1 is exact in int64, and anything
-larger is summed in Python ints.  The joint is the float64 product of the
-counts with the one-hot table where den <= 2^53 and the product is the
-faster kernel (|A| <= 2|Z| and |A| <= 64, measured; see ``_product_pays``),
-and one flat scatter in the counts' own dtype otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._count import exact
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -41,28 +34,11 @@ from .verify import _json, _render, min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(count, den)
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK = 1 << 20  # entries of a one-hot or scatter block
 
 
-def _dtype(bound, product=False):
-    """The one dtype rule for sums of non-negative integers that never pass
-    bound: float64 for a ``product`` while bound <= 2^53 (every partial sum
-    is then an integer float64 holds), int64 while bound <= 2^63 - 1,
-    Python ints (object) beyond.  A wrapped int64 raises nothing, so only
-    such a bound may choose int64."""
-    if product and bound <= 2**53:
-        return np.float64
-    return np.int64 if bound <= _INT64_MAX else object
-
-
-def _counts(num, bound):
-    """num in the dtype of _dtype(bound); no copy if it is one already."""
-    return num.astype(_dtype(bound), copy=False)
-
-
 def _product_pays(nz, na):
-    """Whether the float64 product builds the joint faster than the scatter.
+    """Whether the one-hot product builds the joint faster than the scatter.
     The product costs about |X||S||A|(0.7 + 0.07|Z|) ns and the scatter
     |X||S||Z| times 3 to 10 ns.  Measured on a 2-core Xeon with one BLAS
     thread, over |X| and |S| of 64 to 4096, |Z| of 1 to 512 and |A| of 2
@@ -102,7 +78,7 @@ class JointSource:
             warnings.warn("dropping z letters with zero mass", stacklevel=3)
         self.x_labels = x_labels
         self.z_labels = tuple(z for z, k in zip(z_labels, keep) if k)
-        self.num = _counts(num[:, keep], den)
+        self.num = num[:, keep].astype(exact(den), copy=False)
         self.den = den
         return self
 
@@ -149,11 +125,10 @@ def renyi2_conditional(src: JointSource):
     The inner sum is sum_z (p_z . p_z) / (p_z . 1), that is
     sum_z (num_z . num_z) / (num_z . 1) / den over the counts.
     """
-    num = _counts(src.num, src.den * src.den)  # a column's squares sum to at most den^2
+    num = src.num.astype(exact(src.den * src.den), copy=False)  # squares sum to at most den^2
     squares, masses = (num * num).sum(axis=0).tolist(), num.sum(axis=0).tolist()
-    inner = sum(map(Fraction, squares, masses), Fraction(0)) / src.den
-    h2 = -math.log2(inner) if inner > 0 else math.inf
-    return h2, inner
+    inner = sum(map(Fraction, squares, masses), Fraction(0)) / src.den  # > 0: no z has zero mass
+    return 0.0 - math.log2(inner), inner  # not -log2(inner): -0.0 where Z determines X
 
 
 def iid_extend(src: JointSource, n: int, budget=DEFAULT_SOURCE_BUDGET) -> JointSource:
@@ -175,7 +150,7 @@ def iid_extend(src: JointSource, n: int, budget=DEFAULT_SOURCE_BUDGET) -> JointS
     return JointSource.__new__(JointSource)._set_counts(
         tuple(itertools.product(src.x_labels, repeat=n)),
         itertools.product(src.z_labels, repeat=n),
-        _kron_power(_counts(src.num, den), n), den)
+        _kron_power(src.num.astype(exact(den), copy=False), n), den)
 
 
 def _kron_power(m, n):
@@ -212,11 +187,11 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
 
     Cell (z, s, a) holds sum_x num[x, z] [T[x, s] = a] over den * |S|, at
     most den, so the joint keeps the source's dtype.  Where _product_pays
-    and den <= 2^53 it is num^T times the one-hot table in float64, built
-    in blocks of seeds; otherwise one flat scatter of the counts, in blocks
-    of z.  Sums over s reach |S| den and |A| |S| den, and take the dtype
-    _dtype gives those bounds.  The key is independent of Z when
-    |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
+    and exact(den, product=True) is a float it is num^T times the one-hot
+    table in that float, built in blocks of seeds; otherwise one flat
+    scatter of the counts, in blocks of z.  Sums over s reach |S| den and
+    |A| |S| den, and take the dtype exact gives those bounds.  The key is
+    independent of Z when |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
     """
     if tuple(src.x_labels) != tuple(f.x_labels):
         raise AlphabetMismatch("source X alphabet differs from the family point set")
@@ -226,11 +201,12 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
     nx, nz, ns, na, den = src.x_size, src.z_size, f.s_size, f.a_size, src.den
     num = np.zeros((nz, ns * na), dtype=src.num.dtype)  # num[z, s |A| + a]
     cell = np.arange(ns) * na + T  # the column of (x, s)
-    if _dtype(den, product=_product_pays(nz, na)) is np.float64:
-        counts, step = src.num.T.astype(np.float64), max(1, _BLOCK // (nx * na))
+    dtype = exact(den, product=_product_pays(nz, na))
+    if np.issubdtype(dtype, np.floating):
+        counts, step = src.num.T.astype(dtype), max(1, _BLOCK // (nx * na))
         for s0 in range(0, ns, step):
             block = cell[:, s0:s0 + step] - s0 * na
-            onehot = np.zeros((nx, block.shape[1] * na))
+            onehot = np.zeros((nx, block.shape[1] * na), dtype=dtype)
             np.put_along_axis(onehot, block, 1.0, axis=1)
             num[:, s0 * na:s0 * na + onehot.shape[1]] = counts @ onehot
     else:
@@ -241,9 +217,9 @@ def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PA
                       np.repeat(src.num[:, zs].T, ns))
     num = num.reshape(nz, ns, na)
     # the sum over s; einsum, unlike sum(axis=1), stays fast for small |A|
-    by_key = np.einsum("zsa->za", _counts(num, ns * den))
+    by_key = np.einsum("zsa->za", num.astype(exact(ns * den), copy=False))
     key_marginal = _fraction(by_key.sum(axis=0), den * ns).tolist()
-    wide = _dtype(na * ns * den)
+    wide = exact(na * ns * den)
     dependent = np.argwhere(na * by_key.astype(wide, copy=False)
                             != ns * src.num.sum(axis=0, dtype=wide)[:, None])
     witness = next(((src.z_labels[j], f.a_labels[a]) for j, a in dependent), None)
@@ -258,13 +234,13 @@ def security_distance(joint: PAJoint):
     sum_{z,s} |P[z,s,a] m_a'/g - P[z,s,a'] m_a/g| / (m_a m_a'/g); under
     (ACFU1) with an independent key both multipliers are 1.  Each term is at
     most P[z,s,a] m_a'/g + P[z,s,a'] m_a/g, and those sum to 2 m_a m_a'/g,
-    so each row a is summed in the dtype _dtype gives that bound over a'.
+    so each row a is summed in the dtype exact gives that bound over a'.
     Returns (distance, (a, a') witness): the first strict maximum.
     """
     labels = joint.a_labels
     na = len(labels)
     P = np.ascontiguousarray(joint.num.reshape(-1, na).T)  # P[a]: the cells of key a
-    m = P.sum(axis=1, dtype=_dtype(joint.den)).tolist()
+    m = P.sum(axis=1, dtype=exact(joint.den)).tolist()
     for a in range(na):
         if m[a] == 0:
             raise ZeroMassKeyValue(f"key value {labels[a]!r} has zero mass")
@@ -273,7 +249,7 @@ def security_distance(joint: PAJoint):
     for a in range(na - 1):  # d(a, a') = d(a', a): the first strict maximum has a < a'
         g = [math.gcd(m[a], mb) for mb in m[a + 1:]]
         up = [mb // gb for mb, gb in zip(m[a + 1:], g)]  # m_a'/g, the multiplier of P[a]
-        dt = _dtype(2 * m[a] * max(up))
+        dt = exact(2 * m[a] * max(up))
         rows = P[a:].astype(dt, copy=False)
         cross = np.abs(rows[0] * np.array(up, dtype=dt)[:, None]
                        - rows[1:] * np.array([m[a] // gb for gb in g], dtype=dt)[:, None])

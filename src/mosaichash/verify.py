@@ -1,27 +1,9 @@
 """Exhaustive verification: minimal epsilon per hash class and seed bounds.
 
-Every check reads the family's integer table T[x, s] (built once by
-``HashFamily.to_table``) through ``_row_counts``, the histogram
-#{s : T[x, s] = a}, or through ``_pair_blocks``, the rows x' > x in blocks
-for each x, whose first strict maxima ``_pair_max`` keeps.  One pass,
-memoised on the family, gives AU, and ACFU and ASU for a regular table:
-the diagonal sum, the largest diagonal bin and the largest bin of
-``_pair_counts``, the collision histogram N(x, x', a, a') over the pair
-code a*|A| + a'.  An irregular table has AU alone, the seeds where two
-rows agree, O(|S|) per pair where the histogram has |A|^2 bins;
-``construct.balanced_epsilon`` counts each pair's differences alike.  The
-pass also marks which agreement counts #{s : T[x, s] = T[x', s]} occur: the
-sum mosaic's pair counts (``designs._sum_counts``).  N is invariant under a
-family's verified automorphisms (pi, sigma, tau), T[pi x, sigma s] =
-tau(T[x, s]), so only rows r that are the least of their X-orbit are
-counted (Kramer and Mesner's orbit method).  A witness is the first strict
-maximum in the scan order x, x', a, a' (label order); the first row to
-reach a maximum is such an r, as (x, x') maps to (r, y) with r <= x and,
-if y < r, on to (r', z) with r' <= y.  That descent takes every pair to a
-scanned one of equal counts, so the marked set is exact too.  All epsilons
-and bound values are exact ``Fraction``s, so equality against the lower
-bounds is decidable with zero tolerance.  Every report of the library renders
-its dict through ``_render``: its own fields, a ``Fraction`` as "n/d".
+AU, ACFU and ASU come from the pair pass of ``_count``.  All epsilons and
+bound values are exact ``Fraction``s, so equality against the lower bounds
+is decidable with zero tolerance.  Every report of the library renders its
+dict through ``_render``: its own fields, a ``Fraction`` as "n/d".
 """
 
 from __future__ import annotations
@@ -31,120 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleEpsilon, NotAnAutomorphism, NotHomomorphic, NotRegular, TrivialDomain
+from ._count import pair_pass, regular_block, row_counts
+from .errors import InfeasibleEpsilon, NotHomomorphic, NotRegular, TrivialDomain
 from .families import DEFAULT_TABLE_BUDGET, HashFamily, _on_carrier
 
 CLASSES = ("AU", "ACFU", "ASU", "BALANCED")
-
-# entries or bins of one block of _pair_blocks, unless one row is larger
-_BLOCK = 1 << 15
-
-
-def _row_counts(T, na):
-    """counts[x, a] = #{s : T[x, s] = a}."""
-    nx = T.shape[0]
-    keys = T + na * np.arange(nx)[:, None]
-    return np.bincount(keys.ravel(), minlength=nx * na).reshape(nx, na)
-
-
-def _block_size(hist, ns):
-    """|S|/|A| if every value is hit that often in every row of hist (ACFU1), else None."""
-    block, rest = divmod(ns, hist.shape[1])
-    return block if rest == 0 and bool((hist == block).all()) else None
-
-
-def _pair_blocks(T, rows=None, bins=1):
-    """Blocks (x, j, T[x], T[j:j + m]) over x in rows (default all) and the rows
-    x' = j + k > x, m per block so that it holds about _BLOCK entries or bins * m."""
-    nx, ns = T.shape
-    step = max(1, _BLOCK // max(ns, bins))
-    for i in range(nx) if rows is None else rows:
-        for j in range(i + 1, nx, step):
-            yield i, j, T[i], T[j:j + step]
-
-
-def _pair_counts(T, na, rows=None):
-    """Blocks (x, j, counts) of counts[k, a*na + a'] = #{s : T[x, s] = a, T[j + k, s]
-    = a'} over the blocks of _pair_blocks: the row histograms of the pair codes."""
-    for i, j, row, block in _pair_blocks(T, rows, na * na):
-        yield i, j, _row_counts(block + row * na, na * na)
-
-
-def _pair_max(blocks, folds=(lambda v: v,)):
-    """First strict maxima in (x, x', k) order, one (count, (x, x', k)) per fold
-    or (-1, None) without a pair, over blocks (x, j, values) of rows x' = j + k.
-    A fold maps a block's values to (rows x', k) values."""
-    found = [(-1, None)] * len(folds)
-    for i, j, block in blocks:
-        for n, fold in enumerate(folds):
-            values = fold(block)
-            k = int(values.argmax())
-            if values.flat[k] > found[n][0]:
-                width = values.shape[1]
-                found[n] = int(values.flat[k]), (i, j + k // width, k % width)
-    return found
-
-
-def _representatives(f: HashFamily, T, side=0):
-    """Least index of each orbit of f.automorphisms on X (side 0) or S (side 1),
-    each automorphism verified on T first."""
-    ranges = np.arange(T.shape[0]), np.arange(T.shape[1]), np.arange(f.a_size)
-    small = T.astype(np.min_scalar_type(f.a_size - 1))  # gathers on it run several times faster
-    for n, (pi, sigma, tau) in enumerate(f.automorphisms):
-        perms = all(np.array_equal(np.sort(p), r) for p, r in zip((pi, sigma, tau), ranges))
-        if not (perms and np.array_equal(small.take(pi, axis=0).take(sigma, axis=1),
-                                         tau.astype(small.dtype)[small])):
-            raise NotAnAutomorphism(f"automorphism {n} of {f.name} does not fix its table")
-    # least orbit index: spread minima along every generator, then halve the distances
-    low = ranges[side]
-    while True:
-        old = low
-        for gens in f.automorphisms:
-            perm = gens[side]
-            low = np.minimum(low, low[perm])
-            low[perm] = np.minimum(low[perm], low)
-        low = low[low]
-        if np.array_equal(low, old):
-            return np.flatnonzero(low == ranges[side])
-
-
-def _pair_classes(f: HashFamily, T):
-    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular, and
-    under "agree" the agreement counts: agree[c] iff some x != x' agree on c seeds."""
-    X, A, na = f.x_labels, f.a_labels, f.a_size
-    block, rows = _block_size(_row_counts(T, na), f.s_size), _representatives(f, T)
-    seen = np.zeros(f.s_size + 1, dtype=bool)
-
-    def agree(hits):  # a block's agreement counts, its row sums, marked in seen
-        counts = hits.sum(axis=1, keepdims=True)
-        seen[counts] = True
-        return counts
-
-    if block is None:  # AU alone: the seeds where x and x' agree, O(|S|) per pair
-        names = ("AU",)
-        found = _pair_max((i, j, agree(row == rest)) for i, j, row, rest in _pair_blocks(T, rows))
-    else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
-        diag = np.arange(na) * (na + 1)  # the codes a*na + a
-        names = ("AU", "ACFU", "ASU")
-        found = _pair_max(_pair_counts(T, na, rows), (
-            lambda c: agree(c[:, diag]), lambda c: c[:, diag], lambda c: c))
-    out = {"agree": seen}
-    for name, (best, where) in zip(names, found):
-        if where is None:
-            out[name] = Fraction(0), None
-            continue
-        i, j, c = where
-        values = {"AU": (), "ACFU": (c,), "ASU": divmod(c, na)}[name]
-        out[name] = (Fraction(best, f.s_size if name == "AU" else block),
-                     (X[i], X[j], *(A[k] for k in values)))
-    return out
-
-
-def _pair_pass(f: HashFamily, T):
-    """f's memoised ``_pair_classes``, counted on T at the first call."""
-    if f._pairs is None:
-        f._pairs = _pair_classes(f, T)
-    return f._pairs
 
 
 @dataclass
@@ -156,10 +29,10 @@ class RegularityResult:
 
 def regularity_check(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> RegularityResult:
     """Check property (ACFU1): every value is hit |S|/|A| times in each row."""
-    hist = _row_counts(f.to_table(budget).array, f.a_size)
+    T = f.to_table(budget).array
+    hist, block = row_counts(T, f.a_size), regular_block(T, f.a_size)
     keys = ((x, a) for x in f.x_labels for a in f.a_labels)
     counts = dict(zip(keys, hist.ravel().tolist()))
-    block = _block_size(hist, f.s_size)
     return RegularityResult(block is not None, block, counts)
 
 
@@ -214,7 +87,7 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
         raise TrivialDomain(f"{f.name} has an empty seed set; every epsilon is a share of |S|")
     T = f.to_table(budget).array
     if hash_class != "BALANCED":
-        pairs = _pair_pass(f, T)
+        pairs = pair_pass(f, T)
         if hash_class not in pairs:
             raise NotRegular(f"{f.name} fails (ACFU1)/(ASU1); {hash_class} is unattainable")
         return pairs[hash_class]
@@ -222,7 +95,7 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     X, A, na = f.x_labels, f.a_labels, f.a_size
     if not _homomorphic_in_x(f, T):
         raise NotHomomorphic(f"{f.name} lacks group structure or is not linear in x")
-    hist = _row_counts(T, na)
+    hist = row_counts(T, na)
     hist[[x == f.x_group.zero for x in X]] = -1
     best = int(hist.max(initial=-1))
     if best < 0:
@@ -352,7 +225,8 @@ class VerificationReport:
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
     found = {"AU": min_epsilon(f, "AU", budget)}  # memoises ACFU and ASU too if f is regular
-    found.update((n, min_epsilon(f, n, budget)) for n in ("ACFU", "ASU") if n in f._pairs)
+    classes = pair_pass(f, f.to_table(budget).array)
+    found.update((n, min_epsilon(f, n, budget)) for n in ("ACFU", "ASU") if n in classes)
     witnesses = {name: w for name, (_, w) in found.items()}
     eps_au, eps_acfu, eps_asu = (found.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
     regular = eps_acfu is not None

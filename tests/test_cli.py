@@ -377,6 +377,15 @@ def test_pa_iid_decay(tmp_path, capsys):
     assert d2 <= d1
 
 
+def test_pa_prints_plus_zero_entropy_where_z_determines_x(tmp_path, capsys):
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=1")
+    src = tmp_path / "src.json"
+    src.write_text(json.dumps({"x_labels": [[0], [1]], "z_labels": [0, 1],
+                               "probabilities": [["1/2", "0"], ["0", "1/2"]]}))
+    code, out, _ = run(capsys, "pa", str(src), str(fam))
+    assert code == 0 and '"entropy_h2": 0.0' in out
+
+
 def test_pa_irregular_family_exits_2(tmp_path, capsys):
     fam, _ = family_file(tmp_path, capsys, "--toeplitz", "q=2", "m=1", "n=2")
     src = tmp_path / "src.json"
@@ -505,7 +514,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mosaichash")]))
 """
-CORE = ["cli", "errors", "families", "fields", "verify"]
+CORE = ["_count", "cli", "errors", "families", "fields", "verify"]
 
 
 @pytest.mark.parametrize("argv, extra", [

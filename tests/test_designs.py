@@ -709,8 +709,8 @@ def test_theorem_checks_reuse_the_pair_pass_of_classify(monkeypatch, table_backe
     f = affine(4, 2)
     if table_backed:
         f = f.to_table().to_family("a42")
-    real, calls = mosaichash.verify._pair_classes, []
-    monkeypatch.setattr(mosaichash.verify, "_pair_classes",
+    real, calls = mosaichash._count.pair_classes, []
+    monkeypatch.setattr(mosaichash._count, "pair_classes",
                         lambda *args: calls.append(args) or real(*args))
     rep = classify(f)
     report = check_structure_theorems(f)

@@ -25,6 +25,7 @@ from mosaichash import (
     uniform_source,
 )
 from mosaichash import privacy
+from mosaichash._count import exact
 from mosaichash.errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -76,6 +77,12 @@ def test_renyi2_flip_quarter():
     assert inner == Fraction(5, 8)
     assert h2 == pytest.approx(-math.log2(5 / 8))
     assert inner == oracle_renyi_inner(flip_source(2, Fraction(1, 4)))
+
+
+def test_renyi2_is_plus_zero_where_z_determines_x():
+    src = JointSource([(0,), (1,)], [0, 1], [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    h2, inner = renyi2_conditional(src)
+    assert inner == 1 and h2 == 0.0 and math.copysign(1.0, h2) == 1.0
 
 
 def test_iid_extend():
@@ -338,6 +345,32 @@ def test_joint_counts_around_2_53(w):
     assert privacy._product_pays(2, f.a_size)  # the shape is on the product's side
     src = counts_source(f.x_labels, "ab", w)
     assert src.den == sum(map(sum, w)) and src.num.dtype == np.int64
+    joint = assert_matches_oracles(src, f)
+    assert joint.num.dtype == np.int64 and joint.independence_verified
+
+
+@pytest.mark.parametrize("bound, product, want", [
+    (2**24, True, np.float32), (2**24 + 1, True, np.float64),
+    (2**53, True, np.float64), (2**53 + 1, True, np.int64),
+    (2**63 - 1, True, np.int64), (2**63, True, object),
+    *((b, False, np.int64) for b in (2**24, 2**24 + 1, 2**53, 2**53 + 1, 2**63 - 1)),
+    (2**63, False, object),
+])
+def test_exact_takes_the_smallest_dtype_that_holds_the_bound(bound, product, want):
+    assert exact(bound, product) is want
+    if want is not object:
+        assert int(np.array(bound).astype(want)) == bound
+
+
+@pytest.mark.parametrize("w, dtype", [
+    ([[2**24 - 3], [2], [1], [0]], np.float32),  # den = 2^24: every cell fits float32
+    ([[2**24 - 1], [2], [0], [0]], np.float64),  # den = 2^24 + 1: float32 rounds that cell
+])
+def test_joint_counts_around_2_24(w, dtype):
+    f = affine(2, 2)
+    assert privacy._product_pays(1, f.a_size)  # the shape is on the product's side
+    src = counts_source(f.x_labels, "z", w)
+    assert src.den == sum(map(sum, w)) and exact(src.den, product=True) is dtype
     joint = assert_matches_oracles(src, f)
     assert joint.num.dtype == np.int64 and joint.independence_verified
 

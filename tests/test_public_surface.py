@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import sys
 import types
 
@@ -108,3 +110,28 @@ def test_every_public_name_is_its_submodules_object():
         else:
             assert obj.__module__.startswith("mosaichash.")
             assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def imports(path):
+    """(module, name) of every import in the file at path, each module by its last
+    dotted part; name is None where a whole module is imported."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((a.name.split(".")[-1], None) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import m
+            yield from ((a.name, None) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module.split(".")[-1], a.name) for a in node.names)
+
+
+def test_counting_kernels_live_in_count_alone():
+    """verify lends only _render and _json under private names, and _count, which
+    every analysis counts with, depends on none of the analyses."""
+    paths = sorted(pathlib.Path(mosaichash.__file__).parent.glob("*.py"))
+    for path in paths:
+        for module, name in imports(path):
+            if module == "verify" and name is not None and name.startswith("_"):
+                assert name in ("_render", "_json"), (path.name, name)
+            if path.name == "_count.py":
+                assert module not in ("verify", "designs", "construct", "privacy", "cli"), module
+    assert "_count.py" in [p.name for p in paths]

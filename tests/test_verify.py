@@ -29,7 +29,7 @@ from mosaichash.errors import (
     NotRegular,
     TrivialDomain,
 )
-from mosaichash import verify
+from mosaichash import _count, verify
 from mosaichash.families import Group, cyclic_group, vector_group
 from mosaichash.fields import field_new
 from mosaichash.verify import rational_str
@@ -92,9 +92,9 @@ def _linear_out_of_order(n, name="linear"):
     return f
 
 
-@pytest.mark.parametrize("block", [1, verify._BLOCK])  # one x' per count, or all
+@pytest.mark.parametrize("block", [1, _count.PAIR_BLOCK])  # one x' per count, or all
 def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
-    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(_count, "PAIR_BLOCK", block)
     fams = [affine(2, 2), dual_affine(2, 2), transversal(2), toeplitz(2, 1, 2),
             field_multiply(2, 3, 1), *(_linear_out_of_order(n) for n in (3, 4, 5))]
     doubled = HashFamily("2x != x + x", [0, 1], range(3), range(3), lambda x, s: x * s % 3,
