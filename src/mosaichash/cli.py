@@ -157,9 +157,9 @@ def cmd_construct(args):
     if args.concat:
         f1 = _load_family(args.inputs[0])
         f2 = _load_family(args.inputs[1])
+        fam = concatenate(f1, f2)  # checks the domains before the epsilon passes
         eps1, _ = min_epsilon(f1, "ASU", args.budget)
         eps2, _ = min_epsilon(f2, "ACFU", args.budget)
-        fam = concatenate(f1, f2)
         bound = concatenation_bound(eps1, eps2, f1.a_size)
         note = {"acfu_bound": rational_str(bound)}
     else:

@@ -43,6 +43,13 @@ class IncidenceStructure:
         if len(self.points) != m.shape[0] or len(self.block_indices) != m.shape[1]:
             raise ValueError("label counts do not match matrix shape")
 
+    @classmethod
+    def _of(cls, matrix, points, block_indices) -> "IncidenceStructure":
+        """The structure of a fresh int8 0/1 matrix, taken without a copy or a check."""
+        d = cls.__new__(cls)
+        d.matrix, d.points, d.block_indices = matrix, tuple(points), tuple(block_indices)
+        return d
+
     @property
     def v(self):
         return self.matrix.shape[0]
@@ -108,8 +115,8 @@ class Mosaic:
 
     @functools.cached_property
     def members(self):
-        return [IncidenceStructure((self._table == a).view(np.int8), self.points,
-                                   self.block_indices)
+        return [IncidenceStructure._of((self._table == a).view(np.int8), self.points,
+                                       self.block_indices)
                 for a in range(len(self.a_labels))]
 
     def to_json(self) -> str:
@@ -138,8 +145,10 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
     """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
     labels = [(s, a) for s in m.block_indices for a in m.a_labels]
-    matrix = (m._table[:, :, None] == np.arange(len(m.a_labels))).view(np.int8)
-    return IncidenceStructure(matrix.reshape(len(m.points), len(labels)), m.points, labels)
+    matrix = np.zeros((len(m.points), len(labels)), dtype=np.int8)
+    t = m._table.ravel()  # (x, s) at x|S| + s, so its one is at x|S||A| + s|A| + T[x, s]
+    matrix.ravel()[np.arange(t.size) * len(m.a_labels) + t] = 1
+    return IncidenceStructure._of(matrix, m.points, labels)
 
 
 @dataclass
@@ -208,6 +217,11 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     search keeps its own stack, so its depth is not bounded by Python's
     recursion limit.  Every partial class tried is a node; past node_budget
     nodes it raises SearchBudgetExceeded stating the nodes used and the budget.
+
+    One pass over the incidences first checks the first leaf: when each run of
+    b/r consecutive blocks is a parallel class (every sum's are), the search
+    takes each run in order, one node per block, so the runs are returned as
+    a search of b nodes would return them, and no search runs.
     """
     m = d.matrix
     v, b = m.shape
@@ -220,6 +234,12 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     if r == 0 or b % r != 0:
         return NotResolvable(f"block count {b} not divisible into {r} classes")
     class_size = b // r
+    runs = np.flatnonzero(m.view(bool)).reshape(v, r) % b // class_size
+    if (runs == np.arange(r)).all():  # point x meets run h in its h-th block
+        if b > node_budget:
+            raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
+                                       f"over its node_budget of {node_budget}")
+        return Resolution(tuple(tuple(range(h, h + class_size)) for h in range(0, b, class_size)))
     full = (1 << v) - 1
     # packing a contiguous copy is faster than packing the strided view m.T
     packed = np.packbits(np.ascontiguousarray(m.T), axis=1, bitorder="little")

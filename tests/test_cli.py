@@ -283,6 +283,18 @@ def test_construct_concat_mismatch_exits_2(tmp_path, capsys):
     assert code == 2 and "value set" in err
 
 
+def test_construct_concat_checks_the_domains_before_any_epsilon(tmp_path, capsys, monkeypatch):
+    """field_multiply(2,6,3) fails (ACFU1): its pass must not run before the
+    mismatch of affine(2,2)'s values with its 64 points is reported."""
+    f1, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    f2, _ = family_file(tmp_path, capsys, "--field-multiply", "q=2", "n=6", "m=3")
+    calls = []
+    monkeypatch.setattr(cli, "min_epsilon", lambda *a: calls.append(a))
+    code, out, err = run(capsys, "construct", str(f1), str(f2), "--concat")
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: value set of {f1} does not match the point set of {f2}\n"
+
+
 @pytest.mark.parametrize("files, flag", [(1, "--concat"), (3, "--concat"), (2, "--seed-ext"),
                                          (2, "--point-ext"), (2, "--double-ext")])
 def test_construct_wrong_input_count_exits_2(tmp_path, capsys, files, flag):

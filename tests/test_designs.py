@@ -209,6 +209,7 @@ def test_sum_mosaic_matches_a_column_by_column_build(make):
     assert total.matrix.shape == (len(m.points), len(m.block_indices) * len(m.a_labels))
     assert total.matrix.tolist() == rows
     assert total.block_indices == tuple(labels) and total.points == m.points
+    assert total.matrix.dtype == np.int8 and total.matrix.flags.c_contiguous
 
 
 def test_analyze_fano():
@@ -518,6 +519,36 @@ def _assert_same_search(d):
     if nodes:
         with pytest.raises(SearchBudgetExceeded, match=f"used {nodes} nodes"):
             find_resolution(d, node_budget=nodes - 1)
+
+
+def _runs_are_classes(m, class_size):
+    return all((m[:, j:j + class_size].sum(axis=1) == 1).all()
+               for j in range(0, m.shape[1], class_size))
+
+
+@pytest.mark.parametrize("q, t", [(2, 3), (3, 2)])
+def test_find_resolution_searches_when_a_swap_breaks_the_runs(q, t):
+    """One point swapped between a block of run 0 and one of run 1 leaves the
+    replication number as it was, but the runs stop being classes, so the
+    answer comes from the search."""
+    m = _sum(affine(q, t)).matrix.copy()  # runs of |A| = q blocks
+    x = np.flatnonzero(m[:, 0] & (1 - m[:, q]))[0]
+    y = np.flatnonzero(m[:, q] & (1 - m[:, 0]))[0]
+    m[[x, y], 0], m[[x, y], q] = (0, 1), (1, 0)
+    assert not _runs_are_classes(m, q)
+    _assert_same_search(IncidenceStructure(m))
+
+
+@pytest.mark.parametrize("q, t", [(2, 3), (3, 2)])
+def test_find_resolution_takes_runs_that_are_classes_in_any_order_within(q, t):
+    """Blocks permuted within each run: the runs are still classes, though the
+    structure is no longer in a sum's (s, a) order."""
+    rng = random.Random(q * 10 + t)
+    m = _sum(affine(q, t)).matrix
+    order = [j for h in range(0, m.shape[1], q) for j in rng.sample(range(h, h + q), q)]
+    d = IncidenceStructure(m[:, order])
+    assert order != sorted(order) and _runs_are_classes(d.matrix, q)
+    _assert_same_search(d)
 
 
 def test_find_resolution_matches_the_recursive_search_on_random_structures():
