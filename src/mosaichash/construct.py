@@ -98,8 +98,8 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     na, T = a.a_size, a.to_table(budget).array
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
     minus = total[:, (total == a.a_index[a.a_group.zero]).argmax(axis=0)]  # of a_u - a_v
-    [(best, where)] = pair_max((i, j, row_counts(minus.take(row * na + rest), na))
-                               for i, j, row, rest in pair_blocks(T, bins=na))
+    [(best, where)] = pair_max((xs, ys, row_counts(minus.take(row * na + rest), na))
+                               for xs, ys, row, rest in pair_blocks(T, bins=na))
     if where is None:
         return Fraction(0), None
     i, j, b = where

@@ -75,7 +75,10 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
 
     The first AU, ACFU or ASU call counts all three in one pass and
     memoises them on f, counting only the rows that are the least of their
-    orbit under f.automorphisms (NotAnAutomorphism if one fails on f).
+    orbit under f.automorphisms (NotAnAutomorphism if one fails on f).  For
+    |A| <= 8 over at least 2|A| such rows, N is taken as exact float32 (or
+    float64) products of one-hot matrices in tiles of bounded size, no
+    X x X array; else by one bincount per row block (``_count``).
 
     Returns (epsilon, witness): the first strict maximum in the scan order
     (x, x', a, a'), in domain labels: AU -> (x, x'), ACFU -> (x, x', a),

@@ -38,7 +38,7 @@ from oracles import (
     oracle_mosaic_from_resolution,
     oracle_theorem_report,
 )
-from util import planted_cyclic_table, random_regular_table, random_table
+from util import KERNELS, force_kernel, planted_cyclic_table, random_regular_table, random_table
 
 FANO = [
     [1, 1, 0, 1, 0, 0, 0],
@@ -731,6 +731,24 @@ def test_forced_ou_checks_match_the_oracle_on_irregular_and_value_moving_familie
         families.append(random_table(rng, rng.randint(na + 1, 9), rng.randint(1, 8), na))
     assert not all(classify(f).regular for f in families)
     for f in families:
+        report = check_structure_theorems(f)
+        assert report.to_dict() == oracle_theorem_report(f, forced(f, 10**7))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_forced_ou_checks_match_the_oracle_under_each_pair_kernel(monkeypatch, kernel):
+    """The sum's block intersections are the pair counts of the transposed
+    table, counted by either kernel: random regular tables with |A| up to 8,
+    and planted tables, whose seed orbits leave representatives apart."""
+    force_kernel(monkeypatch, kernel)
+    forced = _force(monkeypatch, "ou")
+    rng = random.Random(37)
+    for n in range(16):
+        na = rng.randint(2, 8)
+        if n % 4 == 3:
+            f = planted_cyclic_table(rng, 2, rng.randint(2, 3), rng.randint(1, 2), 2)
+        else:
+            f = random_regular_table(rng, rng.randint(na + 1, 11), na * rng.randint(1, 3), na)
         report = check_structure_theorems(f)
         assert report.to_dict() == oracle_theorem_report(f, forced(f, 10**7))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -42,7 +43,7 @@ from oracles import (
     oracle_regular,
     oracle_witness,
 )
-from util import planted_cyclic_table, random_regular_table, random_table
+from util import KERNELS, force_kernel, planted_cyclic_table, random_regular_table, random_table
 
 
 def test_constant_family_is_not_regular():
@@ -92,11 +93,32 @@ def _linear_out_of_order(n, name="linear"):
     return f
 
 
-@pytest.mark.parametrize("block", [1, _count.PAIR_BLOCK])  # one x' per count, or all
-def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
+ONE_HOT = _count.ONE_HOT  # as shipped, read before a test patches it
+
+
+def _spy_on_products(monkeypatch):
+    """The list of one-hot operands that _count builds from here on."""
+    real, built = _count.one_hot, []
+    monkeypatch.setattr(_count, "one_hot", lambda *a: built.append(a[0].shape) or real(*a))
+    return built
+
+
+@pytest.mark.parametrize("kernel, block, gram", [
+    (None, _count.PAIR_BLOCK, None),  # as shipped: each side of ONE_HOT
+    ("bincount", 1, None), ("bincount", _count.PAIR_BLOCK, None),  # one x' per count, or all
+    # tiles of all rows; of one row, one x' and one seed; of two representatives of three
+    ("product", _count.PAIR_BLOCK, None), ("product", _count.PAIR_BLOCK, 1),
+    ("product", _count.PAIR_BLOCK, 64)])
+def test_epsilons_and_witnesses_match_oracles(monkeypatch, kernel, block, gram):
     monkeypatch.setattr(_count, "PAIR_BLOCK", block)
+    if kernel:
+        force_kernel(monkeypatch, kernel, gram)
+    built = _spy_on_products(monkeypatch)
     fams = [affine(2, 2), dual_affine(2, 2), transversal(2), toeplitz(2, 1, 2),
             field_multiply(2, 3, 1), *(_linear_out_of_order(n) for n in (3, 4, 5))]
+    # 9 rows with representatives 0, 3 and 6: 64 entries hold the tile (0, 3) of 8 rows x' each
+    fams.append(planted_cyclic_table(random.Random(5), 3, 3, 2, 2))
+    fams[-1].a_group = _cyclic_group(2)
     doubled = HashFamily("2x != x + x", [0, 1], range(3), range(3), lambda x, s: x * s % 3,
                          x_group=_cyclic_group(2), a_group=_cyclic_group(3))
     fams.append(doubled)  # linear on every pair but (1, 1): f(1 + 1) = 0 != 2 f(1)
@@ -119,6 +141,10 @@ def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
         f = build(rng, rng.randrange(2, 5), ns, na)
         f.x_group, f.a_group = _cyclic_group(f.x_size), _cyclic_group(na)
         fams.append(f)
+    for na in (ONE_HOT, ONE_HOT + 1):  # regular, on each side of the crossover
+        f = random_regular_table(rng, 2 * na, na, na)
+        f.x_group, f.a_group = _cyclic_group(f.x_size), _cyclic_group(na)
+        fams.append(f)
     late = 0  # planted class maxima first reached in a later orbit representative
     for f in fams:
         for cls in ("AU", "ACFU", "ASU", "BALANCED"):
@@ -132,6 +158,7 @@ def test_epsilons_and_witnesses_match_oracles(monkeypatch, block):
                 late += f.name == "planted" and cls != "BALANCED" and want[1][0] != f.x_labels[0]
         assert balanced_epsilon(f) == oracle_balanced_epsilon(f), f.name
     assert late > 0
+    assert bool(built) == (kernel != "bincount")
 
 
 def _outcome(f, cls):
@@ -147,8 +174,10 @@ LADDER = [*((affine, (q, 2)) for q in (2, 3, 4, 5, 7, 8)), (affine, (4, 3)),
           *((dual_affine, (q, t)) for q, t in ((2, 2), (3, 2), (4, 2), (8, 2), (16, 2), (2, 4)))]
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("build, args", LADDER, ids=[f"{b.__name__}{a}" for b, a in LADDER])
-def test_orbit_scan_equals_the_full_scan_of_a_fresh_table(build, args):
+def test_orbit_scan_equals_the_full_scan_of_a_fresh_table(monkeypatch, build, args, kernel):
+    force_kernel(monkeypatch, kernel)
     f = build(*args)
     small = f.x_size <= 9
     T = f.to_table()
@@ -254,6 +283,46 @@ def test_irregular_au_counts_no_bin_per_value_pair():
     agree = [int((T[i] == T[j]).sum()) for i, j in pairs]
     i, j = pairs[agree.index(max(agree))]
     assert min_epsilon(f, "AU") == (Fraction(max(agree), f.s_size), (f.x_labels[i], f.x_labels[j]))
+
+
+@pytest.mark.parametrize("gram, shape", [(1 << 12, (64, 1 << 13)), (16, (12, 40))])
+def test_pair_counts_hold_no_array_larger_than_a_few_gram_blocks(monkeypatch, gram, shape):
+    """The one-hot of all 64 rows would hold 2^21 entries and the whole tile
+    2^16: tiles of rows, of one row against blocks of rows x' (16 entries)
+    and operands of seeds keep each near GRAM_BLOCK, and both kernels count
+    every pair once, in order."""
+    monkeypatch.setattr(_count, "GRAM_BLOCK", gram)
+    T = np.random.default_rng(3).integers(0, 4, size=shape)
+    if gram > 16:
+        tracemalloc.start()
+        try:
+            for _ in _count.pair_counts(T, 4):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * gram
+    blocks = {}
+    for kernel in KERNELS:
+        force_kernel(monkeypatch, kernel)
+        blocks[kernel] = [(list(xs), list(ys), counts.tolist())
+                          for xs, ys, counts in _count.pair_counts(T, 4)]
+    pairs = lambda kernel: [p for xs, ys, _ in blocks[kernel] for p in zip(xs, ys)]
+    assert pairs("product") == pairs("bincount") == list(itertools.combinations(range(len(T)), 2))
+    counts = lambda kernel: [row for _, _, c in blocks[kernel] for row in c]
+    assert counts("product") == counts("bincount")
+
+
+def test_the_kernel_is_chosen_by_the_crossover(monkeypatch):
+    """Products while |A| <= ONE_HOT and ONE_HOT_ROWS * |A| rows are scanned."""
+    built = _spy_on_products(monkeypatch)
+    rng = random.Random(43)
+    for na, nx, product in ((ONE_HOT, 2 * ONE_HOT, True), (ONE_HOT, 2 * ONE_HOT - 1, False),
+                            (ONE_HOT + 1, 4 * ONE_HOT, False)):
+        built.clear()
+        f = random_regular_table(rng, nx, na, na)
+        assert min_epsilon(f, "ASU") == oracle_witness(f, "ASU")
+        assert bool(built) == product, (na, nx)
 
 
 def test_classify_builds_no_value_table_larger_than_the_family():

@@ -9,9 +9,20 @@ from pathlib import Path
 
 import numpy as np
 
-from mosaichash import FunctionTable, JointSource, Quasigroup
+from mosaichash import FunctionTable, JointSource, Quasigroup, _count
 
 ROOT = Path(__file__).resolve().parent.parent
+KERNELS = ("product", "bincount")  # the two ways _count.pair_counts counts a pair histogram
+
+
+def force_kernel(monkeypatch, kernel, gram=None):
+    """Make _count.pair_counts count every pair histogram by one-hot products
+    or by bincount alone, the products in tiles of about gram entries."""
+    limits = {"product": {"ONE_HOT": 1 << 30, "ONE_HOT_ROWS": 0}, "bincount": {"ONE_HOT": 0}}
+    for name, value in limits[kernel].items():
+        monkeypatch.setattr(_count, name, value)
+    if gram is not None:
+        monkeypatch.setattr(_count, "GRAM_BLOCK", gram)
 
 
 def run_python(*args):
