@@ -9,15 +9,16 @@ diagonal sum, the largest diagonal bin and the largest bin of
 ``pair_counts``, the collision histogram N(x, x', a, a') over the pair code
 a*|A| + a'.  An irregular table has AU alone, the seeds where two rows
 agree, O(|S|) per pair where the histogram has |A|^2 bins.  The pass also
-marks which agreement counts #{s : T[x, s] = T[x', s]} occur: the sum
-mosaic's pair counts.  N is invariant under a family's verified
-automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]), so only
-rows r that are the least of their X-orbit are counted (Kramer and Mesner's
-orbit method).  A witness is the first strict maximum in the scan order x,
-x', a, a' (label order); the first row to reach a maximum is such an r, as
-(x, x') maps to (r, y) with r <= x and, if y < r, on to (r', z) with
-r' <= y.  That descent takes every pair to a scanned one of equal counts, so
-the marked set is exact too.
+marks the agreement counts #{s : T[x, s] = T[x', s]} (the sum's pair counts)
+and, if regular, the diagonal bins N(x, x', a, a) per a.  Under a family's
+automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]), verified
+once (``representatives``; the pass keeps its orbit labels for later
+readers), N is invariant, so only rows r least in their X-orbit are counted
+(Kramer and Mesner).  The first strict maximum in the scan order x, x', a,
+a' (the witness) is at such an r, as (x, x') maps to (r, y) with r <= x
+and, if y < r, on to (r', z) with r' <= y.  That descent takes every pair
+to a scanned one of equal counts, its bin at a to one at tau(a), so the
+marks are exact, the diagonal ones once united over a's value orbit.
 
 ``pair_counts`` counts N in one of two ways.  While |A| <= ONE_HOT and at
 least ONE_HOT_ROWS * |A| rows are scanned, a tile of scanned rows I against
@@ -124,7 +125,7 @@ def pair_counts(T, na, rows=None):
             n, k = np.nonzero(tile[:, None] < np.arange(j, j + len(rest)))  # x < x'
             if len(n):
                 counts = counts.reshape(len(tile), na, len(rest), na)[n, :, k]
-                yield tile[n], j + k, counts.astype(np.intp).reshape(-1, na * na)
+                yield tile[n], j + k, counts.astype(np.int32).reshape(-1, na * na)
 
 
 def pair_max(blocks, folds=(lambda v: v,)):
@@ -143,35 +144,40 @@ def pair_max(blocks, folds=(lambda v: v,)):
     return found
 
 
-def representatives(f, T, side=0):
-    """Least index of each orbit of f.automorphisms on X (side 0) or S (side 1),
-    each automorphism verified on T first."""
+def representatives(f, T):
+    """Orbit labels (X, S, A) of f.automorphisms, each verified on T first: an
+    element's label is the least index of its orbit."""
     ranges = np.arange(T.shape[0]), np.arange(T.shape[1]), np.arange(f.a_size)
     small = T.astype(np.min_scalar_type(f.a_size - 1))  # gathers on it run several times faster
     for n, (pi, sigma, tau) in enumerate(f.automorphisms):
         perms = all(np.array_equal(np.sort(p), r) for p, r in zip((pi, sigma, tau), ranges))
-        if not (perms and np.array_equal(small.take(pi, axis=0).take(sigma, axis=1),
-                                         tau.astype(small.dtype).take(small))):
+        if not (perms and np.array_equal(  # an identity sigma or tau is not applied
+                small.take(pi, axis=0) if np.array_equal(sigma, ranges[1])
+                else small.take(pi, axis=0).take(sigma, axis=1),
+                small if np.array_equal(tau, ranges[2]) else tau.astype(small.dtype).take(small))):
             raise NotAnAutomorphism(f"automorphism {n} of {f.name} does not fix its table")
-    # least orbit index: spread minima along every generator, then halve the distances
-    low = ranges[side]
-    while True:
-        old = low
-        for gens in f.automorphisms:
-            perm = gens[side]
-            low = np.minimum(low, low[perm])
-            low[perm] = np.minimum(low[perm], low)
-        low = low[low]
-        if np.array_equal(low, old):
-            return np.flatnonzero(low == ranges[side])
+    labels = []
+    for side, low in enumerate(ranges):  # minima along each g moving this side and along
+        gens = [g[side] for g in f.automorphisms if not np.array_equal(g[side], low)]
+        powers, old = [g[g] for g in gens], None  # g^(2^k) in round k, then halve distances
+        while not np.array_equal(low, old):
+            old = low
+            for g, power in zip(gens, powers):
+                low = np.minimum(np.minimum(low, low[g]), low[power])
+            powers, low = [p[p] for p in powers], low[low]
+        labels.append(low)
+    return tuple(labels)
 
 
 def pair_classes(f, T):
-    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular, and
-    under "agree" the agreement counts: agree[c] iff some x != x' agree on c seeds."""
+    """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular;
+    "agree": agree[c] iff some x != x' agree on c seeds; "orbits": f's orbit
+    labels; if regular, "diagonal": [a, c] iff a scanned N(x, x', a, a) = c."""
     X, A, na = f.x_labels, f.a_labels, f.a_size
-    block, rows = regular_block(T, na), representatives(f, T)
+    orbits = representatives(f, T)
+    block, rows = regular_block(T, na), np.flatnonzero(orbits[0] == np.arange(len(X)))
     seen = np.zeros(f.s_size + 1, dtype=bool)
+    out = {"agree": seen, "orbits": orbits}
 
     def agree(hits):  # a block's agreement counts, its row sums, marked in seen
         counts = hits.sum(axis=1, keepdims=True)
@@ -184,9 +190,15 @@ def pair_classes(f, T):
     else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
         diag = np.arange(na) * (na + 1)  # the codes a*na + a
         names = ("AU", "ACFU", "ASU")
+        marks = out["diagonal"] = np.zeros((na, f.s_size + 1), dtype=bool)
+
+        def diagonal(c):  # a block's diagonal bins, N(x, x', a, a) marked in marks[a]
+            bins = c[:, diag]
+            marks[np.arange(na), bins] = True
+            return bins
+
         found = pair_max(pair_counts(T, na, rows), (
-            lambda c: agree(c[:, diag]), lambda c: c[:, diag], lambda c: c))
-    out = {"agree": seen}
+            lambda c: agree(c[:, diag]), diagonal, lambda c: c))
     for name, (best, where) in zip(names, found):
         if where is None:
             out[name] = Fraction(0), None
@@ -210,20 +222,20 @@ def present(counts):
     return tuple(itertools.compress(range(len(counts)), counts))
 
 
+def gram_half(m, sums):
+    """Histograms (entry k counts the entries equal to k) of a 0/1 matrix's row
+    sums and of the pair counts of m m^T, taken one row block of about
+    GRAM_BLOCK entries at a time; no partial sum passes the diagonal."""
+    on = np.bincount(sums, minlength=1)
+    g = m.astype(exact(len(on) - 1, product=True))
+    off, step = -on, max(1, GRAM_BLOCK // max(len(g), 1))  # the blocks add the diagonal back
+    for i in range(0, len(g), step):
+        off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
+    return tuple(on.tolist()), tuple(off.tolist())
+
+
 def gram_counts(m):
-    """The counts record of a 0/1 matrix, only ints: its points half (the
-    histograms of the row sums and the pair counts of m m^T) and its blocks
-    half (of the column sums and block intersections of m^T m), where a
-    histogram's entry k counts the entries equal to k; the dual's record is
-    the two halves swapped.  Each product g g^T is taken one row block of
-    about GRAM_BLOCK entries at a time; no partial sum passes the diagonal."""
+    """The counts record of a 0/1 matrix, only ints: the ``gram_half`` of m (its
+    points half) and of m^T (blocks half); the dual's is the two swapped."""
     m = np.asarray(m)
-    ons = [np.bincount(m.sum(axis=axis), minlength=1) for axis in (1, 0)]  # of row, column sums
-    m = m.astype(exact(max(map(len, ons)) - 1, product=True))
-    halves = []
-    for g, on in zip((m, m.T), ons):
-        off, step = -on, max(1, GRAM_BLOCK // max(len(g), 1))  # the blocks add the diagonal back
-        for i in range(0, len(g), step):
-            off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
-        halves.append((tuple(on.tolist()), tuple(off.tolist())))
-    return tuple(halves)
+    return tuple(gram_half(g, g.sum(axis=1)) for g in (m, m.T))

@@ -28,7 +28,7 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.designs import _refine, _split
+from mosaichash.designs import _design_params, _member_counts, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
@@ -768,6 +768,98 @@ def test_theorem_checks_reuse_the_pair_pass_of_classify(monkeypatch, table_backe
     assert len(calls) == 1
 
 
+def _level_set_params(f, a):
+    """DesignParams of member a, the level set f == a_labels[a], and of its dual,
+    from histograms counted by plain loops over evaluate's 0/1 rows."""
+    rows = [[int(f.evaluate(x, s) == f.a_labels[a]) for s in f.s_labels] for x in f.x_labels]
+
+    def half(lines):  # histograms of the line sums and of the pair counts of two lines
+        sums, pairs = [0] * (len(lines[0]) + 1), [0] * (len(lines[0]) + 1)
+        for i, u in enumerate(lines):
+            sums[sum(u)] += 1
+            for w in lines[i + 1:]:
+                pairs[sum(p * q for p, q in zip(u, w))] += 2  # (u, w) and (w, u)
+        return sums, pairs
+
+    points, blocks = half(rows), half([list(col) for col in zip(*rows)])
+    return _design_params(points, blocks), _design_params(blocks, points)
+
+
+def _value_moving_table(rng):
+    """A planted table whose one automorphism takes each value a to a + 1."""
+    na = rng.choice([2, 3])
+    return planted_cyclic_table(rng, na * rng.randint(1, 2), rng.randint(2, 3), rng.randint(1, 3),
+                                na, moves_values=True)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_member_records_match_plain_counts_of_each_level_set(monkeypatch, kernel):
+    """Each member's record, its pair counts marked by the pair pass on orbit
+    representatives and closed over the value orbits, its block intersections
+    one product, gives the DesignParams of plain-loop counts, for the member and
+    its dual: named families whose automorphisms move values (transversal) or
+    not (affine, dual_affine), their generator-free rebuilds, random regular
+    tables, and planted tables whose automorphism moves values."""
+    force_kernel(monkeypatch, kernel)
+    rng = random.Random(41)
+    named = [transversal(q, include_infinity=inf) for q in (3, 4, 5) for inf in (False, True)]
+    named += [affine(2, 2), affine(3, 2), affine(2, 3), dual_affine(2, 2), dual_affine(3, 2)]
+    families = named + [f.to_table().to_family(f"rebuilt {f.name}") for f in named]
+    for _ in range(8):
+        na = rng.choice([2, 3, 4])
+        nx, ns = rng.randint(na + 1, 9), na * rng.randint(1, 4)
+        families.append(random_regular_table(rng, nx, ns, na))
+        families.append(_value_moving_table(rng))
+    for f in families:
+        got = [(_design_params(p, b), _design_params(b, p))
+               for p, b in _member_counts(f, f.to_table().array)]
+        assert got == [_level_set_params(f, a) for a in range(f.a_size)], f.name
+        members = check_structure_theorems(f).members
+        assert members is None or members == [p for p, _ in got]
+
+
+@pytest.mark.parametrize("make, check", [
+    (lambda: affine(3, 2), "ou_sum_is_resolvable_bibd"),
+    (lambda: transversal(8, include_infinity=True), "variance_equality_dual_quasi_symmetric"),
+], ids=["affine(3,2)", "transversal(8,inf)"])
+def test_named_families_verify_their_generators_once(monkeypatch, make, check):
+    """classify and then check_structure_theorems verify f's automorphisms once:
+    the OU sum's seed orbits and the members' value orbits are the pass's."""
+    real, calls = mosaichash._count.representatives, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (mosaichash._count, mosaichash.designs):  # wherever a module binds the name
+        monkeypatch.setattr(module, "representatives", counted, raising=False)
+    f = make()
+    classify(f)
+    report = check_structure_theorems(f)
+    assert report.ok and check in [i["name"] for i in report.implications]
+    assert len(calls) == 1
+
+
+def test_generators_reassigned_after_classify_leave_the_members_unchanged(monkeypatch):
+    """The member records read the orbits the pass verified, not f.automorphisms
+    as it is later: neither no generators nor a false one (every value moved,
+    nothing else) changes them or the members reported.  Member checks are
+    forced on planted tables."""
+    _force(monkeypatch, "ocfu")
+    makers = [lambda: affine(3, 2), lambda: transversal(8, include_infinity=True)]
+    makers += [lambda n=n: _value_moving_table(random.Random(n)) for n in range(6)]
+    for make in makers:
+        f = make()
+        want = check_structure_theorems(f).members, _member_counts(f, f.to_table().array)
+        false = (np.arange(f.x_size), np.arange(f.s_size), np.roll(np.arange(f.a_size), 1))
+        for generators in ((), (false,)):
+            f = make()
+            classify(f)
+            f.automorphisms = generators
+            got = check_structure_theorems(f).members, _member_counts(f, f.to_table().array)
+            assert got == want, f.name
+
+
 def _seed_classes(f):
     return Resolution(tuple(tuple(range(h * f.a_size, (h + 1) * f.a_size))
                             for h in range(f.s_size)))
@@ -792,7 +884,8 @@ def test_mosaic_from_resolution_matches_the_column_by_column_fill():
     families.append(transversal(4, include_infinity=True))
     for _ in range(20):
         na = rng.choice([2, 3, 4])
-        families.append(random_regular_table(rng, rng.randint(na + 1, 9), na * rng.randint(1, 4), na))
+        nx, ns = rng.randint(na + 1, 9), na * rng.randint(1, 4)
+        families.append(random_regular_table(rng, nx, ns, na))
     for f in families:
         total = _sum(f)
         for _ in range(3):

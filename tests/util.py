@@ -50,12 +50,13 @@ def random_regular_table(rng, nx, ns, na, name="randreg"):
     return FunctionTable(range(nx), range(ns), range(na), rows).to_family(name)
 
 
-def planted_cyclic_table(rng, k, nx0, ns0, na, name="planted"):
+def planted_cyclic_table(rng, k, nx0, ns0, na, name="planted", moves_values=False):
     """T[(i, x0), (j, s0)] = R[x0, s0, (j - i) mod k], each R[x0] a shuffled
     balanced multiset, so (ACFU1) holds; the shift (i, j) -> (i + 1, j + 1)
     is attached as the family's one automorphism.  Point and seed indices
     are x0 * k + i and s0 * k + j, so the orbit representatives 0, k, 2k, ...
-    leave rows between them to the witness scan."""
+    leave rows between them to the witness scan.  With moves_values (na
+    dividing k), T adds i mod na and the shift takes each value a to a + 1."""
     R = []
     for _ in range(nx0):
         flat = list(range(na)) * (ns0 * k // na)
@@ -63,10 +64,11 @@ def planted_cyclic_table(rng, k, nx0, ns0, na, name="planted"):
         R.append([flat[s0 * k:(s0 + 1) * k] for s0 in range(ns0)])
     xs = [(i, x0) for x0 in range(nx0) for i in range(k)]
     ss = [(j, s0) for s0 in range(ns0) for j in range(k)]
-    rows = [[R[x0][s0][(j - i) % k] for j, s0 in ss] for i, x0 in xs]
+    rows = [[(R[x0][s0][(j - i) % k] + i * moves_values) % na for j, s0 in ss] for i, x0 in xs]
     f = FunctionTable(xs, ss, range(na), rows).to_family(name)
     shift = lambda n: np.array([m // k * k + (m + 1) % k for m in range(n)])
-    f.automorphisms = ((shift(len(xs)), shift(len(ss)), np.arange(na)),)
+    tau = (np.arange(na) + moves_values) % na
+    f.automorphisms = ((shift(len(xs)), shift(len(ss)), tau),)
     return f
 
 
