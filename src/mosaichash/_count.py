@@ -10,15 +10,17 @@ diagonal sum, the largest diagonal bin and the largest bin of
 a*|A| + a'.  An irregular table has AU alone, the seeds where two rows
 agree, O(|S|) per pair where the histogram has |A|^2 bins.  The pass also
 marks the agreement counts #{s : T[x, s] = T[x', s]} (the sum's pair counts)
-and, if regular, the diagonal bins N(x, x', a, a) per a.  Under a family's
-automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]), verified
-once (``representatives``; the pass keeps its orbit labels for later
-readers), N is invariant, so only rows r least in their X-orbit are counted
+and, if regular, each diagonal bin N(x, x', a, a) at a's value orbit.  Under
+a family's automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]),
+verified once (``representatives``, whose orbit labels only this module
+reads), N is invariant, so only rows r least in their X-orbit are counted
 (Kramer and Mesner).  The first strict maximum in the scan order x, x', a,
 a' (the witness) is at such an r, as (x, x') maps to (r, y) with r <= x
 and, if y < r, on to (r', z) with r' <= y.  That descent takes every pair
 to a scanned one of equal counts, its bin at a to one at tau(a), so the
-marks are exact, the diagonal ones once united over a's value orbit.
+marks are exact: the diagonal ones are kept per value orbit and handed out
+per value.  Every counts record is made here, finished: ``member_counts``
+and ``sum_counts`` read a family's off the pass, ``gram_counts`` a matrix's.
 
 ``pair_counts`` counts N in one of two ways.  While |A| <= ONE_HOT and at
 least ONE_HOT_ROWS * |A| rows are scanned, a tile of scanned rows I against
@@ -172,7 +174,7 @@ def representatives(f, T):
 def pair_classes(f, T):
     """{class: (epsilon, witness)} of AU, and of ACFU and ASU if f is regular;
     "agree": agree[c] iff some x != x' agree on c seeds; "orbits": f's orbit
-    labels; if regular, "diagonal": [a, c] iff a scanned N(x, x', a, a) = c."""
+    labels; if regular, "diagonal": [a, c] iff some N(x, x', a, a) = c."""
     X, A, na = f.x_labels, f.a_labels, f.a_size
     orbits = representatives(f, T)
     block, rows = regular_block(T, na), np.flatnonzero(orbits[0] == np.arange(len(X)))
@@ -188,17 +190,18 @@ def pair_classes(f, T):
         names = ("AU",)
         found = pair_max((xs, ys, agree(row == rest)) for xs, ys, row, rest in pair_blocks(T, rows))
     else:  # AU, ACFU and ASU: diagonal sum, diagonal bin and any bin of one histogram
-        diag = np.arange(na) * (na + 1)  # the codes a*na + a
+        diag, values = np.arange(na) * (na + 1), orbits[2]  # the codes a*na + a
         names = ("AU", "ACFU", "ASU")
-        marks = out["diagonal"] = np.zeros((na, f.s_size + 1), dtype=bool)
+        marks = np.zeros((na, f.s_size + 1), dtype=bool)
 
-        def diagonal(c):  # a block's diagonal bins, N(x, x', a, a) marked in marks[a]
+        def diagonal(c):  # a block's diagonal bins, N(x, x', a, a) marked at a's value orbit
             bins = c[:, diag]
-            marks[np.arange(na), bins] = True
+            marks[values, bins] = True
             return bins
 
         found = pair_max(pair_counts(T, na, rows), (
             lambda c: agree(c[:, diag]), diagonal, lambda c: c))
+        out["diagonal"] = marks[values]  # value a's marks: the union over its orbit
     for name, (best, where) in zip(names, found):
         if where is None:
             out[name] = Fraction(0), None
@@ -239,3 +242,33 @@ def gram_counts(m):
     points half) and of m^T (blocks half); the dual's is the two swapped."""
     m = np.asarray(m)
     return tuple(gram_half(g, g.sum(axis=1)) for g in (m, m.T))
+
+
+def member_counts(f, T):
+    """The counts record of each member T == a of f, only ints: its pair counts
+    as the pass marked them (``pair_pass``), its row and column sums from one
+    histogram of T and of T^T, and m_a^T m_a (``gram_half``)."""
+    diagonal, seeds = pair_pass(f, T)["diagonal"], np.ascontiguousarray(T.T)
+    rows, cols = row_counts(T, f.a_size), row_counts(seeds, f.a_size)
+    return [((tuple(np.bincount(rows[:, a], minlength=1).tolist()), tuple(diagonal[a].tolist())),
+             gram_half(seeds == a, cols[:, a])) for a in range(f.a_size)]
+
+
+def sum_counts(f, T):
+    """The counts record of f's sum mosaic, read off f's table T, its pair counts
+    and block intersections marked present, not counted.  Points x, x' share
+    one block per seed where they agree: the pair counts are the agreement
+    counts the pass marked (``pair_pass``).  Block (s, a) has
+    #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and blocks
+    (s, a), (s', a') of two seeds meet in the pair count of seeds s, s' and
+    values a, a' of T^T, constant on the seed orbits the pass verified, so
+    only the seeds least in their orbit are scanned."""
+    X, S, A = f.x_size, f.s_size, f.a_size
+    pairs, seeds = pair_pass(f, T), np.ascontiguousarray(T.T)
+    seen = np.zeros(X + 1, dtype=bool)
+    seen[0] = A >= 2
+    for _, _, counts in pair_counts(seeds, A, np.flatnonzero(pairs["orbits"][1] == np.arange(S))):
+        seen[counts] = True
+    sizes = np.bincount(row_counts(seeds, A).ravel())
+    return (((0,) * S + (X,), tuple(pairs["agree"].tolist())),
+            (tuple(sizes.tolist()), tuple(seen.tolist())))

@@ -116,13 +116,10 @@ def cmd_design(args):
         raise MosaicHashError("-o names one structure file: choose --dual or --sum")
     fam = _load_family(args.family)
     mosaic = mosaic_from_function(fam, args.budget)
-    out = {}
-    rc = 0
+    out, rc, members = {}, 0, None
     if args.theorems:
         rep = check_structure_theorems(fam, args.budget)
-        out["theorems"] = rep.to_dict()
-        members = rep.members or [analyze_structure(d) for d in mosaic.members]
-        out["members"] = [p.to_dict() for p in members]
+        out["theorems"], members = rep.to_dict(), rep.members
         if not rep.ok:
             rc = CHECK_FAILED
     if args.dual:
@@ -141,8 +138,8 @@ def cmd_design(args):
             out["resolution"] = [list(c) for c in res.classes]
         else:
             out["resolution"] = repr(res)
-    if not out:
-        out["members"] = [analyze_structure(d).to_dict() for d in mosaic.members]
+    if args.theorems or not out:  # the report's members, else each member analysed
+        out["members"] = [p.to_dict() for p in members or map(analyze_structure, mosaic.members)]
     _emit(out, args.format, None if (args.dual or args.sum) else args.output)
     return rc
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._count import gram_counts, gram_half, pair_counts, pair_pass, present, row_counts
+from ._count import gram_counts, member_counts, present, sum_counts
 from .errors import (
     BadLabeling,
     NotAMosaic,
@@ -452,50 +452,17 @@ class TheoremReport:
         return _render(self, "members", ok=self.ok)
 
 
-def _member_counts(f: HashFamily, T):
-    """The counts record of each member T == a: the pair pass's diagonal marks
-    united over the value orbits it verified, and m_a^T m_a (``gram_half``)."""
-    pairs, seeds = pair_pass(f, T), np.ascontiguousarray(T.T)
-    values, closed = pairs["orbits"][2], np.zeros_like(pairs["diagonal"])
-    np.logical_or.at(closed, values, pairs["diagonal"])  # each value orbit's union, at its label
-    rows, cols = row_counts(T, f.a_size), row_counts(seeds, f.a_size)
-    return [((tuple(np.bincount(rows[:, a], minlength=1).tolist()), tuple(closed[c].tolist())),
-             gram_half(seeds == a, cols[:, a])) for a, c in enumerate(values)]
-
-
-def _sum_counts(f: HashFamily, T):
-    """The counts record of f's sum mosaic, read off f's table T, its pair counts
-    and block intersections marked present, not counted.
-
-    Each point lies in one block per seed, and points x, x' share one block per
-    seed where they agree: the pair counts are the agreement counts that the
-    memoised pair pass marked (``pair_pass``).  Block (s, a) has
-    #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and blocks
-    (s, a), (s', a') of two seeds meet in the pair count of seeds s, s' and
-    values a, a' of the transposed table, constant on the seed orbits the
-    pass verified, so only the seeds least in their orbit are scanned.
-    """
-    X, S, A = f.x_size, f.s_size, f.a_size
-    seen = np.zeros(X + 1, dtype=bool)
-    seen[0] = A >= 2
-    seeds, labels = np.ascontiguousarray(T.T), pair_pass(f, T)["orbits"][1]
-    for _, _, counts in pair_counts(seeds, A, rows=np.flatnonzero(labels == np.arange(S))):
-        seen[counts] = True
-    sizes = np.bincount(row_counts(seeds, A).ravel())
-    return (((0,) * S + (X,), tuple(pair_pass(f, T)["agree"].tolist())),
-            (tuple(sizes.tolist()), tuple(seen.tolist())))
-
-
 def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> TheoremReport:
     """Cross-check every applicable bound-equality/structure implication.
 
-    Member a is the level set T == a of f's table, its pair counts marked by
-    classify's pair pass and only its block intersections a product
-    (``_member_counts``); its dual reads the same record, and its
-    DesignParams go on ``members``.  The sum mosaic's record comes from the
-    table (``_sum_counts``), its pair counts being the agreement counts of
-    that pass, and the sum is always resolvable: the seed classes
-    {(s, a) : a in A} partition every point set, and they are the resolution
+    Every counts record comes from ``_count``, read off classify's pair pass:
+    member a is the level set T == a of f's table, its pair counts the marks
+    of that pass and only its block intersections a product
+    (``member_counts``); its dual reads the same record, and its
+    DesignParams go on ``members``.  The sum mosaic's record
+    (``sum_counts``) takes its pair counts from the agreement counts of that
+    pass, and the sum is always resolvable: the seed classes {(s, a) : a in A}
+    partition every point set, and they are the resolution
     ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
@@ -510,7 +477,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
             report.violations.append(name)
 
     if rep.ocfu or variance:
-        records = _member_counts(f, T)
+        records = member_counts(f, T)
         report.members = [_design_params(*c) for c in records]
 
     if rep.ocfu:
@@ -530,7 +497,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
         record("variance_equality_dual_quasi_symmetric", ok, {"mu": str(mu)})
 
     if rep.ou:
-        p = _design_params(*_sum_counts(f, T))
+        p = _design_params(*sum_counts(f, T))
         record("ou_sum_is_resolvable_bibd", p.is_bibd, {"sum_params": p.to_dict()})
         au_bounds = seed_lower_bounds(X, A, rep.eps_au)
         if au_bounds.lb_au is not None and Fraction(S) == au_bounds.lb_au:

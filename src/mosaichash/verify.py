@@ -99,7 +99,7 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     if not _homomorphic_in_x(f, T):
         raise NotHomomorphic(f"{f.name} lacks group structure or is not linear in x")
     hist = row_counts(T, na)
-    hist[[x == f.x_group.zero for x in X]] = -1
+    hist[f.x_index[f.x_group.zero]] = -1
     best = int(hist.max(initial=-1))
     if best < 0:
         return Fraction(0), None
@@ -227,11 +227,10 @@ class VerificationReport:
 
 def classify(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> VerificationReport:
     """Full report: regularity, minimal epsilons, bound equalities, OCFU/OU."""
-    found = {"AU": min_epsilon(f, "AU", budget)}  # memoises ACFU and ASU too if f is regular
-    classes = pair_pass(f, f.to_table(budget).array)
-    found.update((n, min_epsilon(f, n, budget)) for n in ("ACFU", "ASU") if n in classes)
-    witnesses = {name: w for name, (_, w) in found.items()}
-    eps_au, eps_acfu, eps_asu = (found.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
+    min_epsilon(f, "AU", budget)  # TrivialDomain for an empty seed set, else the pass, memoised
+    pairs = pair_pass(f, f.to_table(budget).array)
+    witnesses = {name: pairs[name][1] for name in ("AU", "ACFU", "ASU") if name in pairs}
+    eps_au, eps_acfu, eps_asu = (pairs.get(name, (None,))[0] for name in ("AU", "ACFU", "ASU"))
     regular = eps_acfu is not None
 
     eps_balanced = None

@@ -153,6 +153,21 @@ def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
                               for a in range(2)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--affine", "q=2", "t=2"], ["--affine", "q=4", "t=3"],
+    ["--field-multiply", "q=2", "n=6", "m=3"], ["--transversal", "q=16", "--infinity"],
+    ["--transversal", "q=8"], ["--dual-affine", "q=3", "t=2"], ["--toeplitz", "q=2", "m=2", "n=4"],
+], ids=" ".join)
+def test_design_prints_the_same_members_with_and_without_theorems(tmp_path, capsys, argv):
+    """members come from the theorem report where it read them, else from each
+    member analysed: both give the same output."""
+    path, _ = family_file(tmp_path, capsys, *argv)
+    outputs = [run(capsys, "design", str(path), *flags) for flags in ((), ("--theorems",))]
+    assert [code for code, _, _ in outputs] == [0, 0]
+    plain, theorems = (json.loads(out)["members"] for _, out, _ in outputs)
+    assert plain == theorems
+
+
 @pytest.mark.parametrize("argv", [["verify", "{f}"], ["design", "{f}", "--theorems"],
                                   ["pa", "{src}", "{f}"], ["construct", "{f}", "--double-ext"]])
 def test_empty_seed_set_exits_2(tmp_path, capsys, argv):

@@ -28,7 +28,8 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash.designs import _design_params, _member_counts, _refine, _split
+from mosaichash._count import member_counts, pair_pass
+from mosaichash.designs import _design_params, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
@@ -793,10 +794,29 @@ def _value_moving_table(rng):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
+def test_the_pair_pass_marks_each_value_exactly(monkeypatch, kernel):
+    """diagonal[a] of the pass, which counts orbit representatives only and
+    marks each bin at its value orbit, is the presence set of N(x, x', a, a)
+    over every pair x < x' counted by plain loops: planted tables whose
+    automorphism moves values, and transversal families with infinity."""
+    force_kernel(monkeypatch, kernel)
+    families = [_value_moving_table(random.Random(n)) for n in range(60)]
+    families += [transversal(q, include_infinity=True) for q in (3, 4, 5, 8)]
+    for f in families:
+        rows = f.to_table().array.tolist()
+        want = [[False] * (f.s_size + 1) for _ in range(f.a_size)]
+        for i, u in enumerate(rows):
+            for w in rows[i + 1:]:
+                for a in range(f.a_size):
+                    want[a][sum(p == q == a for p, q in zip(u, w))] = True
+        assert pair_pass(f, f.to_table().array)["diagonal"].tolist() == want, f.name
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_member_records_match_plain_counts_of_each_level_set(monkeypatch, kernel):
     """Each member's record, its pair counts marked by the pair pass on orbit
-    representatives and closed over the value orbits, its block intersections
-    one product, gives the DesignParams of plain-loop counts, for the member and
+    representatives at their value orbits, its block intersections one
+    product, gives the DesignParams of plain-loop counts, for the member and
     its dual: named families whose automorphisms move values (transversal) or
     not (affine, dual_affine), their generator-free rebuilds, random regular
     tables, and planted tables whose automorphism moves values."""
@@ -812,7 +832,7 @@ def test_member_records_match_plain_counts_of_each_level_set(monkeypatch, kernel
         families.append(_value_moving_table(rng))
     for f in families:
         got = [(_design_params(p, b), _design_params(b, p))
-               for p, b in _member_counts(f, f.to_table().array)]
+               for p, b in member_counts(f, f.to_table().array)]
         assert got == [_level_set_params(f, a) for a in range(f.a_size)], f.name
         members = check_structure_theorems(f).members
         assert members is None or members == [p for p, _ in got]
@@ -850,13 +870,13 @@ def test_generators_reassigned_after_classify_leave_the_members_unchanged(monkey
     makers += [lambda n=n: _value_moving_table(random.Random(n)) for n in range(6)]
     for make in makers:
         f = make()
-        want = check_structure_theorems(f).members, _member_counts(f, f.to_table().array)
+        want = check_structure_theorems(f).members, member_counts(f, f.to_table().array)
         false = (np.arange(f.x_size), np.arange(f.s_size), np.roll(np.arange(f.a_size), 1))
         for generators in ((), (false,)):
             f = make()
             classify(f)
             f.automorphisms = generators
-            got = check_structure_theorems(f).members, _member_counts(f, f.to_table().array)
+            got = check_structure_theorems(f).members, member_counts(f, f.to_table().array)
             assert got == want, f.name
 
 

@@ -135,3 +135,11 @@ def test_counting_kernels_live_in_count_alone():
             if path.name == "_count.py":
                 assert module not in ("verify", "designs", "construct", "privacy", "cli"), module
     assert "_count.py" in [p.name for p in paths]
+
+
+def test_designs_reads_counts_records_not_the_pair_pass():
+    """_count alone makes counts records and reads the pass and its orbit
+    labels; designs takes finished records from it."""
+    path = pathlib.Path(mosaichash.__file__).parent / "designs.py"
+    names = {name for module, name in imports(path) if module == "_count"}
+    assert names == {"gram_counts", "member_counts", "sum_counts", "present"}
