@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._count import pair_blocks, pair_max, regular_block, row_counts
+from ._count import difference_max, regular_block
 from .errors import BudgetExceeded, DomainMismatch, NotBalanced, TheoremViolation, TrivialDomain
 from .families import (
     DEFAULT_TABLE_BUDGET,
@@ -80,12 +80,11 @@ def concatenate(f1: HashFamily, f2: HashFamily) -> HashFamily:
 def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
     """Least eps with |{h : a(y,h) - a(y',h) = b}| <= eps|H| for all y != y', b.
 
-    Needs an abelian group on the value set only.  Counts the differences
-    of each pair of rows through a subtraction table of that group, O(|H|)
-    per pair plus one bin per value.  Returns (eps, witness); the witness
-    (y, y', b) is the first strict maximum in label order.  The table holds
-    |A|^2 entries, and BudgetExceeded is raised before it is built if that
-    exceeds budget.
+    Needs an abelian group on the value set only.  ``_count`` counts each
+    pair of rows' differences through that group's subtraction table, of
+    |A|^2 entries; BudgetExceeded is raised before it is built if that
+    exceeds budget.  Returns (eps, witness); the witness (y, y', b) is the
+    first strict maximum in label order.
     """
     if a.a_group is None:
         raise NotBalanced(f"{a.name} has no designated group on its value set")
@@ -95,11 +94,10 @@ def balanced_epsilon(a: HashFamily, budget=DEFAULT_TABLE_BUDGET):
         raise BudgetExceeded(f"{a.a_size}^2 = {a.a_size**2} entry subtraction table of "
                              f"{a.name} exceeds budget {budget}")
     to, back = _on_carrier(a.a_labels, a.a_group, f"value set of {a.name}")
-    na, T = a.a_size, a.to_table(budget).array
+    T = a.to_table(budget).array
     total = back[a.a_group._op(to[:, None], to)]  # value index of a_u + a_v
     minus = total[:, (total == a.a_index[a.a_group.zero]).argmax(axis=0)]  # of a_u - a_v
-    [(best, where)] = pair_max((xs, ys, row_counts(minus.take(row * na + rest), na))
-                               for xs, ys, row, rest in pair_blocks(T, bins=na))
+    best, where = difference_max(T, minus)
     if where is None:
         return Fraction(0), None
     i, j, b = where

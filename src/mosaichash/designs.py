@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._count import gram_counts, member_counts, present, sum_counts
+from ._count import gram_counts, incidence, member_counts, present, sum_counts
 from .errors import (
     BadLabeling,
     NotAMosaic,
@@ -145,10 +145,7 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
     """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
     labels = [(s, a) for s in m.block_indices for a in m.a_labels]
-    matrix = np.zeros((len(m.points), len(labels)), dtype=np.int8)
-    t = m._table.ravel()  # (x, s) at x|S| + s, so its one is at x|S||A| + s|A| + T[x, s]
-    matrix.ravel()[np.arange(t.size) * len(m.a_labels) + t] = 1
-    return IncidenceStructure._of(matrix, m.points, labels)
+    return IncidenceStructure._of(incidence(m._table, len(m.a_labels), np.int8), m.points, labels)
 
 
 @dataclass
@@ -455,15 +452,12 @@ class TheoremReport:
 def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> TheoremReport:
     """Cross-check every applicable bound-equality/structure implication.
 
-    Every counts record comes from ``_count``, read off classify's pair pass:
-    member a is the level set T == a of f's table, its pair counts the marks
-    of that pass and only its block intersections a product
-    (``member_counts``); its dual reads the same record, and its
-    DesignParams go on ``members``.  The sum mosaic's record
-    (``sum_counts``) takes its pair counts from the agreement counts of that
-    pass, and the sum is always resolvable: the seed classes {(s, a) : a in A}
-    partition every point set, and they are the resolution
-    ``find_resolution`` returns.
+    Every counts record comes finished from ``_count``: member a, the level
+    set T == a of f's table, and its dual read ``member_counts``, and the
+    members' DesignParams go on ``members``; the sum mosaic reads
+    ``sum_counts``, and is always resolvable: the seed classes
+    {(s, a) : a in A} partition every point set, and they are the
+    resolution ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._count import exact
+from ._count import exact, joint_counts
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -34,18 +34,6 @@ from .verify import _json, _render, min_epsilon
 
 DEFAULT_SOURCE_BUDGET = 10**6
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise Fraction(count, den)
-_BLOCK = 1 << 20  # entries of a one-hot or scatter block
-
-
-def _product_pays(nz, na):
-    """Whether the one-hot product builds the joint faster than the scatter.
-    The product costs about |X||S||A|(0.7 + 0.07|Z|) ns and the scatter
-    |X||S||Z| times 3 to 10 ns.  Measured on a 2-core Xeon with one BLAS
-    thread, over |X| and |S| of 64 to 4096, |Z| of 1 to 512 and |A| of 2
-    to 512, the two are level near |A| = 16 for |Z| = 2 to 8 and near
-    |A| = 64 for |Z| >= 32; under this rule the kernel chosen is at most
-    1.7x the other."""
-    return na <= min(2 * nz, 64)
 
 
 class JointSource:
@@ -185,37 +173,17 @@ class PAJoint:
 def pa_joint(src: JointSource, f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> PAJoint:
     """Exact joint p_ZSA(z,s,a) = p_XZ restricted to f(x,s)=a, seed uniform.
 
-    Cell (z, s, a) holds sum_x num[x, z] [T[x, s] = a] over den * |S|, at
-    most den, so the joint keeps the source's dtype.  Where _product_pays
-    and exact(den, product=True) is a float it is num^T times the one-hot
-    table in that float, built in blocks of seeds; otherwise one flat
-    scatter of the counts, in blocks of z.  Sums over s reach |S| den and
-    |A| |S| den, and take the dtype exact gives those bounds.  The key is
-    independent of Z when |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
+    Cell (z, s, a) is ``_count.joint_counts`` over den * |S|, in the source's
+    dtype.  Sums over s reach |S| den and |A| |S| den, and take the dtype
+    exact gives those bounds.  The key is independent of Z when
+    |A| sum_s P[z, s, a] = |S| sum_x num[x, z].
     """
     if tuple(src.x_labels) != tuple(f.x_labels):
         raise AlphabetMismatch("source X alphabet differs from the family point set")
     if f.s_size == 0:
         raise TrivialDomain(f"{f.name} has an empty seed set; the joint is a share of |S|")
-    T = f.to_table(budget).array
-    nx, nz, ns, na, den = src.x_size, src.z_size, f.s_size, f.a_size, src.den
-    num = np.zeros((nz, ns * na), dtype=src.num.dtype)  # num[z, s |A| + a]
-    cell = np.arange(ns) * na + T  # the column of (x, s)
-    dtype = exact(den, product=_product_pays(nz, na))
-    if np.issubdtype(dtype, np.floating):
-        counts, step = src.num.T.astype(dtype), max(1, _BLOCK // (nx * na))
-        for s0 in range(0, ns, step):
-            block = cell[:, s0:s0 + step] - s0 * na
-            onehot = np.zeros((nx, block.shape[1] * na), dtype=dtype)
-            np.put_along_axis(onehot, block, 1.0, axis=1)
-            num[:, s0 * na:s0 * na + onehot.shape[1]] = counts @ onehot
-    else:
-        step = max(1, _BLOCK // T.size)
-        for z0 in range(0, nz, step):
-            zs = np.arange(z0, min(nz, z0 + step))
-            np.add.at(num.ravel(), (zs[:, None, None] * (ns * na) + cell).ravel(),
-                      np.repeat(src.num[:, zs].T, ns))
-    num = num.reshape(nz, ns, na)
+    ns, na, den = f.s_size, f.a_size, src.den
+    num = joint_counts(f.to_table(budget).array, na, src.num, den)
     # the sum over s; einsum, unlike sum(axis=1), stays fast for small |A|
     by_key = np.einsum("zsa->za", num.astype(exact(ns * den), copy=False))
     key_marginal = _fraction(by_key.sum(axis=0), den * ns).tolist()

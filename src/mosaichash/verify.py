@@ -73,12 +73,9 @@ def min_epsilon(f: HashFamily, hash_class: str, budget=DEFAULT_TABLE_BUDGET):
     over x != 0 and raises NotHomomorphic unless f is linear in x.  Every
     class raises TrivialDomain for an empty seed set.
 
-    The first AU, ACFU or ASU call counts all three in one pass and
-    memoises them on f, counting only the rows that are the least of their
-    orbit under f.automorphisms (NotAnAutomorphism if one fails on f).  For
-    |A| <= 8 over at least 2|A| such rows, N is taken as exact float32 (or
-    float64) products of one-hot matrices in tiles of bounded size, no
-    X x X array; else by one bincount per row block (``_count``).
+    The first AU, ACFU or ASU call counts all three in one pass of
+    ``_count`` and memoises them on f, counting only the rows least in their
+    orbit under f.automorphisms (NotAnAutomorphism if one fails on f).
 
     Returns (epsilon, witness): the first strict maximum in the scan order
     (x, x', a, a'), in domain labels: AU -> (x, x'), ACFU -> (x, x', a),

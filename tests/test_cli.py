@@ -13,9 +13,10 @@ from mosaichash import (
     Mosaic,
     affine,
     toeplitz,
+    transversal,
     uniform_source,
 )
-from mosaichash import cli, designs
+from mosaichash import cli, designs, privacy
 from mosaichash.cli import main
 from oracles import oracle_design_params, ref_field_multiply
 from util import flip_source, run_python
@@ -57,6 +58,11 @@ def test_family_over_gf256(tmp_path, capsys):
     (X, S, A), rows = ref_field_multiply(2, 8, 4)
     assert (list(T.x_labels), list(T.s_labels), list(T.a_labels)) == (X, S, A)
     assert [[T.a_labels[e] for e in row] for row in T.array.tolist()] == rows
+
+
+def test_family_transversal_over_an_h_subset(tmp_path, capsys):
+    path, _ = family_file(tmp_path, capsys, "--transversal", "--H", "0,1", "q=3")
+    assert path.read_text() == transversal(3, h_subset=[0, 1]).to_table().to_json() + "\n"
 
 
 def test_family_requires_one_kind(capsys):
@@ -141,6 +147,22 @@ def test_design_theorems_affine(tmp_path, capsys, monkeypatch):
         assert member["is_bibd"]
 
 
+def test_design_theorems_violation_exits_1_and_prints_the_report(tmp_path, capsys, monkeypatch):
+    path, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    real = designs.check_structure_theorems
+
+    def violated(f, budget):
+        rep = real(f, budget)
+        rep.violations.append("planted")
+        return rep
+    monkeypatch.setattr(designs, "check_structure_theorems", violated)
+    code, out, err = run(capsys, "design", str(path), "--theorems")
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    assert rep["theorems"]["ok"] is False and rep["theorems"]["violations"] == ["planted"]
+    assert [m["lambda"] for m in rep["members"]] == [1, 1]
+
+
 def test_design_theorems_members_without_a_member_check(tmp_path, capsys):
     path, _ = family_file(tmp_path, capsys, "--field-multiply", "q=2", "n=3", "m=1",
                           "--exclude-zero")
@@ -178,6 +200,14 @@ def test_empty_seed_set_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(f=path, src=src) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "empty seed set" in err
+
+
+def test_design_resolve_of_an_empty_seed_set_is_not_resolvable(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(FunctionTable(range(3), [], range(2), [[], [], []]).to_json())
+    code, out, err = run(capsys, "design", str(path), "--resolve")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"resolution": "NotResolvable('empty structure')"}
 
 
 @pytest.mark.parametrize("argv, warning", [
@@ -413,6 +443,17 @@ def test_pa_prints_plus_zero_entropy_where_z_determines_x(tmp_path, capsys):
     assert code == 0 and '"entropy_h2": 0.0' in out
 
 
+def test_pa_theorem_violation_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    fam, _ = family_file(tmp_path, capsys, "--affine", "q=2", "t=2")
+    src = tmp_path / "src.json"
+    src.write_text(uniform_source(FunctionTable.from_json(fam.read_text()).x_labels).to_json())
+    monkeypatch.setattr(privacy, "security_distance",
+                        lambda joint: (Fraction(5, 2), ("w0", "w1")))
+    code, out, err = run(capsys, "pa", str(src), str(fam))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: security distance 5/2 ") and err.count("\n") == 1
+
+
 def test_pa_irregular_family_exits_2(tmp_path, capsys):
     fam, _ = family_file(tmp_path, capsys, "--toeplitz", "q=2", "m=1", "n=2")
     src = tmp_path / "src.json"
@@ -456,7 +497,9 @@ def test_bad_json_exits_2(tmp_path, capsys):
                      ('{"x_labels": 0, "s_labels": [], "a_labels": [], "rows": []}', "x_labels"),
                      ("[1, 2]", "JSON object"),
                      ('{"x_labels": [{"a": 1}], "s_labels": [0], "a_labels": [0], "rows": [[0]]}',
-                      'not {"a": 1}')):
+                      'not {"a": 1}'),
+                     ('{"x_labels": [0, 1], "s_labels": [0, 1], "a_labels": [0], '
+                      '"rows": [[0, 0], [0]]}', "table shape does not match domains")):
         path.write_text(doc)
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and why in err

@@ -246,6 +246,15 @@ def test_fano_not_resolvable():
     assert "not divisible" in res.reason
 
 
+@pytest.mark.parametrize("matrix, reason", [
+    (np.zeros((3, 0), dtype=np.int8), "empty structure"),
+    ([[1, 1], [1, 0]], "replication number is not constant"),
+])
+def test_find_resolution_answers_before_any_search(matrix, reason):
+    res = find_resolution(IncidenceStructure(matrix), node_budget=0)
+    assert isinstance(res, NotResolvable) and res.reason == reason
+
+
 def test_resolution_budget():
     total = sum_mosaic(mosaic_from_function(affine(2, 3)))
     with pytest.raises(SearchBudgetExceeded):
@@ -313,6 +322,8 @@ def test_is_isomorphic_distinguishes():
     assert not is_isomorphic(a, b)
     c = IncidenceStructure([[1, 0, 0], [0, 1, 0]])
     assert not is_isomorphic(a, c)  # shape mismatch
+    empty = np.zeros((0, 0), dtype=np.int8)
+    assert is_isomorphic(IncidenceStructure(empty), IncidenceStructure(empty))  # nothing to tell
 
 
 def test_structure_theorems_affine():

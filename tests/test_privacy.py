@@ -24,7 +24,7 @@ from mosaichash import (
     transversal,
     uniform_source,
 )
-from mosaichash import privacy
+from mosaichash import _count, privacy
 from mosaichash._count import exact
 from mosaichash.errors import (
     AlphabetMismatch,
@@ -336,17 +336,26 @@ def counts_source(x_labels, z_labels, w):
     return JointSource(x_labels, z_labels, [[Fraction(v, total) for v in r] for r in w])
 
 
-@pytest.mark.parametrize("w", [
-    [[2**53 - 23, 2], [4, 6], [8, 1], [2, 0]],  # den = 2^53: the float64 product is exact
-    [[2**53 + 1, 2], [4, 6], [8, 1], [3, 5]],  # den = 2^53 + 30: float64 would round
+def incidence_blocks(monkeypatch):
+    """The shapes of the incidence blocks that _count's joint product builds from here on."""
+    real, built = _count.incidence, []
+    monkeypatch.setattr(_count, "incidence", lambda *a: built.append(a[0].shape) or real(*a))
+    return built
+
+
+@pytest.mark.parametrize("w, product", [
+    ([[2**53 - 23, 2], [4, 6], [8, 1], [2, 0]], True),  # den = 2^53: float64 is exact
+    ([[2**53 + 1, 2], [4, 6], [8, 1], [3, 5]], False),  # den = 2^53 + 30: float64 would round
 ])
-def test_joint_counts_around_2_53(w):
+def test_joint_counts_around_2_53(w, product, monkeypatch):
+    """The shape is on the product's side, so den alone chooses the kernel."""
     f = affine(2, 2)
-    assert privacy._product_pays(2, f.a_size)  # the shape is on the product's side
+    built = incidence_blocks(monkeypatch)
     src = counts_source(f.x_labels, "ab", w)
     assert src.den == sum(map(sum, w)) and src.num.dtype == np.int64
     joint = assert_matches_oracles(src, f)
     assert joint.num.dtype == np.int64 and joint.independence_verified
+    assert bool(built) is product
 
 
 @pytest.mark.parametrize("bound, product, want", [
@@ -366,13 +375,14 @@ def test_exact_takes_the_smallest_dtype_that_holds_the_bound(bound, product, wan
     ([[2**24 - 3], [2], [1], [0]], np.float32),  # den = 2^24: every cell fits float32
     ([[2**24 - 1], [2], [0], [0]], np.float64),  # den = 2^24 + 1: float32 rounds that cell
 ])
-def test_joint_counts_around_2_24(w, dtype):
+def test_joint_counts_around_2_24(w, dtype, monkeypatch):
     f = affine(2, 2)
-    assert privacy._product_pays(1, f.a_size)  # the shape is on the product's side
+    built = incidence_blocks(monkeypatch)
     src = counts_source(f.x_labels, "z", w)
     assert src.den == sum(map(sum, w)) and exact(src.den, product=True) is dtype
     joint = assert_matches_oracles(src, f)
     assert joint.num.dtype == np.int64 and joint.independence_verified
+    assert built  # the shape is on the product's side
 
 
 @pytest.mark.parametrize("m0, reduced_fits", [(3 * 2**59, True), (2**60 + 1, False)])
@@ -395,19 +405,24 @@ def test_distance_of_unequal_key_masses(m0, reduced_fits):
     assert dist == oracle_security_distance(src, f) and witness == ("k0", "k1")
 
 
-@pytest.mark.parametrize("block", [privacy._BLOCK, 1])  # 1: one seed or one z per block
+@pytest.mark.parametrize("block", [None, 1])  # as shipped, or one seed or one z per block
 @pytest.mark.parametrize("nz, na, product", [
     (1, 2, True), (1, 3, False), (3, 6, True), (2, 5, False), (40, 64, True), (30, 65, False),
 ])
 def test_both_joint_kernels_match_the_oracle(nz, na, product, block, monkeypatch):
-    assert privacy._product_pays(nz, na) is product
-    monkeypatch.setattr(privacy, "_BLOCK", block)
+    """Products while |A| <= 2|Z| and |A| <= 64, else the scatter."""
+    if block:
+        monkeypatch.setattr(_count, "GRAM_BLOCK", block)
+        monkeypatch.setattr(_count, "PAIR_BLOCK", block)
+    built = incidence_blocks(monkeypatch)
     rng = random.Random(100 * nz + na)
     f = random_table(rng, 5, 7, na)
     src = counts_source(f.x_labels, range(nz), [[rng.randint(1, 9) for _ in range(nz)]
                                                for _ in f.x_labels])
     assert src.z_size == nz
     assert_matches_oracles(src, f)
+    blocks = [(5, 1)] * 7 if block else [(5, 7)]  # the product's blocks: one seed each, or all
+    assert built == (blocks if product else [])
 
 
 def test_pa_joint_peak_memory_stays_near_the_joint():

@@ -5,6 +5,7 @@ import sys
 import types
 
 import mosaichash
+from mosaichash import privacy
 from util import run_python
 
 # The public names of the package, one a line, so that adding or removing one
@@ -142,4 +143,31 @@ def test_designs_reads_counts_records_not_the_pair_pass():
     labels; designs takes finished records from it."""
     path = pathlib.Path(mosaichash.__file__).parent / "designs.py"
     names = {name for module, name in imports(path) if module == "_count"}
-    assert names == {"gram_counts", "member_counts", "sum_counts", "present"}
+    assert names == {"gram_counts", "incidence", "member_counts", "sum_counts", "present"}
+
+
+def test_one_module_holds_every_counting_kernel():
+    """privacy builds no one-hot, scatter or product of its own, and no module
+    but _count reads the pair blocks, their maxima or the one-hot operands."""
+    root = pathlib.Path(mosaichash.__file__).parent
+    for path in root.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        used = {name for module, name in imports(path) if module == "_count"} | {
+            n.attr for n in nodes if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "_count"}
+        if path.name != "_count.py":
+            assert not used & {"pair_blocks", "pair_counts", "pair_max", "one_hot"}, path.name
+        if path.name == "privacy.py":
+            assert not {n.attr for n in nodes if isinstance(n, ast.Attribute)} & {
+                "at", "put_along_axis", "dot", "matmul", "tensordot"}
+            assert not any(isinstance(n, ast.MatMult) for n in nodes)
+    assert not hasattr(privacy, "_BLOCK") and not hasattr(privacy, "_product_pays")
+
+
+def test_every_file_parses_as_python_3_10():
+    """CI tests Python 3.10 as well: no file may need a newer grammar."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
