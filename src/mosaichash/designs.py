@@ -29,13 +29,16 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class IncidenceStructure:
-    """0/1 incidence matrix; rows are points, columns are block indices."""
+    """0/1 incidence matrix, a read-only int8 array; rows are points, columns are
+    block indices.  Its counts record (``gram_counts``), incidence list and first
+    refinement path are read on first use and kept as tuples, arrays and bytes."""
 
     def __init__(self, matrix, points=None, block_indices=None):
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
         if m.ndim != 2 or not ((m == 0) | (m == 1)).all():
             raise ValueError("incidence matrix must be a 2-d 0/1 array")
         self.matrix = m = m.astype(np.int8, copy=False)
+        m.flags.writeable = False
         self.points = tuple(points) if points is not None else tuple(range(m.shape[0]))
         self.block_indices = (
             tuple(block_indices) if block_indices is not None else tuple(range(m.shape[1]))
@@ -45,10 +48,30 @@ class IncidenceStructure:
 
     @classmethod
     def _of(cls, matrix, points, block_indices) -> "IncidenceStructure":
-        """The structure of a fresh int8 0/1 matrix, taken without a copy or a check."""
+        """The structure of an unshared int8 0/1 matrix, made read-only, without a copy or check."""
+        matrix.flags.writeable = False
         d = cls.__new__(cls)
         d.matrix, d.points, d.block_indices = matrix, tuple(points), tuple(block_indices)
         return d
+
+    @functools.cached_property
+    def _counts(self):
+        return gram_counts(self.matrix)
+
+    @functools.cached_property
+    def _incidence(self):
+        return np.nonzero(self.matrix)
+
+    @functools.cached_property
+    def _path(self):
+        """(rows, cols, trace) at each depth: the root refinement, then the first
+        point of the first largest row cell individualised, until rows are discrete."""
+        path = (_refine(self._incidence, np.zeros(self.v, np.int64), np.zeros(self.b, np.int64)),)
+        while (sizes := np.bincount(path[-1][0])).max() > 1:
+            rows, cols, _ = path[-1]
+            rows = _individualise(rows, np.flatnonzero(rows == sizes.argmax())[0])
+            path += (_refine(self._incidence, rows, cols),)
+        return path
 
     @property
     def v(self):
@@ -59,7 +82,7 @@ class IncidenceStructure:
         return self.matrix.shape[1]
 
     def dual(self) -> "IncidenceStructure":
-        return IncidenceStructure(self.matrix.T, self.block_indices, self.points)
+        return IncidenceStructure._of(self.matrix.T, self.block_indices, self.points)
 
     def to_json(self) -> str:
         return json.dumps({"points": self.points, "block_indices": self.block_indices,
@@ -184,8 +207,8 @@ def _design_params(points, blocks) -> DesignParams:
 
 def analyze_structure(d: IncidenceStructure) -> DesignParams:
     """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting:
-    the pair counts m m^T and block intersections m^T m of ``gram_counts``."""
-    return _design_params(*gram_counts(d.matrix))
+    the pair counts m m^T and block intersections m^T m of d's counts record."""
+    return _design_params(*d._counts)
 
 
 @dataclass
@@ -334,19 +357,19 @@ def _split(inc, own, other, k, trace):
     side's; other's colours are below k.  New colours are the ranks of the
     distinct signatures, so they depend on the colourings alone, not on the
     order of rows and columns; the distinct signatures and their counts go on
-    the trace.  Signatures are ranked as byte keys of big-endian int64s, whose
-    byte order is their lexicographic order since entries are >= 0.  Returns
-    the new colours and their count.
+    the trace.  Signatures are ranked as byte keys of big-endian unsigned ints
+    as narrow as both sides' sizes allow, whose byte order is lexicographic.
+    Returns the new colours, as narrow as n allows, and their count.
     """
     mine, theirs = inc
     n = len(own)
-    sig = np.empty((n, k + 1), dtype=">i8")
+    sig = np.empty((n, k + 1), dtype=np.min_scalar_type(max(n, len(other))).newbyteorder(">"))
     sig[:, 0] = own
     sig[:, 1:] = np.bincount(mine * k + other[theirs], minlength=n * k).reshape(n, k)
     keys = sig.view(np.dtype((np.void, sig.itemsize * (k + 1)))).ravel()
     uniq, new, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    trace += [uniq.tobytes(), counts.tobytes()]
-    return new, len(uniq)
+    trace += [uniq.tobytes(), counts.astype(sig.dtype).tobytes()]
+    return new.astype(np.min_scalar_type(n)), len(uniq)
 
 
 def _refine(inc, rows, cols, against=None):
@@ -357,21 +380,21 @@ def _refine(inc, rows, cols, against=None):
     in turn.  A split after the first two that adds no colour ends the
     refinement: its side is then equitable over the other side's colouring,
     which the split before made equitable over this side's unchanged one, so
-    every further split would return its input.  Given against, the trace to
-    match, it returns None as soon as its trace leaves against's prefix or
-    ends at another length.
+    every further split would return its input.  Given against, the trace (a
+    tuple of bytes) to match, it returns None as soon as its trace leaves
+    against's prefix or ends at another length.
     """
     trace, sides, colours = [], (inc, inc[::-1]), [rows, cols]
     counts = [0, int(cols.max()) + 1]  # 0: the first row split never ends it
     for side in itertools.cycle((0, 1)):
         colours[side], n = _split(sides[side], colours[side], colours[1 - side],
                                   counts[1 - side], trace)
-        if against is not None and trace[-2:] != against[len(trace) - 2:len(trace)]:
+        if against is not None and tuple(trace[-2:]) != against[len(trace) - 2:len(trace)]:
             return None
         if n == counts[side]:
             break
         counts[side] = n
-    return None if against is not None and len(trace) != len(against) else (*colours, trace)
+    return None if against is not None and len(trace) != len(against) else (*colours, tuple(trace))
 
 
 def _individualise(rows, i):
@@ -384,48 +407,53 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
                   node_budget=DEFAULT_NODE_BUDGET) -> bool:
     """Exact test for row and column permutations taking a's matrix to b's.
 
-    Cheap invariants first: the shape and the two counts records (``gram_counts``),
-    the same for any isomorphic copy.  Then individualisation-refinement
-    on the point-block incidence graph (McKay & Piperno 2014): A follows one
-    path that individualises the first point of its first largest row cell,
-    and B tries every point of the matching cell, each refinement compared
-    with A's trace as it is produced and cut at the first mismatch.  (Largest,
-    not smallest: on a plane the smallest cell keeps the search on one line,
-    where most candidates fail only deep down; the largest reaches a frame
-    first.)  At a leaf every row has its own colour and the trace lists each
-    column's incidences over them, so equal traces there mean equal column
-    multisets: an isomorphism.  Every refinement of B is a node; past
-    node_budget nodes SearchBudgetExceeded states the nodes used and the budget.
+    Cheap invariants first: the shape and the two counts records, the same for
+    any isomorphic copy.  Then individualisation-refinement on the point-block
+    incidence graph (McKay & Piperno 2014): A follows its first path, which
+    individualises the first point of its first largest row cell, and B tries
+    every point of the matching cell, each refinement compared with A's trace as
+    it is produced and cut at the first mismatch.  (Largest, not smallest: on a
+    plane the smallest cell keeps the search on one line, where most candidates
+    fail only deep down; the largest reaches a frame first.)  B's first branch,
+    chosen by the same rule, is its own first path, kept as A's is: n structures
+    tested in pairs refine n paths and the branches off them.  At a leaf every
+    row has its own colour and the trace lists each column's incidences over
+    them, so equal traces there mean equal column multisets: an isomorphism.
+    Every node of B counts, read or refined; past node_budget nodes
+    SearchBudgetExceeded states the nodes used and the budget.
     """
-    if a.matrix.shape != b.matrix.shape or gram_counts(a.matrix) != gram_counts(b.matrix):
+    if a.matrix.shape != b.matrix.shape or a._counts != b._counts:
         return False
     if a.matrix.size == 0:
         return True
-    inc_a, inc_b = np.nonzero(a.matrix), np.nonzero(b.matrix)
-    start = np.zeros(a.v, dtype=np.int64), np.zeros(a.b, dtype=np.int64)
-    path = [_refine(inc_a, *start)]  # A's colourings and trace at each depth
-    stack = [(0, start)]  # B's nodes: depth and colouring before refinement
+    stack = [(0, None)]  # B's nodes: depth and (rows, cols, row to individualise), None on its path
     nodes = 0
     while stack:
-        depth, colouring = stack.pop()
+        depth, parent = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(
                 f"isomorphism search used {nodes} nodes, over its node_budget of {node_budget}"
             )
-        ra, ca, trace_a = path[depth]
-        refined = _refine(inc_b, *colouring, trace_a)
-        if refined is None:
-            continue
-        rows, cols, _ = refined
+        ra, _, trace_a = a._path[depth]
+        if parent is None:
+            rows, cols, trace = b._path[depth]
+            if trace != trace_a:
+                continue
+        else:
+            rows, cols, t = parent
+            refined = _refine(b._incidence, _individualise(rows, t), cols, trace_a)
+            if refined is None:
+                continue
+            rows, cols, _ = refined
         sizes = np.bincount(ra)
         if (sizes == 1).all():
             return True
-        cell = np.argmax(sizes)
-        if len(path) == depth + 1:
-            path.append(_refine(inc_a, _individualise(ra, np.flatnonzero(ra == cell)[0]), ca))
-        for t in np.flatnonzero(rows == cell)[::-1]:
-            stack.append((depth + 1, (_individualise(rows, t), cols)))
+        cell = np.flatnonzero(rows == np.argmax(sizes))
+        siblings = cell[1:] if parent is None else cell  # on B's path, cell[0] is its next node
+        stack += [(depth + 1, (rows, cols, t)) for t in siblings[::-1]]
+        if parent is None:
+            stack.append((depth + 1, None))
     return False
 
 

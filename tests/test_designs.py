@@ -394,7 +394,10 @@ def test_is_isomorphic_matches_brute_force_oracle():
                 i, j, s, t = rng.choice(switches)
                 other[i, s], other[i, t], other[j, s], other[j, t] = 0, 1, 1, 0
         want = oracle_is_isomorphic(a.tolist(), other.tolist())
-        assert is_isomorphic(IncidenceStructure(a), IncidenceStructure(other)) == want
+        for x, y in ((a, other), (other, a)):  # cold, then off the memoised records and paths
+            first, second = IncidenceStructure(x), IncidenceStructure(y)
+            assert is_isomorphic(first, second) == want
+            assert is_isomorphic(first, second) == want
         if sorted(a.sum(0)) == sorted(other.sum(0)) and sorted(a.sum(1)) == sorted(other.sum(1)):
             answers_with_equal_sums.add(want)
     assert answers_with_equal_sums == {True, False}
@@ -422,6 +425,86 @@ def test_is_isomorphic_rejects_switched_affine_members(q, t):
         copy = _switched(rng, _permuted(rng, member.matrix))
         # the cheap invariants reject the copy before the search takes a node
         assert not is_isomorphic(member, IncidenceStructure(copy), node_budget=0)
+
+
+def _cycles(*lengths):
+    """Disjoint cycles, one per length n >= 3: row i of a cycle meets its columns i and i+1 mod n.
+    Each row meets two columns and each column two rows, and two rows share
+    one column exactly when they are next to each other on one cycle."""
+    m = np.zeros((sum(lengths), sum(lengths)), dtype=np.int8)
+    start = 0
+    for n in lengths:
+        rows = start + np.arange(n)
+        m[rows, rows] = m[rows, start + (np.arange(n) + 1) % n] = 1
+        start += n
+    return m
+
+
+@pytest.mark.parametrize("a, b, answer, nodes", [
+    # equal counts records, not isomorphic: the first branch fails one level down
+    ((8,), (4, 4), False, 9), ((4, 4), (8,), False, 9), ((6, 6), (4, 8), False, 13),
+    ((3, 3, 6), (4, 4, 4), False, 13),
+    # isomorphic, but B's first point lies on another cycle than A's, so its first branch fails
+    ((3, 5), (5, 3), True, 10), ((5, 3), (3, 5), True, 8), ((3, 4, 5), (5, 4, 3), True, 21),
+], ids=str)
+def test_is_isomorphic_node_counts_and_budget_messages(a, b, answer, nodes):
+    """Node counts and budget messages of the whole search: a node read off a
+    memoised path counts as one refined afresh does."""
+    first, second = IncidenceStructure(_cycles(*a)), IncidenceStructure(_cycles(*b))
+    assert first._counts == second._counts
+    for _ in range(2):  # cold, then warm
+        with pytest.raises(SearchBudgetExceeded,
+                           match=f"used {nodes} nodes, over its node_budget of {nodes - 1}$"):
+            is_isomorphic(first, second, node_budget=nodes - 1)
+    assert is_isomorphic(first, second, node_budget=nodes) is answer
+    fresh = IncidenceStructure(_cycles(*a)), IncidenceStructure(_cycles(*b))
+    assert is_isomorphic(*fresh, node_budget=nodes) is answer
+
+
+def test_all_pairs_of_n_copies_refine_n_paths(monkeypatch):
+    """Each structure refines its first path once: all pairs of n permuted copies
+    make as many refinements as the n paths, not a number that grows with the
+    n(n-1)/2 pairs."""
+    rng = random.Random(17)
+    member = mosaic_from_function(affine(3, 3)).members[1]
+    copies = [IncidenceStructure(_permuted(rng, member.matrix)) for _ in range(8)]
+    depth = len(member._path)
+    calls = []  # per refinement: whether it was compared with another trace
+
+    def spy(inc, rows, cols, against=None):
+        calls.append(against is not None)
+        return _refine(inc, rows, cols, against)
+
+    monkeypatch.setattr(mosaichash.designs, "_refine", spy)
+    assert all(is_isomorphic(x, y) for i, x in enumerate(copies) for y in copies[i + 1:])
+    assert len(calls) == sum(len(c._path) for c in copies) == 8 * depth
+    assert not any(calls)  # no refinement against another trace: every first branch held
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IncidenceStructure(FANO),
+    lambda: IncidenceStructure._of(np.array(FANO, dtype=np.int8), range(7), range(7)),
+    lambda: mosaic_from_function(affine(2, 2)).members[0],
+    lambda: sum_mosaic(mosaic_from_function(affine(2, 2))),
+    lambda: IncidenceStructure(FANO).dual(),
+    lambda: mosaic_from_function(affine(2, 2)).members[0].dual(),
+], ids=["constructed", "_of", "member", "sum", "dual", "member dual"])
+def test_incidence_matrix_is_read_only(make):
+    d = make()
+    with pytest.raises(ValueError, match="read-only"):
+        d.matrix[0, 0] = 1 - d.matrix[0, 0]
+    assert analyze_structure(d) == analyze_structure(IncidenceStructure(d.matrix))
+
+
+def test_memoised_records_hold_only_tuples_arrays_bytes_and_ints():
+    """No list or dict is kept, so a memo adds no containers the collector walks."""
+    d = mosaic_from_function(affine(3, 2)).members[0]
+    assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1]))
+
+    def leaves(x):
+        assert isinstance(x, (tuple, np.ndarray, bytes, int)), type(x)
+        return sum(map(leaves, x)) if isinstance(x, tuple) else 1
+    assert all(leaves(memo) for memo in (d._counts, d._incidence, d._path))
 
 
 def test_split_colours_and_trace_ignore_the_order_of_rows_and_columns():
