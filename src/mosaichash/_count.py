@@ -109,14 +109,13 @@ def incidence(T, na, dtype):
 def joint_counts(T, na, num, den):
     """P[z, s, a] = sum_x num[x, z] [T[x, s] = a] in num's dtype, for counts
     num over den, so at most den: num^T times T's ``incidence`` in seed
-    blocks of about min(GRAM_BLOCK, max(|Z||S||A|, PAIR_BLOCK)) entries, so no
-    larger than the joint or one scatter block, while |A| <= min(2|Z|, 64)
-    and exact(den, product=True) is a float, else one scatter of num in
-    blocks of z of about PAIR_BLOCK entries.  On a 2-core Xeon, one BLAS
-    thread, the product cost about |X||S||A|(0.7 + 0.07|Z|) ns and the scatter
-    |X||S||Z| times 3 to 10 ns; over |X|, |S| of 64 to 4096, |Z| of 1 to 512
-    and |A| of 2 to 512 they were level near |A| = 16 for |Z| <= 8 and 64 for
-    |Z| >= 32, and the rule's choice was at most 1.7x the other."""
+    blocks of about min(GRAM_BLOCK, max(|Z||S||A|, PAIR_BLOCK)) entries while
+    |A| <= min(2|Z|, 64) and exact(den, product=True) is a float, else one
+    scatter of num in blocks of z of about PAIR_BLOCK entries.  On a 2-core
+    Xeon, one BLAS thread, the product cost about |X||S||A|(0.7 + 0.07|Z|) ns
+    and the scatter |X||S||Z| times 3 to 10 ns; over |X|, |S| of 64 to 4096,
+    |Z| of 1 to 512 and |A| of 2 to 512 they were level near |A| = 16 for
+    |Z| <= 8 and 64 for |Z| >= 32, and the rule's choice was at most 1.7x the other."""
     (nx, ns), nz = T.shape, num.shape[1]
     out = np.zeros((nz, ns * na), dtype=num.dtype)  # out[z, s*na + a]
     dtype = exact(den, product=na <= min(2 * nz, 64))

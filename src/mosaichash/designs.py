@@ -29,9 +29,10 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class IncidenceStructure:
-    """0/1 incidence matrix, a read-only int8 array; rows are points, columns are
-    block indices.  Its counts record (``gram_counts``), incidence list and first
-    refinement path are read on first use and kept as tuples, arrays and bytes."""
+    """0/1 incidence matrix, a read-only int8 array; rows are points, columns are block
+    indices.  Its counts record, incidence list and first path are kept from first read."""
+
+    _path = ()  # (rows, cols, trace hashes) at each depth of the first path read so far
 
     def __init__(self, matrix, points=None, block_indices=None):
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
@@ -54,24 +55,23 @@ class IncidenceStructure:
         d.matrix, d.points, d.block_indices = matrix, tuple(points), tuple(block_indices)
         return d
 
-    @functools.cached_property
-    def _counts(self):
-        return gram_counts(self.matrix)
+    def __reduce__(self):  # memos stay behind: a trace hash holds only in the process that made it
+        return type(self)._of, (self.matrix, self.points, self.block_indices)
 
-    @functools.cached_property
-    def _incidence(self):
-        return np.nonzero(self.matrix)
+    _counts = functools.cached_property(lambda self: gram_counts(self.matrix))
+    _incidence = functools.cached_property(lambda self: np.nonzero(self.matrix))
 
-    @functools.cached_property
-    def _path(self):
-        """(rows, cols, trace) at each depth: the root refinement, then the first
-        point of the first largest row cell individualised, until rows are discrete."""
-        path = (_refine(self._incidence, np.zeros(self.v, np.int64), np.zeros(self.b, np.int64)),)
-        while (sizes := np.bincount(path[-1][0])).max() > 1:
-            rows, cols, _ = path[-1]
-            rows = _individualise(rows, np.flatnonzero(rows == sizes.argmax())[0])
-            path += (_refine(self._incidence, rows, cols),)
-        return path
+    def _step(self, depth):
+        """(rows, cols, trace) at depth of the first path, refined on first read: the
+        root refinement, then the first point of the first largest row cell individualised."""
+        while len(self._path) <= depth:
+            if self._path:
+                rows, cols, _ = self._path[-1]
+                rows = _individualise(rows, np.flatnonzero(rows == np.bincount(rows).argmax())[0])
+            else:
+                rows, cols = np.zeros(self.v, np.int64), np.zeros(self.b, np.int64)
+            self._path += (_refine(self._incidence, rows, cols),)
+        return self._path[depth]
 
     @property
     def v(self):
@@ -356,10 +356,10 @@ def _split(inc, own, other, k, trace):
     inc is the incidence list as two arrays, this side's items then the other
     side's; other's colours are below k.  New colours are the ranks of the
     distinct signatures, so they depend on the colourings alone, not on the
-    order of rows and columns; the distinct signatures and their counts go on
-    the trace.  Signatures are ranked as byte keys of big-endian unsigned ints
-    as narrow as both sides' sizes allow, whose byte order is lexicographic.
-    Returns the new colours, as narrow as n allows, and their count.
+    order of rows and columns; the 64-bit ``hash`` of the distinct signatures and
+    their counts goes on the trace.  Signatures are ranked as byte keys of big-
+    endian unsigned ints as narrow as both sides' sizes allow, whose byte order is
+    lexicographic.  Returns the new colours and their count.
     """
     mine, theirs = inc
     n = len(own)
@@ -368,8 +368,8 @@ def _split(inc, own, other, k, trace):
     sig[:, 1:] = np.bincount(mine * k + other[theirs], minlength=n * k).reshape(n, k)
     keys = sig.view(np.dtype((np.void, sig.itemsize * (k + 1)))).ravel()
     uniq, new, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    trace += [uniq.tobytes(), counts.astype(sig.dtype).tobytes()]
-    return new.astype(np.min_scalar_type(n)), len(uniq)
+    trace.append(hash(uniq.tobytes() + counts.tobytes()))
+    return new, len(uniq)
 
 
 def _refine(inc, rows, cols, against=None):
@@ -381,15 +381,15 @@ def _refine(inc, rows, cols, against=None):
     refinement: its side is then equitable over the other side's colouring,
     which the split before made equitable over this side's unchanged one, so
     every further split would return its input.  Given against, the trace (a
-    tuple of bytes) to match, it returns None as soon as its trace leaves
-    against's prefix or ends at another length.
+    tuple of hashes, one per split) to match, it returns None as soon as its
+    trace leaves against's prefix or ends at another length.
     """
     trace, sides, colours = [], (inc, inc[::-1]), [rows, cols]
     counts = [0, int(cols.max()) + 1]  # 0: the first row split never ends it
     for side in itertools.cycle((0, 1)):
         colours[side], n = _split(sides[side], colours[side], colours[1 - side],
                                   counts[1 - side], trace)
-        if against is not None and tuple(trace[-2:]) != against[len(trace) - 2:len(trace)]:
+        if against is not None and (trace[-1],) != against[len(trace) - 1:len(trace)]:
             return None
         if n == counts[side]:
             break
@@ -398,9 +398,7 @@ def _refine(inc, rows, cols, against=None):
 
 
 def _individualise(rows, i):
-    rows = rows.copy()
-    rows[i] = rows.max() + 1
-    return rows
+    return np.where(np.arange(len(rows)) == i, rows.max() + 1, rows)
 
 
 def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
@@ -411,16 +409,16 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     any isomorphic copy.  Then individualisation-refinement on the point-block
     incidence graph (McKay & Piperno 2014): A follows its first path, which
     individualises the first point of its first largest row cell, and B tries
-    every point of the matching cell, each refinement compared with A's trace as
-    it is produced and cut at the first mismatch.  (Largest, not smallest: on a
-    plane the smallest cell keeps the search on one line, where most candidates
-    fail only deep down; the largest reaches a frame first.)  B's first branch,
-    chosen by the same rule, is its own first path, kept as A's is: n structures
-    tested in pairs refine n paths and the branches off them.  At a leaf every
-    row has its own colour and the trace lists each column's incidences over
-    them, so equal traces there mean equal column multisets: an isomorphism.
-    Every node of B counts, read or refined; past node_budget nodes
-    SearchBudgetExceeded states the nodes used and the budget.
+    every point of the matching cell, each refinement compared with A's trace,
+    one hash per split, as it is produced and cut at the first mismatch.
+    (Largest, not smallest: on a plane the smallest cell keeps the search on one
+    line, where most candidates fail only deep down; the largest reaches a frame
+    first.)  B's first branch, chosen by the same rule, is its own first path,
+    kept as A's is: n structures tested in pairs refine n paths and the branches
+    off them.  Unequal hashes mean unequal traces.  At a leaf each row, and each
+    class of equal columns, has its own colour; the answer is True only if sorting
+    by colour makes the matrices equal.  Every node of B counts, read or refined;
+    past node_budget nodes SearchBudgetExceeded states the nodes used and the budget.
     """
     if a.matrix.shape != b.matrix.shape or a._counts != b._counts:
         return False
@@ -435,9 +433,9 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
             raise SearchBudgetExceeded(
                 f"isomorphism search used {nodes} nodes, over its node_budget of {node_budget}"
             )
-        ra, _, trace_a = a._path[depth]
+        ra, ca, trace_a = a._step(depth)
         if parent is None:
-            rows, cols, trace = b._path[depth]
+            rows, cols, trace = b._step(depth)
             if trace != trace_a:
                 continue
         else:
@@ -448,7 +446,10 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
             rows, cols, _ = refined
         sizes = np.bincount(ra)
         if (sizes == 1).all():
-            return True
+            if (a.matrix[np.argsort(ra)][:, np.argsort(ca)]
+                    == b.matrix[np.argsort(rows)][:, np.argsort(cols)]).all():
+                return True
+            continue
         cell = np.flatnonzero(rows == np.argmax(sizes))
         siblings = cell[1:] if parent is None else cell  # on B's path, cell[0] is its next node
         stack += [(depth + 1, (rows, cols, t)) for t in siblings[::-1]]

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -468,7 +469,6 @@ def test_all_pairs_of_n_copies_refine_n_paths(monkeypatch):
     rng = random.Random(17)
     member = mosaic_from_function(affine(3, 3)).members[1]
     copies = [IncidenceStructure(_permuted(rng, member.matrix)) for _ in range(8)]
-    depth = len(member._path)
     calls = []  # per refinement: whether it was compared with another trace
 
     def spy(inc, rows, cols, against=None):
@@ -477,8 +477,50 @@ def test_all_pairs_of_n_copies_refine_n_paths(monkeypatch):
 
     monkeypatch.setattr(mosaichash.designs, "_refine", spy)
     assert all(is_isomorphic(x, y) for i, x in enumerate(copies) for y in copies[i + 1:])
-    assert len(calls) == sum(len(c._path) for c in copies) == 8 * depth
+    assert {len(c._path) for c in copies} == {5}  # the root, then four individualised points
+    assert len(calls) == 8 * 5
     assert not any(calls)  # no refinement against another trace: every first branch held
+
+
+# equal counts records, but a row of the first meets columns of sizes 1, 1 and 3,
+# and no row of the second does: the root refinements already differ
+ROOT_APART = ([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1],
+               [1, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 0], [1, 0, 0, 0, 0, 0]],
+              [[0, 0, 0, 0, 0, 1], [0, 1, 0, 1, 1, 0], [1, 1, 1, 1, 0, 0],
+               [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
+
+
+def test_a_path_is_refined_only_as_deep_as_a_search_reads_it():
+    first, second = map(IncidenceStructure, ROOT_APART)
+    assert first._counts == second._counts
+    with pytest.raises(SearchBudgetExceeded, match="used 1 nodes, over its node_budget of 0$"):
+        is_isomorphic(first, second, node_budget=0)
+    assert is_isomorphic(first, second, node_budget=1) is False
+    assert len(first._path) == len(second._path) == 1
+
+
+def test_kept_path_holds_colourings_and_one_hash_per_split():
+    """The transversal(16, inf) sum, 272 x 4096, keeps an int64 colour per point
+    and per block at each of its 19 depths, and one 64-bit hash per split: 665 KB
+    in all, less than its 1.1 MB matrix, where whole traces held 54 MB."""
+    total = sum_mosaic(mosaic_from_function(transversal(16, include_infinity=True)))
+    assert is_isomorphic(total, IncidenceStructure(_permuted(random.Random(2), total.matrix)))
+    colourings = sum(rows.nbytes + cols.nbytes for rows, cols, _ in total._path)
+    hashes = [h for *_, trace in total._path for h in trace]
+    assert colourings == 19 * 8 * (272 + 4096)
+    assert all(type(h) is int for h in hashes)
+    assert colourings + 8 * len(hashes) < total.matrix.nbytes
+
+
+def test_answers_stay_exact_when_every_trace_hash_collides(monkeypatch):
+    """A hash stands for its trace only to cut branches: with every hash the
+    same, the search cuts none, and a leaf's permutation alone decides."""
+    monkeypatch.setattr(mosaichash.designs, "hash", lambda data: 0, raising=False)
+    pairs = [ROOT_APART, (_cycles(8), _cycles(4, 4)), (_cycles(3, 5), _cycles(5, 3)),
+             (FANO, _permuted(random.Random(5), np.array(FANO)))]
+    for x, y in pairs:
+        want = oracle_is_isomorphic(np.asarray(x).tolist(), np.asarray(y).tolist())
+        assert is_isomorphic(IncidenceStructure(x), IncidenceStructure(y)) is want
 
 
 @pytest.mark.parametrize("make", [
@@ -494,6 +536,18 @@ def test_incidence_matrix_is_read_only(make):
     with pytest.raises(ValueError, match="read-only"):
         d.matrix[0, 0] = 1 - d.matrix[0, 0]
     assert analyze_structure(d) == analyze_structure(IncidenceStructure(d.matrix))
+
+
+def test_a_pickled_structure_leaves_its_memos_behind():
+    """Python salts the hash of bytes per process, so trace hashes kept in one
+    process must not reach another: a pickle carries the matrix and labels only,
+    and the copy's matrix is read-only too."""
+    d = mosaic_from_function(affine(3, 2)).members[0]
+    assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1])) and d._path
+    copy = pickle.loads(pickle.dumps(d))
+    assert set(vars(copy)) == {"matrix", "points", "block_indices"}
+    assert not copy.matrix.flags.writeable and np.array_equal(copy.matrix, d.matrix)
+    assert (copy.points, copy.block_indices) == (d.points, d.block_indices)
 
 
 def test_memoised_records_hold_only_tuples_arrays_bytes_and_ints():
