@@ -15,6 +15,7 @@ import warnings
 from .errors import MosaicHashError, TheoremViolation
 from .families import (
     DEFAULT_TABLE_BUDGET,
+    NAMED,
     FunctionTable,
     HashFamily,
     Quasigroup,
@@ -82,8 +83,7 @@ def _parse_params(pairs):
 
 
 def cmd_family(args):
-    kinds = [k for k in ("affine", "dual_affine", "transversal", "toeplitz",
-                         "field_multiply") if getattr(args, k)]
+    kinds = [k for k in NAMED if getattr(args, k)]
     if len(kinds) != 1:
         raise MosaicHashError("choose exactly one family kind")
     kind = kinds[0]
@@ -198,11 +198,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="build a named family and write its table")
-    fam.add_argument("--affine", action="store_true")
-    fam.add_argument("--dual-affine", dest="dual_affine", action="store_true")
-    fam.add_argument("--transversal", action="store_true")
-    fam.add_argument("--toeplitz", action="store_true")
-    fam.add_argument("--field-multiply", dest="field_multiply", action="store_true")
+    for kind in NAMED:
+        fam.add_argument(f"--{kind.replace('_', '-')}", dest=kind, action="store_true")
     fam.add_argument("--H", dest="h_subset", default=None,
                      help="comma-separated H subset for the transversal family")
     fam.add_argument("--infinity", action="store_true")

@@ -20,6 +20,7 @@ from .families import (
     DEFAULT_TABLE_BUDGET,
     FunctionTable,
     HashFamily,
+    _label_index,
     decode_label,
     json_fields,
 )
@@ -120,8 +121,7 @@ class Mosaic:
             raise NotAMosaic("label count does not match member count")
         for labels, which in ((first.points, "point"), (first.block_indices, "block"),
                               (a_labels, "member")):
-            if len(set(labels)) != len(labels):
-                raise NotAMosaic(f"repeated {which} labels")
+            _label_index(labels, NotAMosaic, f"repeated {which} labels")
         self.points, self.block_indices = first.points, first.block_indices
         self.a_labels, self._table = a_labels, stack.argmax(axis=0)
         self._table.flags.writeable = False
@@ -316,8 +316,7 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
     block of class h; each class must enumerate every member label once.
     Each incidence (x, j) of d sets table entry (x, class of j) to j's label.
     """
-    if len(set(d.points)) != d.v:
-        raise NotAMosaic("repeated point labels")
+    _label_index(d.points, NotAMosaic, "repeated point labels")
     n_classes = len(res.classes)
     if len(class_indexing) != n_classes:
         raise BadLabeling("one labeling per parallel class required")

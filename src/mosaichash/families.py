@@ -16,11 +16,11 @@ index pair, so it works above the budget.
 
 A finite operation is represented the same way: a ``Quasigroup`` (latin
 square) is its carrier labels plus one index formula, and a ``Group`` is a
-quasigroup with an identity.  User rows are validated and indexed;
-``field_group``, ``vector_group`` and ``cyclic_group`` pass a formula over
-the field's arrays or (i + j) % n.  ``_on_carrier`` maps a family's value
-or point order onto a carrier, which is how ``construct`` and ``verify``
-read an operation.
+quasigroup with an identity.  A carrier is checked as it is indexed; user rows
+are read against that index, and ``field_group``, ``vector_group`` and
+``cyclic_group`` pass a formula over the field's arrays or (i + j) % n.
+``_on_carrier`` maps a family's value or point order onto a carrier, which is
+how ``construct`` and ``verify`` read an operation.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ def decode_label(obj):
     return obj
 
 
+def _label_index(labels, error, message) -> dict:
+    """{label: position} of labels; error(message) if two labels are equal as dict
+    keys, so 1, 1.0 and True repeat one another although JSON tells them apart."""
+    index = {a: i for i, a in enumerate(labels)}
+    if len(index) != len(labels):
+        raise error(message)
+    return index
+
+
 def json_fields(text: str, *keys) -> list:
     """The arrays under keys in a JSON object document; DomainError for any other shape."""
     obj = json.loads(text)
@@ -74,11 +83,8 @@ class Quasigroup:
     """
 
     def __init__(self, labels, rows):
-        labels = tuple(labels)
-        index = {a: i for i, a in enumerate(labels)}
-        n = len(labels)
-        if len(index) != n:
-            raise NotLatinSquare("carrier labels must be distinct")
+        self._set(labels)
+        index, n = self._index, self.order
         rows = [tuple(row) for row in rows]
         if any(len(row) != n or not all(a in index for a in row) for row in rows):
             raise NotLatinSquare("rows must be permutations of the carrier")
@@ -90,12 +96,11 @@ class Quasigroup:
             raise NotLatinSquare("a row repeats an entry")
         if not (np.sort(table, axis=0) == every[:, None]).all():
             raise NotLatinSquare("a column repeats an entry")
-        self._set(labels, lambda i, j: table[i, j])
+        self._op = lambda i, j: table[i, j]
 
-    def _set(self, labels, op):
+    def _set(self, labels):
         self.labels = tuple(labels)
-        self._index = {a: i for i, a in enumerate(self.labels)}
-        self._op = op
+        self._index = _label_index(self.labels, NotLatinSquare, "carrier labels must be distinct")
 
     @property
     def order(self):
@@ -152,8 +157,8 @@ class Group(Quasigroup):
     def _formula(cls, labels, op, zero):
         """The group with index formula op, known to be abelian with identity zero."""
         group = cls.__new__(cls)
-        group._set(labels, op)
-        group.zero = zero
+        group._set(labels)
+        group._op, group.zero = op, zero
         return group
 
     add = Quasigroup.mul
@@ -226,13 +231,9 @@ class HashFamily:
         self.a_labels = tuple(a_labels)
         if len(self.a_labels) < 1:
             raise DomainError("value set must be nonempty")
-        for labels, which in ((self.x_labels, "X"), (self.s_labels, "S"),
-                              (self.a_labels, "A")):
-            if len(set(labels)) != len(labels):
-                raise DomainError(f"duplicate labels in domain {which}")
-        self.x_index = {x: i for i, x in enumerate(self.x_labels)}
-        self.s_index = {s: i for i, s in enumerate(self.s_labels)}
-        self.a_index = {a: i for i, a in enumerate(self.a_labels)}
+        self.x_index, self.s_index, self.a_index = (
+            _label_index(labels, DomainError, f"duplicate labels in domain {which}")
+            for labels, which in ((self.x_labels, "X"), (self.s_labels, "S"), (self.a_labels, "A")))
         self._index_fn = None if fn is None else _entrywise(
             fn, self.x_labels, self.s_labels, self.a_index, name)
         self.x_group = x_group
@@ -518,7 +519,8 @@ def transversal_dual_affine_relabeling(q: int):
     return point_map, seed_map
 
 
-_BUILDERS = {
+#: kind -> builder, read by ``build_named`` and by the CLI's ``family`` flags
+NAMED = {
     "affine": affine,
     "dual_affine": dual_affine,
     "transversal": transversal,
@@ -528,9 +530,9 @@ _BUILDERS = {
 
 
 def build_named(kind: str, **params) -> HashFamily:
-    if kind not in _BUILDERS:
+    if kind not in NAMED:
         raise UnsupportedParameters(f"unknown family kind {kind!r}")
     try:
-        return _BUILDERS[kind](**params)
+        return NAMED[kind](**params)
     except (TypeError, UnsupportedSize, NotPrime) as exc:
         raise UnsupportedParameters(str(exc)) from exc

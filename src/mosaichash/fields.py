@@ -75,7 +75,8 @@ def _canonical_modulus(p, m):
 
 
 class Field:
-    """GF(p^m) with a fixed monic irreducible modulus.
+    """GF(p^m) with a fixed monic irreducible modulus, canonical ((0, 1) for m = 1) unless
+    given; for every m a given one is checked (ReducibleModulus) and kept, reduced mod p.
 
     The element order is lexicographic on coefficient tuples
     (c0, ..., c_{m-1}); index i has coefficients given by the base-p
@@ -93,17 +94,14 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
-        if m == 1:
-            self.modulus = (0, 1)  # x = 0: the field is the integers mod p
-        else:
-            if modulus is None:
-                modulus = _canonical_modulus(p, m)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ReducibleModulus("modulus must be monic of degree m")
-            if not _is_irreducible(list(modulus), p):
-                raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
-            self.modulus = modulus
+        if modulus is None:
+            modulus = _canonical_modulus(p, m)
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != m + 1 or modulus[-1] != 1:
+            raise ReducibleModulus("modulus must be monic of degree m")
+        if not _is_irreducible(list(modulus), p):
+            raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
+        self.modulus = modulus
         self.zero = 0
         self.one = p ** (m - 1)  # the coefficient vector (1, 0, ..., 0)
         self._weights = [p ** (m - 1 - i) for i in range(m)]  # of c0, ..., c_{m-1}

@@ -16,7 +16,7 @@ from mosaichash import (
     transversal,
     uniform_source,
 )
-from mosaichash import cli, designs, privacy
+from mosaichash import cli, designs, families, privacy
 from mosaichash.cli import main
 from oracles import oracle_design_params, ref_field_multiply
 from util import flip_source, run_python
@@ -66,10 +66,18 @@ def test_family_transversal_over_an_h_subset(tmp_path, capsys):
 
 
 def test_family_requires_one_kind(capsys):
-    code, _, err = run(capsys, "family", "q=2", "t=2")
-    assert code == 2 and "family kind" in err
-    code, _, err = run(capsys, "family", "--affine", "--toeplitz", "q=2", "t=2")
-    assert code == 2
+    for kinds in ((), ("--affine", "--toeplitz")):
+        assert run(capsys, "family", *kinds, "q=2", "t=2") == (
+            2, "", "error: choose exactly one family kind\n")
+
+
+def test_family_flags_are_the_named_kinds(capsys):
+    with pytest.raises(SystemExit):
+        main(["family", "--help"])
+    lines = capsys.readouterr().out.splitlines()  # the option lines, not the usage
+    flags = [line.split()[0] for line in lines if line.startswith("  --")]
+    kinds = [f"--{kind.replace('_', '-')}" for kind in families.NAMED]
+    assert flags == kinds + ["--H", "--infinity", "--exclude-zero"]
 
 
 def test_family_rejects_a_dimension_below_one(capsys):
@@ -499,7 +507,9 @@ def test_bad_json_exits_2(tmp_path, capsys):
                      ('{"x_labels": [{"a": 1}], "s_labels": [0], "a_labels": [0], "rows": [[0]]}',
                       'not {"a": 1}'),
                      ('{"x_labels": [0, 1], "s_labels": [0, 1], "a_labels": [0], '
-                      '"rows": [[0, 0], [0]]}', "table shape does not match domains")):
+                      '"rows": [[0, 0], [0]]}', "table shape does not match domains"),
+                     ('{"x_labels": [1, true], "s_labels": [0], "a_labels": [0], '  # 1 == True
+                      '"rows": [[0], [0]]}', "error: duplicate labels in domain X\n")):
         path.write_text(doc)
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and why in err

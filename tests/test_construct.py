@@ -79,6 +79,8 @@ def test_latin_square_validation():
         Group([0, 1], [[0, 1], [1, 0]], 7)  # a zero outside the carrier
     with pytest.raises(DomainError):
         mosaichash.cyclic_group([])  # no carrier, so no zero
+    with pytest.raises(NotLatinSquare, match="^carrier labels must be distinct$"):
+        mosaichash.cyclic_group([0, 0])  # a formula carrier is checked like given rows
     with pytest.raises(DomainError):  # a latin square with identity 0 that is not commutative
         Group(range(5), [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], 0)

@@ -135,6 +135,7 @@ def test_mosaic_validation():
                 IncidenceStructure([[0, 1]], ["x"], ["s", "u"])])
     for members, a_labels in (  # repeated labels, which function_from_mosaic would reject
             ([IncidenceStructure([[1, 0]]), IncidenceStructure([[0, 1]])], ["a", "a"]),
+            ([IncidenceStructure([[1, 0]]), IncidenceStructure([[0, 1]])], [1, True]),
             ([IncidenceStructure([[1], [0]], ["x", "x"]),
               IncidenceStructure([[0], [1]], ["x", "x"])], None),
             ([IncidenceStructure([[1, 0]], None, ["s", "s"]),

@@ -110,6 +110,10 @@ def test_validation_errors():
         field_new(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2 over GF(2)
     with pytest.raises(ReducibleModulus):
         field_new(2, 2, modulus=(1, 1))  # wrong degree
+    with pytest.raises(ReducibleModulus):  # degree 1 is checked like every other degree
+        field_new(5, 1, modulus=(1, 2))  # not monic
+    with pytest.raises(ReducibleModulus):
+        field_new(5, 1, modulus=(1, 2, 3))  # wrong degree
     with pytest.raises(UnsupportedSize):
         field_new(2, 17)  # q > 2^16
     with pytest.raises(UnsupportedSize):
@@ -122,6 +126,13 @@ def test_validation_errors():
     # test_field_tables_match_hand_arithmetic compares GF(2^7) with the oracle
     assert field_new(2, 7) is field_for_order(128)
     assert field_new(2, 7).modulus == REF_FIELDS[128][2]
+
+
+def test_a_degree_one_modulus_is_kept_as_given():
+    f, g = field_new(5, 1, modulus=(3, 1)), field_new(5)  # x + 3: x = 2, which no product reads
+    assert (f.modulus, g.modulus) == ((3, 1), (0, 1))
+    assert all(f._add_ix(a, b) == g._add_ix(a, b) and f.mul(a, b) == g.mul(a, b)
+               for a in range(5) for b in range(5))
 
 
 def test_large_field_with_user_modulus():
