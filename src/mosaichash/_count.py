@@ -1,41 +1,49 @@
 """Every count the library decides with, and ``exact``, the one rule for the
-dtype each is summed in.
+dtype each is summed in.  Every counts record is made here, finished:
+``member_counts`` and ``sum_counts`` read a family's off its two passes,
+``gram_counts`` a bare 0/1 matrix's, both products m m^T and m^T m.
 
-A family's table T[x, s] is read through ``row_counts``, the histogram
-#{s : T[x, s] = a}, or ``pair_blocks``, the rows x' > x in blocks for each
-x, whose first strict maxima ``pair_max`` keeps.  One pass, memoised on the
-family (``pair_pass``), gives AU, and ACFU and ASU for a regular table: the
-diagonal sum, the largest diagonal bin and the largest bin of
-``pair_counts``, the collision histogram N(x, x', a, a') over the pair code
-a*|A| + a'.  An irregular table has AU alone, the seeds where two rows
-agree, O(|S|) per pair where the histogram has |A|^2 bins.  The pass also
-marks the agreement counts #{s : T[x, s] = T[x', s]} (the sum's pair counts)
-and, if regular, each diagonal bin N(x, x', a, a) at a's value orbit.  Under
-a family's automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]),
-verified once (``representatives``, whose orbit labels only this module
-reads), N is invariant, so only rows r least in their X-orbit are counted
-(Kramer and Mesner).  The first strict maximum in the scan order x, x', a,
-a' (the witness) is at such an r, as (x, x') maps to (r, y) with r <= x
-and, if y < r, on to (r', z) with r' <= y.  That descent takes every pair
-to a scanned one of equal counts, its bin at a to one at tau(a), so the
-marks are exact: the diagonal ones are kept per value orbit and handed out
-per value.  Every counts record is made here, finished: ``member_counts``
-and ``sum_counts`` read a family's off the pass, ``gram_counts`` a matrix's.
+The point pass (``pair_classes``) counts the collision histogram N(x, x', a,
+a') = #{s : T[x, s] = a, T[x', s] = a'} of a family's table (``pair_counts``,
+over the code a*|A| + a').  AU, and ACFU and ASU of a regular table, are its
+diagonal sum, largest diagonal bin and largest bin, at their first strict
+maxima (``pair_max``); an irregular table has AU alone, the seeds where two
+rows agree.  It marks which agreement counts occur (the sum's pair counts)
+and, if regular, which N(x, x', a, a) (the members').  Under a family's
+automorphisms (pi, sigma, tau), T[pi x, sigma s] = tau(T[x, s]), verified
+once (``representatives``, whose orbit labels only this module reads), N is
+invariant, so only rows r least in their X-orbit are counted (Kramer and
+Mesner): (x, x') maps to (r, y) with r <= x and, if y < r, on to (r', z) with
+r' <= y.  That descent takes every pair to a scanned one of equal counts, its
+bin at a to one at tau(a), so the first strict maximum in the order x, x', a,
+a' is scanned and the marks are exact, diagonal ones kept per value orbit.
 
-``pair_counts`` counts N in one of two ways.  While |A| <= ONE_HOT and at
-least ONE_HOT_ROWS * |A| rows are scanned, a tile of scanned rows I against
-the rows J after I[0] is one product O[I] @ O[J]^T of the one-hot matrix
-O[x*|A| + a, s] = [T[x, s] = a], less its pairs x' <= x, taken in
-exact(|S|, product=True): every partial sum counts seeds, so float32 up to
-|S| = 2^24.  A tile, the one-hot operands (summed over seed blocks) and the
-tile's pairs hold about GRAM_BLOCK entries each at most, whatever the
-table's size, so no X x X array is built.  Otherwise one bincount per block
-of pair_blocks: a product spends |A|^2 multiply-adds per pair and seed where
-bincount reads the pair once, and over few rows it does not repay building
-O[J].  Measured with one BLAS thread on full scans of random regular tables
-of 64 to 1024 rows: the product was 1.0-2.4x as fast as bincount at |A| = 8,
-0.75-1.45x at |A| = 9 and 0.3-0.5x at |A| = 16; over |A| rows of affine
-tables with |A| <= 4 it was 0.85-1.05x as fast, over 2|A| rows 1.1-1.6x.
+The seed pass (``seed_classes``) is its twin on T^T, seeds for points:
+N(s, s', a, a') = #{x : T[x, s] = a, T[x, s'] = a'} on the seeds least in
+their S-orbit under the labels the point pass verified.  Its diagonal bins,
+marked per value orbit, are the members' block intersections; all its bins
+are the sum's, whose blocks of one seed are disjoint.
+
+The kernel rule.  ``pair_counts`` counts N by one-hot products while |A| <=
+ONE_HOT and at least ONE_HOT_ROWS * |A| rows are scanned: a tile of scanned
+rows I against the rows J after I[0] is O[I] @ O[J]^T, O[x*|A| + a, s] =
+[T[x, s] = a], less its pairs x' <= x, in exact(|S|, product=True); a tile,
+its operands (summed over seed blocks) and its pairs hold about GRAM_BLOCK
+entries each.  Otherwise it takes one bincount per block of pair_blocks: a
+product spends |A|^2 multiply-adds per pair and seed, and over few rows it
+does not repay building O[J].  On full scans of random regular tables of 64
+to 1024 rows, one BLAS thread, the product was 1.0-2.4x as fast at |A| = 8,
+0.75-1.45x at 9 and 0.3-0.5x at 16; over |A| rows of affine tables with |A|
+<= 4, 0.85-1.05x, over 2|A| rows 1.1-1.6x.  The seed pass asked for the sum
+reads its diagonal off those histograms; for the members alone it takes one
+product L[I] @ L[J]^T per value, L = (T^T == a) in exact(|X|, product=True), at
+every |A|: |A| multiply-adds per pair and point, not |A|^2 (histograms made
+table-backed transversal(8, inf) 1.8x and dual_affine(16, 2) 4x slower).
+
+The memo.  ``pair_pass`` and ``seed_pass`` keep each pass on the family, so
+a table is scanned once however many reports read it; a seed pass holding
+the members' marks alone is counted again, with every bin, at the first
+request for the sum, and never after.
 
 ``exact`` reads a proven bound on every partial sum of non-negative
 integers: a ``product`` is exact in float32 up to 2^24 and in float64 up to
@@ -264,16 +272,49 @@ def pair_pass(f, T):
     return f._pairs
 
 
+def seed_classes(f, T, full):
+    """(diagonal, blocks, cols) of f's seed side, T^T scanned on the rows least in
+    their seed orbit (``pair_pass``'s labels): diagonal[a, c] iff some N(s, s', a, a)
+    = c, marked at a's value orbit; if full, blocks[c] iff two blocks of f's sum
+    meet in c points, else None; cols = ``row_counts`` of T^T."""
+    (X, S), na, (_, orbit, values) = T.shape, f.a_size, pair_pass(f, T)["orbits"]
+    seeds, rows = np.ascontiguousarray(T.T), np.flatnonzero(orbit == np.arange(S))
+    marks, blocks = np.zeros((na, X + 1), dtype=bool), None
+    if full:  # every bin of pair_counts, the diagonal read off the same histograms
+        blocks = np.zeros(X + 1, dtype=bool)
+        blocks[0] = na >= 2  # blocks of one seed are disjoint
+        for _, _, counts in pair_counts(seeds, na, rows):
+            blocks[counts] = True
+            marks[values, counts[:, np.arange(na) * (na + 1)]] = True
+    else:  # a level-set product per value, a tile of scanned rows against the rows after its first
+        step, dtype = max(1, GRAM_BLOCK // max(S, 1)), exact(X, product=True)
+        for tile in (rows[i:i + step] for i in range(0, len(rows), step)):
+            own, rest = seeds[tile], seeds[tile[0] + 1:]
+            pairs = tile[:, None] < np.arange(tile[0] + 1, S)  # s < s'
+            for a in range(na):
+                counts = (own == a).astype(dtype) @ (rest == a).astype(dtype).T
+                marks[values[a], counts.astype(np.intp)[pairs]] = True
+    return marks[values], blocks, row_counts(seeds, na)
+
+
+def seed_pass(f, T, full=False):
+    """f's memoised ``seed_classes``, counted on T at the first call, and once more
+    with every bin at the first call that asks for them (full)."""
+    if f._seeds is None or full and f._seeds[1] is None:
+        f._seeds = seed_classes(f, T, full)
+    return f._seeds
+
+
 def present(counts):
     """The values of nonzero count in a histogram, in order."""
     return tuple(itertools.compress(range(len(counts)), counts))
 
 
-def gram_half(m, sums):
+def gram_half(m):
     """Histograms (entry k counts the entries equal to k) of a 0/1 matrix's row
     sums and of the pair counts of m m^T, taken one row block of about
     GRAM_BLOCK entries at a time; no partial sum passes the diagonal."""
-    on = np.bincount(sums, minlength=1)
+    on = np.bincount(m.sum(axis=1), minlength=1)
     g = m.astype(exact(len(on) - 1, product=True))
     off, step = -on, max(1, GRAM_BLOCK // max(len(g), 1))  # the blocks add the diagonal back
     for i in range(0, len(g), step):
@@ -285,34 +326,28 @@ def gram_counts(m):
     """The counts record of a 0/1 matrix, only ints: the ``gram_half`` of m (its
     points half) and of m^T (blocks half); the dual's is the two swapped."""
     m = np.asarray(m)
-    return tuple(gram_half(g, g.sum(axis=1)) for g in (m, m.T))
+    return tuple(gram_half(g) for g in (m, m.T))
+
+
+def histogram(counts):
+    """Entry k counts the entries of counts equal to k."""
+    return tuple(np.bincount(counts.ravel(), minlength=1).tolist())
 
 
 def member_counts(f, T):
-    """The counts record of each member T == a of f, only ints: its pair counts
-    as the pass marked them (``pair_pass``), its row and column sums from one
-    histogram of T and of T^T, and m_a^T m_a (``gram_half``)."""
-    diagonal, seeds = pair_pass(f, T)["diagonal"], np.ascontiguousarray(T.T)
-    rows, cols = row_counts(T, f.a_size), row_counts(seeds, f.a_size)
-    return [((tuple(np.bincount(rows[:, a], minlength=1).tolist()), tuple(diagonal[a].tolist())),
-             gram_half(seeds == a, cols[:, a])) for a in range(f.a_size)]
+    """The counts record of each member T == a of a regular f: its row sums, |S|/|A|
+    at every point, its column sums' histogram, and its pair counts and block
+    intersections as the diagonal marks of the point and the seed pass."""
+    pairs, (meets, _, cols) = pair_pass(f, T)["diagonal"], seed_pass(f, T)
+    points = (0,) * (f.s_size // f.a_size) + (f.x_size,)
+    return [((points, tuple(pairs[a].tolist())), (histogram(cols[:, a]), tuple(meets[a].tolist())))
+            for a in range(f.a_size)]
 
 
 def sum_counts(f, T):
-    """The counts record of f's sum mosaic, read off f's table T, its pair counts
-    and block intersections marked present, not counted.  Points x, x' share
-    one block per seed where they agree: the pair counts are the agreement
-    counts the pass marked (``pair_pass``).  Block (s, a) has
-    #{x : T[x, s] = a} points.  Blocks of one seed are disjoint, and blocks
-    (s, a), (s', a') of two seeds meet in the pair count of seeds s, s' and
-    values a, a' of T^T, constant on the seed orbits the pass verified, so
-    only the seeds least in their orbit are scanned."""
-    X, S, A = f.x_size, f.s_size, f.a_size
-    pairs, seeds = pair_pass(f, T), np.ascontiguousarray(T.T)
-    seen = np.zeros(X + 1, dtype=bool)
-    seen[0] = A >= 2
-    for _, _, counts in pair_counts(seeds, A, np.flatnonzero(pairs["orbits"][1] == np.arange(S))):
-        seen[counts] = True
-    sizes = np.bincount(row_counts(seeds, A).ravel())
-    return (((0,) * S + (X,), tuple(pairs["agree"].tolist())),
-            (tuple(sizes.tolist()), tuple(seen.tolist())))
+    """The counts record of f's sum mosaic: each point on |S| blocks, block (s, a)
+    of #{x : T[x, s] = a} points, its pair counts the agreement counts the point
+    pass marked, its block intersections every bin the seed pass marked."""
+    _, blocks, cols = seed_pass(f, T, full=True)
+    return (((0,) * f.s_size + (f.x_size,), tuple(pair_pass(f, T)["agree"].tolist())),
+            (histogram(cols), tuple(blocks.tolist())))

@@ -121,7 +121,7 @@ class Mosaic:
             raise NotAMosaic("label count does not match member count")
         for labels, which in ((first.points, "point"), (first.block_indices, "block"),
                               (a_labels, "member")):
-            _label_index(labels, NotAMosaic, f"repeated {which} labels")
+            _label_index(labels, NotAMosaic, f"repeated {which} labels", which)
         self.points, self.block_indices = first.points, first.block_indices
         self.a_labels, self._table = a_labels, stack.argmax(axis=0)
         self._table.flags.writeable = False
@@ -316,7 +316,7 @@ def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexin
     block of class h; each class must enumerate every member label once.
     Each incidence (x, j) of d sets table entry (x, class of j) to j's label.
     """
-    _label_index(d.points, NotAMosaic, "repeated point labels")
+    _label_index(d.points, NotAMosaic, "repeated point labels", "point")
     n_classes = len(res.classes)
     if len(class_indexing) != n_classes:
         raise BadLabeling("one labeling per parallel class required")
@@ -483,9 +483,9 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
     Every counts record comes finished from ``_count``: member a, the level
     set T == a of f's table, and its dual read ``member_counts``, and the
     members' DesignParams go on ``members``; the sum mosaic reads
-    ``sum_counts``, and is always resolvable: the seed classes
-    {(s, a) : a in A} partition every point set, and they are the
-    resolution ``find_resolution`` returns.
+    ``sum_counts``, asked first, as its seed scan serves the members too.  The
+    sum is always resolvable: the seed classes {(s, a) : a in A} partition
+    every point set, and they are the resolution ``find_resolution`` returns.
     """
     report = TheoremReport(f.name)
     rep = classify(f, budget)
@@ -498,6 +498,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
         if not ok:
             report.violations.append(name)
 
+    sums = sum_counts(f, T) if rep.ou else None
     if rep.ocfu or variance:
         records = member_counts(f, T)
         report.members = [_design_params(*c) for c in records]
@@ -519,7 +520,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
         record("variance_equality_dual_quasi_symmetric", ok, {"mu": str(mu)})
 
     if rep.ou:
-        p = _design_params(*sum_counts(f, T))
+        p = _design_params(*sums)
         record("ou_sum_is_resolvable_bibd", p.is_bibd, {"sum_params": p.to_dict()})
         au_bounds = seed_lower_bounds(X, A, rep.eps_au)
         if au_bounds.lb_au is not None and Fraction(S) == au_bounds.lb_au:

@@ -55,10 +55,13 @@ def decode_label(obj):
     return obj
 
 
-def _label_index(labels, error, message) -> dict:
+def _label_index(labels, error, message, domain) -> dict:
     """{label: position} of labels; error(message) if two labels are equal as dict
     keys, so 1, 1.0 and True repeat one another although JSON tells them apart."""
-    index = {a: i for i, a in enumerate(labels)}
+    try:
+        index = {a: i for i, a in enumerate(labels)}
+    except TypeError as e:  # an unhashable label, a list say
+        raise error(f"{domain} labels must be hashable: {e}") from None
     if len(index) != len(labels):
         raise error(message)
     return index
@@ -100,7 +103,8 @@ class Quasigroup:
 
     def _set(self, labels):
         self.labels = tuple(labels)
-        self._index = _label_index(self.labels, NotLatinSquare, "carrier labels must be distinct")
+        self._index = _label_index(
+            self.labels, NotLatinSquare, "carrier labels must be distinct", "carrier")
 
     @property
     def order(self):
@@ -232,15 +236,15 @@ class HashFamily:
         if len(self.a_labels) < 1:
             raise DomainError("value set must be nonempty")
         self.x_index, self.s_index, self.a_index = (
-            _label_index(labels, DomainError, f"duplicate labels in domain {which}")
-            for labels, which in ((self.x_labels, "X"), (self.s_labels, "S"), (self.a_labels, "A")))
+            _label_index(labels, DomainError, f"duplicate labels in domain {d}", f"domain {d}")
+            for labels, d in ((self.x_labels, "X"), (self.s_labels, "S"), (self.a_labels, "A")))
         self._index_fn = None if fn is None else _entrywise(
             fn, self.x_labels, self.s_labels, self.a_index, name)
         self.x_group = x_group
         self.a_group = a_group
         self.automorphisms = ()
         self._table = None
-        self._pairs = None  # AU, ACFU and ASU and the agreement counts of _count.pair_pass
+        self._pairs = self._seeds = None  # the memos of _count.pair_pass and seed_pass
 
     @property
     def x_size(self):

@@ -86,6 +86,11 @@ def test_latin_square_validation():
                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], 0)
 
 
+def test_quasigroup_names_its_carrier_for_an_unhashable_label():
+    with pytest.raises(NotLatinSquare, match="^carrier labels must be hashable: unhashable"):
+        Quasigroup([[0], 1], [[[0], 1], [1, [0]]])
+
+
 def test_quasigroup_reads_its_rows():
     rows = [["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]]  # a o b = b, b o a = c
     q = Quasigroup("abc", rows)

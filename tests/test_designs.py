@@ -29,7 +29,7 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash._count import member_counts, pair_pass
+from mosaichash._count import member_counts, pair_pass, seed_classes, sum_counts
 from mosaichash.designs import _design_params, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
@@ -299,6 +299,15 @@ def test_mosaic_from_resolution_bad_labeling():
     for rows in [[[1, 1], [1, 0]], [[1, 0], [0, 0]]]:  # point 0 covered twice; point 1 never
         with pytest.raises(BadLabeling, match="cover every point once"):
             mosaic_from_resolution(IncidenceStructure(rows), Resolution(((0, 1),)), [[0, 1]])
+
+
+@pytest.mark.parametrize("points, blocks, a_labels, which", [
+    ([[0]], None, None, "point"), (None, [0, [1]], None, "block"), (None, None, [0, [1]], "member"),
+], ids=["point", "block", "member"])
+def test_mosaic_names_the_labels_that_are_unhashable(points, blocks, a_labels, which):
+    members = [IncidenceStructure(m, points, blocks) for m in ([[1, 0]], [[0, 1]])]
+    with pytest.raises(NotAMosaic, match=f"^{which} labels must be hashable: unhashable"):
+        Mosaic(members, a_labels)
 
 
 def test_mosaic_from_resolution_rejects_repeated_point_labels():
@@ -961,6 +970,36 @@ def test_the_pair_pass_marks_each_value_exactly(monkeypatch, kernel):
         assert pair_pass(f, f.to_table().array)["diagonal"].tolist() == want, f.name
 
 
+@pytest.mark.parametrize("route", [*KERNELS, "level sets"])
+def test_the_seed_pass_marks_each_value_and_bin_exactly(monkeypatch, route):
+    """The seed pass, which counts seed-orbit representatives only, against the
+    presence sets of N(s, s', a, a') over every seed pair s < s' counted by
+    plain loops: its per-value diagonal marks, and with every bin asked for
+    (under each pair kernel) its all-bin marks, plus 0 where two blocks of one
+    seed meet; the level-set route marks the diagonal alone.  Planted tables
+    whose automorphism moves values, transversal families with infinity and
+    dual_affine(3, 2)."""
+    full = route != "level sets"
+    if full:
+        force_kernel(monkeypatch, route)
+    families = [_value_moving_table(random.Random(n)) for n in range(60)]
+    families += [transversal(q, include_infinity=True) for q in (3, 4, 5, 8)] + [dual_affine(3, 2)]
+    for f in families:
+        columns = list(zip(*f.to_table().array.tolist()))
+        diagonal = [[False] * (f.x_size + 1) for _ in range(f.a_size)]
+        every = [False] * (f.x_size + 1)
+        every[0] = f.a_size >= 2
+        for i, u in enumerate(columns):
+            for w in columns[i + 1:]:
+                for a in range(f.a_size):
+                    diagonal[a][sum(p == q == a for p, q in zip(u, w))] = True
+                    for b in range(f.a_size):
+                        every[sum(p == a and q == b for p, q in zip(u, w))] = True
+        marks, blocks, _ = seed_classes(f, f.to_table().array, full)
+        assert marks.tolist() == diagonal, f.name
+        assert (blocks.tolist() == every) if full else (blocks is None), f.name
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_member_records_match_plain_counts_of_each_level_set(monkeypatch, kernel):
     """Each member's record, its pair counts marked by the pair pass on orbit
@@ -1027,6 +1066,40 @@ def test_generators_reassigned_after_classify_leave_the_members_unchanged(monkey
             f.automorphisms = generators
             got = check_structure_theorems(f).members, member_counts(f, f.to_table().array)
             assert got == want, f.name
+
+
+@pytest.mark.parametrize("make", [lambda: affine(4, 2), lambda: transversal(8, include_infinity=True)],
+                         ids=["affine(4,2)", "transversal(8,inf)"])
+@pytest.mark.parametrize("table_backed", [False, True])
+def test_theorem_checks_scan_the_seed_side_once_and_take_no_member_products(
+        monkeypatch, make, table_backed):
+    """classify and then two theorem checks scan the seed side once, verify the
+    generators once and take no m_a^T m_a."""
+    calls = {name: [] for name in ("seed_classes", "gram_half", "representatives")}
+    for name, log in calls.items():
+        real = getattr(mosaichash._count, name)
+        monkeypatch.setattr(mosaichash._count, name,
+                            lambda *args, real=real, log=log: log.append(args) or real(*args))
+    f = make()
+    if table_backed:
+        f = f.to_table().to_family(f.name)
+    classify(f)
+    reports = [check_structure_theorems(f).to_dict() for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0]["ok"]
+    assert [len(log) for log in calls.values()] == [1, 0, 1]
+
+
+def test_a_seed_pass_for_the_members_alone_is_counted_again_once_for_the_sum(monkeypatch):
+    real, calls = mosaichash._count.seed_classes, []
+    monkeypatch.setattr(mosaichash._count, "seed_classes",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    f = affine(3, 2)
+    T = f.to_table().array
+    records = member_counts(f, T)
+    for _ in range(2):
+        sum_counts(f, T)
+        assert member_counts(f, T) == records
+    assert calls == [False, True]
 
 
 def _seed_classes(f):

@@ -68,6 +68,14 @@ def test_hash_family_domain_errors():
         bad.evaluate(1, "s")  # value outside the declared value set
 
 
+@pytest.mark.parametrize("domains, which", [
+    (([[0]], [0], [0]), "X"), (([0], [0, [1]], [0]), "S"), (([0], [0], [{}]), "A"),
+], ids=["X", "S", "A"])
+def test_hash_family_names_the_domain_of_an_unhashable_label(domains, which):
+    with pytest.raises(DomainError, match=f"^domain {which} labels must be hashable: unhashable"):
+        HashFamily("f", *domains, lambda x, s: 0)
+
+
 def test_constant_family_table():
     f = HashFamily("c", [0, 1], [0, 1], ["a0", "a1"], lambda x, s: "a0")
     T = f.to_table()
