@@ -39,6 +39,10 @@ reads its diagonal off those histograms; for the members alone it takes one
 product L[I] @ L[J]^T per value, L = (T^T == a) in exact(|X|, product=True), at
 every |A|: |A| multiply-adds per pair and point, not |A|^2 (histograms made
 table-backed transversal(8, inf) 1.8x and dual_affine(16, 2) 4x slower).
+``gram_half`` takes tiles of GRAM_ROWS rows: on random 0/1 matrices of 256 to
+4096 rows and 16 to 512 columns, one BLAS thread, they took 1.25-3.7x less time
+than one block of GRAM_BLOCK entries and, up to 1024 rows, were within 10% of
+the best of 32 to 256 rows (32 lost up to 1.8x to BLAS overhead).
 
 The memo.  ``pair_pass`` and ``seed_pass`` keep each pass on the family, so
 a table is scanned once however many reports read it; a seed pass holding
@@ -65,6 +69,7 @@ PAIR_BLOCK = 1 << 15  # entries or bins of one block of pair_blocks, unless one 
 GRAM_BLOCK = 1 << 22  # entries of a product's row block; much thinner blocks halve BLAS's speed
 ONE_HOT = 8  # largest |A| whose pair counts are one-hot products (measured crossover)
 ONE_HOT_ROWS = 2  # scanned rows per value from which they are (measured too)
+GRAM_ROWS = 128  # rows of a gram_half tile: within 10% of the best of 32 to 256 (module docstring)
 
 
 def exact(bound, product=False):
@@ -312,13 +317,18 @@ def present(counts):
 
 def gram_half(m):
     """Histograms (entry k counts the entries equal to k) of a 0/1 matrix's row
-    sums and of the pair counts of m m^T, taken one row block of about
-    GRAM_BLOCK entries at a time; no partial sum passes the diagonal."""
-    on = np.bincount(m.sum(axis=1), minlength=1)
+    sums and of the pair counts of m m^T over ordered pairs: a tile of GRAM_ROWS
+    rows (fewer past GRAM_BLOCK entries) times the rows from its first on, whose
+    square block counts both orders and the diagonal, the rest each pair once,
+    doubled; no partial sum passes the diagonal."""
+    on = np.bincount(m.sum(axis=1, dtype=np.int32), minlength=1)
     g = m.astype(exact(len(on) - 1, product=True))
-    off, step = -on, max(1, GRAM_BLOCK // max(len(g), 1))  # the blocks add the diagonal back
+    off, step = -on, max(1, min(GRAM_ROWS, GRAM_BLOCK // max(len(g), 1)))  # blocks add on back
     for i in range(0, len(g), step):
-        off += np.bincount((g[i:i + step] @ g.T).astype(np.intp).ravel(), minlength=len(on))
+        tile, rest = g[i:i + step], g[i + step:]
+        off += np.bincount((tile @ tile.T).astype(np.intp).ravel(), minlength=len(on))
+        if len(rest):  # an empty product would add a third to a small matrix's counting
+            off += 2 * np.bincount((tile @ rest.T).astype(np.intp).ravel(), minlength=len(on))
     return tuple(on.tolist()), tuple(off.tolist())
 
 

@@ -83,7 +83,11 @@ class IncidenceStructure:
         return self.matrix.shape[1]
 
     def dual(self) -> "IncidenceStructure":
-        return IncidenceStructure._of(self.matrix.T, self.block_indices, self.points)
+        """The transpose, carrying this structure's counts record, if read, swapped."""
+        d = IncidenceStructure._of(self.matrix.T, self.block_indices, self.points)
+        if "_counts" in vars(self):
+            d._counts = self._counts[::-1]
+        return d
 
     def to_json(self) -> str:
         return json.dumps({"points": self.points, "block_indices": self.block_indices,
@@ -100,8 +104,11 @@ class Mosaic:
     """Family of incidence structures whose matrices partition the all-ones matrix,
     held as one member-index table: ``_table[x, s]`` is the index in a_labels of
     the member holding (x, s), a read-only integer array.  Members, duals and
-    sums are views of it; members are its level sets, built on first read.
+    sums are views of it; members are its level sets, built on first read, or
+    a dual's the duals of its original's members.
     """
+
+    _original = None  # the mosaic this one is the dual of
 
     def __init__(self, members, a_labels=None):
         members = list(members)
@@ -138,6 +145,8 @@ class Mosaic:
 
     @functools.cached_property
     def members(self):
+        if self._original is not None:
+            return [d.dual() for d in self._original.members]
         return [IncidenceStructure._of((self._table == a).view(np.int8), self.points,
                                        self.block_indices)
                 for a in range(len(self.a_labels))]
@@ -162,7 +171,9 @@ def function_from_mosaic(m: Mosaic, name="mosaic") -> HashFamily:
 
 
 def dual_mosaic(m: Mosaic) -> Mosaic:
-    return Mosaic._of(m.block_indices, m.points, m.a_labels, m._table.T)
+    dual = Mosaic._of(m.block_indices, m.points, m.a_labels, m._table.T)
+    dual._original = m
+    return dual
 
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
@@ -238,28 +249,33 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     recursion limit.  Every partial class tried is a node; past node_budget
     nodes it raises SearchBudgetExceeded stating the nodes used and the budget.
 
-    One pass over the incidences first checks the first leaf: when each run of
-    b/r consecutive blocks is a parallel class (every sum's are), the search
-    takes each run in order, one node per block, so the runs are returned as
-    a search of b nodes would return them, and no search runs.
+    After the empty check comes the first leaf: with r the incidences of row 0,
+    each run of b/r consecutive blocks is a parallel class (every sum's are) iff
+    there are v*r incidences, the h-th of row x in run h.  The search would take
+    the runs in order, one node per block, so they are returned without it; only
+    if not are unequal row sums, then r = 0 or r not dividing b, answered.
     """
     m = d.matrix
     v, b = m.shape
-    row_sums = m.sum(axis=1)
     if v == 0 or b == 0:
         return NotResolvable("empty structure")
+    r, at = np.count_nonzero(m[0]), np.flatnonzero(m.view(bool))  # at: x*b + j, each incidence
+    if r and b % r == 0 and len(at) == v * r:
+        class_size = b // r  # the h-th of row x in run h: 0 <= at - x*b - h*class_size < class_size
+        start = np.arange(0, v * b, b)[:, None] + np.arange(0, b, class_size)
+        if ((at.reshape(v, r) - start).view(np.uint64) < class_size).all():
+            if b > node_budget:
+                raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
+                                           f"over its node_budget of {node_budget}")
+            return Resolution(tuple(tuple(range(h, h + class_size))
+                                    for h in range(0, b, class_size)))
+    row_sums = m.sum(axis=1, dtype=np.int32)
     if not (row_sums == row_sums[0]).all():
         return NotResolvable("replication number is not constant")
     r = int(row_sums[0])
     if r == 0 or b % r != 0:
         return NotResolvable(f"block count {b} not divisible into {r} classes")
     class_size = b // r
-    runs = np.flatnonzero(m.view(bool)).reshape(v, r) % b // class_size
-    if (runs == np.arange(r)).all():  # point x meets run h in its h-th block
-        if b > node_budget:
-            raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
-                                       f"over its node_budget of {node_budget}")
-        return Resolution(tuple(tuple(range(h, h + class_size)) for h in range(0, b, class_size)))
     full = (1 << v) - 1
     # packing a contiguous copy is faster than packing the strided view m.T
     packed = np.packbits(np.ascontiguousarray(m.T), axis=1, bitorder="little")

@@ -517,6 +517,26 @@ def oracle_mosaic_from_resolution(rows, classes, class_indexing):
     return members
 
 
+def oracle_gram_counts(rows, b):
+    """gram_counts of a v x b 0/1 matrix given as rows, by plain loops: for its
+    rows, then its columns, the histogram of the line sums and that of the
+    common incidences of each ordered pair of distinct lines, both as long as
+    the largest line sum plus one (one entry without lines)."""
+    def half(bits):
+        sums = [x.bit_count() for x in bits]
+        on, off = [0] * (max(sums, default=0) + 1), [0] * (max(sums, default=0) + 1)
+        for s in sums:
+            on[s] += 1
+        for i, x in enumerate(bits):
+            for j, y in enumerate(bits):
+                if i != j:
+                    off[(x & y).bit_count()] += 1
+        return tuple(on), tuple(off)
+    row_bits = [sum(1 << j for j in range(b) if row[j]) for row in rows]
+    col_bits = [sum(1 << i for i, row in enumerate(rows) if row[j]) for j in range(b)]
+    return half(row_bits), half(col_bits)
+
+
 def oracle_design_params(rows):
     """DesignParams.to_dict() of a 0/1 matrix, by plain integer loops; pair
     counts are popcounts of the rows' and columns' bit masks."""

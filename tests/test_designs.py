@@ -29,13 +29,15 @@ from mosaichash import (
     sum_mosaic,
     transversal,
 )
-from mosaichash._count import member_counts, pair_pass, seed_classes, sum_counts
+from mosaichash import _count
+from mosaichash._count import gram_counts, member_counts, pair_pass, seed_classes, sum_counts
 from mosaichash.designs import _design_params, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
 from oracles import (
     oracle_design_params,
     oracle_equitable_refinement,
     oracle_find_resolution,
+    oracle_gram_counts,
     oracle_is_isomorphic,
     oracle_mosaic_from_resolution,
     oracle_theorem_report,
@@ -248,13 +250,40 @@ def test_fano_not_resolvable():
     assert "not divisible" in res.reason
 
 
+def _sum(f):
+    return sum_mosaic(mosaic_from_function(f))
+
+
+def _on_one_more(m, fewer=None):
+    """m's rows, one off the last block last, that one on the last block too (the
+    last incidence of all, so only the count of incidences tells), and row
+    fewer, if given, off its first block."""
+    m = m[np.argsort(m[:, -1] == 0, kind="stable")]
+    m[-1, -1] = 1
+    if fewer is not None:
+        m[fewer, np.flatnonzero(m[fewer])[0]] = 0
+    return m
+
+
 @pytest.mark.parametrize("matrix, reason", [
     (np.zeros((3, 0), dtype=np.int8), "empty structure"),
     ([[1, 1], [1, 0]], "replication number is not constant"),
+    (_on_one_more(_sum(affine(2, 2)).matrix), "replication number is not constant"),
+    (_on_one_more(_sum(affine(2, 2)).matrix, fewer=0), "replication number is not constant"),
+    (np.vstack([np.zeros((1, 4), dtype=np.int8), _sum(affine(2, 2)).matrix[1:, :4]]),
+     "replication number is not constant"),  # row 0 empty, the others not
+    ([[1, 1, 0], [1, 1, 0]], "block count 3 not divisible into 2 classes"),  # runs of 1 fit
+    ([[1, 1, 0], [1, 0, 1]], "block count 3 not divisible into 2 classes"),
+    ([[0, 0], [0, 0]], "block count 2 not divisible into 0 classes"),
 ])
 def test_find_resolution_answers_before_any_search(matrix, reason):
-    res = find_resolution(IncidenceStructure(matrix), node_budget=0)
+    """Structures that fail the first-leaf check by the count or the place of
+    their incidences get the reasons of the checks after it, as the recursive
+    search finds no resolution without a node."""
+    d = IncidenceStructure(matrix)
+    res = find_resolution(d, node_budget=0)
     assert isinstance(res, NotResolvable) and res.reason == reason
+    assert d.matrix.size == 0 or oracle_find_resolution(d.matrix.tolist()) == (None, 0)
 
 
 def test_resolution_budget():
@@ -551,24 +580,31 @@ def test_incidence_matrix_is_read_only(make):
 def test_a_pickled_structure_leaves_its_memos_behind():
     """Python salts the hash of bytes per process, so trace hashes kept in one
     process must not reach another: a pickle carries the matrix and labels only,
-    and the copy's matrix is read-only too."""
-    d = mosaic_from_function(affine(3, 2)).members[0]
-    assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1])) and d._path
-    copy = pickle.loads(pickle.dumps(d))
-    assert set(vars(copy)) == {"matrix", "points", "block_indices"}
-    assert not copy.matrix.flags.writeable and np.array_equal(copy.matrix, d.matrix)
-    assert (copy.points, copy.block_indices) == (d.points, d.block_indices)
+    and the copy's matrix is read-only too; so does a dual member's, whose
+    record came from its original."""
+    mos = mosaic_from_function(affine(3, 2))
+    analyze_structure(mos.members[0])
+    for d in (mos.members[0], dual_mosaic(mos).members[0]):
+        assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1])) and d._path
+        copy = pickle.loads(pickle.dumps(d))
+        assert set(vars(copy)) == {"matrix", "points", "block_indices"}
+        assert not copy.matrix.flags.writeable and np.array_equal(copy.matrix, d.matrix)
+        assert (copy.points, copy.block_indices) == (d.points, d.block_indices)
+        assert copy._counts == d._counts
 
 
 def test_memoised_records_hold_only_tuples_arrays_bytes_and_ints():
-    """No list or dict is kept, so a memo adds no containers the collector walks."""
-    d = mosaic_from_function(affine(3, 2)).members[0]
-    assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1]))
+    """No list or dict is kept, so a memo adds no containers the collector walks,
+    a dual member's record, carried from its original, included."""
+    mos = mosaic_from_function(affine(3, 2))
+    analyze_structure(mos.members[0])
 
     def leaves(x):
         assert isinstance(x, (tuple, np.ndarray, bytes, int)), type(x)
         return sum(map(leaves, x)) if isinstance(x, tuple) else 1
-    assert all(leaves(memo) for memo in (d._counts, d._incidence, d._path))
+    for d in (mos.members[0], dual_mosaic(mos).members[0]):
+        assert is_isomorphic(d, IncidenceStructure(d.matrix[::-1]))
+        assert all(leaves(memo) for memo in (d._counts, d._incidence, d._path))
 
 
 def test_split_colours_and_trace_ignore_the_order_of_rows_and_columns():
@@ -657,14 +693,12 @@ def test_resolution_budget_states_nodes_and_limit():
         find_resolution(total, node_budget=3)
 
 
-def _sum(f):
-    return sum_mosaic(mosaic_from_function(f))
-
-
 @pytest.mark.parametrize("structure", [
     *[lambda q=q, t=t: _sum(affine(q, t)) for q, t in [(2, 2), (4, 2), (2, 3), (3, 3), (4, 3), (8, 2)]],
     lambda: _sum(transversal(8, include_infinity=True)),
     lambda: IncidenceStructure(FANO),
+    *[lambda q=q: IncidenceStructure(np.asfortranarray(_sum(affine(q, 2)).matrix)) for q in (2, 3)],
+    *[lambda q=q: _sum(affine(q, 2)).dual() for q in (2, 3, 4)],  # F-ordered views
 ])
 def test_find_resolution_matches_the_recursive_search(structure):
     _assert_same_search(structure())
@@ -676,7 +710,8 @@ def _assert_same_search(d):
     got = find_resolution(d, node_budget=nodes)
     assert (got.classes if isinstance(got, Resolution) else None) == want
     if nodes:
-        with pytest.raises(SearchBudgetExceeded, match=f"used {nodes} nodes"):
+        message = f"used {nodes} nodes, over its node_budget of {nodes - 1}"
+        with pytest.raises(SearchBudgetExceeded, match=message):
             find_resolution(d, node_budget=nodes - 1)
 
 
@@ -785,6 +820,38 @@ def test_analyze_structure_counts_a_wide_matrix_by_row_blocks():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert p.to_dict() == oracle_design_params(d.matrix.tolist())
+
+
+@pytest.mark.parametrize("tile", [1, 2, 5])
+def test_gram_counts_match_plain_loops_at_every_tile_edge(monkeypatch, tile):
+    """Records are compared whole, as is_isomorphic does: random 0/1 matrices
+    of one row, a tile less one, a tile, a tile and one, and several tiles
+    with a short last one, on the rows' side; GRAM_BLOCK is set so that the
+    points half has tiles of tile rows."""
+    rng = random.Random(30 + tile)
+    for v in sorted({1, max(tile - 1, 1), tile, tile + 1, 3 * tile + 1, 4 * tile - 1}):
+        force_kernel(monkeypatch, gram=tile * v)
+        for b in (1, 2, 7):
+            m = _random_01(rng, v, b)
+            assert gram_counts(m) == oracle_gram_counts(m.tolist(), b), (v, b)
+
+
+def test_gram_counts_match_plain_loops_on_random_matrices():
+    """Unforced tiles (GRAM_ROWS rows) on each side of a tile edge, empty rows
+    and columns, F-ordered transposes, and an all-ones matrix whose counts
+    pass 8 bits."""
+    rng = random.Random(31)
+    rows = _count.GRAM_ROWS
+    cases = [_random_01(rng, v, b) for v, b in [(rows - 1, 5), (rows, 3), (rows + 1, 6),
+                                                 (2 * rows + 3, 4), (3, 2 * rows + 1)]]
+    cases += [_random_01(rng, rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)]
+    holes = _random_01(rng, 9, 11)
+    holes[[0, 4]], holes[:, [2, 3, 10]] = 0, 0
+    cases += [holes, np.zeros((4, 5), dtype=np.int8), np.zeros((0, 3), dtype=np.int8),
+              np.ones((300, 300), dtype=np.int8)]
+    for m in cases + [m.T for m in cases]:
+        want = oracle_gram_counts(m.tolist(), m.shape[1])
+        assert gram_counts(m) == want and IncidenceStructure(m)._counts == want, m.shape
 
 
 def test_find_resolution_of_any_sum_is_its_seed_classes():
@@ -1165,6 +1232,45 @@ def test_mosaic_views_read_the_table_and_build_no_members():
     assert [d.matrix.tolist() for d in m.members] == \
         [[[int(v == a) for v in row] for row in rows] for a in range(f.a_size)]
     assert m.members is m.members  # built once
+
+
+def test_a_dual_carries_its_original_record_swapped():
+    """Read before the dual is taken, the record goes with it; read after, the
+    dual counts its own; either way it is the transposed copy's record."""
+    rng = random.Random(34)
+    for v, b in [(5, 7), (1, 4), (6, 1), (9, 9)]:
+        m = _random_01(rng, v, b)
+        want = gram_counts(m.T.copy())
+        before = IncidenceStructure(m)
+        before._counts
+        dual = before.dual()
+        assert "_counts" in vars(dual) and dual._counts == want
+        assert dual.dual()._counts == before._counts
+        after = IncidenceStructure(m)
+        dual = after.dual()
+        after._counts
+        assert "_counts" not in vars(dual) and dual._counts == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine(3, 2), lambda: transversal(4, include_infinity=True),
+    lambda: random_table(random.Random(35), 6, 5, 3),
+])
+def test_dual_mosaic_members_are_duals_of_the_members(make):
+    """The dual's members are the transposes of the original's, its level sets
+    of _table.T, and their records, carried from the original's, are those of
+    fresh copies."""
+    m = mosaic_from_function(make())
+    records = [analyze_structure(d) for d in m.members]
+    dual = dual_mosaic(m)
+    table = m._table.T
+    for a, d in enumerate(dual.members):
+        assert np.shares_memory(d.matrix, m.members[a].matrix)
+        assert d.matrix.tolist() == (table == a).astype(np.int8).tolist()
+        assert (d.points, d.block_indices) == (m.block_indices, m.points)
+        assert "_counts" in vars(d) and d._counts == IncidenceStructure(d.matrix.copy())._counts
+    assert records == [analyze_structure(d.dual()) for d in dual.members]
+    assert "_original" not in vars(m) and dual._original is m
 
 
 def test_function_from_mosaic_of_user_members_is_the_source_table():

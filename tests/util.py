@@ -15,11 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("product", "bincount")  # the two ways _count.pair_counts counts a pair histogram
 
 
-def force_kernel(monkeypatch, kernel, gram=None):
+def force_kernel(monkeypatch, kernel=None, gram=None):
     """Make _count.pair_counts count every pair histogram by one-hot products
-    or by bincount alone, the products in tiles of about gram entries."""
+    or by bincount alone (None: as it chooses), and every product, gram_half's
+    too, in tiles of about gram entries."""
     limits = {"product": {"ONE_HOT": 1 << 30, "ONE_HOT_ROWS": 0}, "bincount": {"ONE_HOT": 0}}
-    for name, value in limits[kernel].items():
+    for name, value in limits.get(kernel, {}).items():
         monkeypatch.setattr(_count, name, value)
     if gram is not None:
         monkeypatch.setattr(_count, "GRAM_BLOCK", gram)
