@@ -47,7 +47,8 @@ the best of 32 to 256 rows (32 lost up to 1.8x to BLAS overhead).
 The memo.  ``pair_pass`` and ``seed_pass`` keep each pass on the family, so
 a table is scanned once however many reports read it; a seed pass holding
 the members' marks alone is counted again, with every bin, at the first
-request for the sum, and never after.
+request for the sum, and never after.  ``held_counts`` reads a member's or
+the sum's record off the memo alone, for the structures of a family's mosaic.
 
 ``exact`` reads a proven bound on every partial sum of non-negative
 integers: a ``product`` is exact in float32 up to 2^24 and in float64 up to
@@ -344,14 +345,13 @@ def histogram(counts):
     return tuple(np.bincount(counts.ravel(), minlength=1).tolist())
 
 
-def member_counts(f, T):
-    """The counts record of each member T == a of a regular f: its row sums, |S|/|A|
+def member_counts(f, T, a):
+    """The counts record of member T == a of a regular f: its row sums, |S|/|A|
     at every point, its column sums' histogram, and its pair counts and block
     intersections as the diagonal marks of the point and the seed pass."""
     pairs, (meets, _, cols) = pair_pass(f, T)["diagonal"], seed_pass(f, T)
     points = (0,) * (f.s_size // f.a_size) + (f.x_size,)
-    return [((points, tuple(pairs[a].tolist())), (histogram(cols[:, a]), tuple(meets[a].tolist())))
-            for a in range(f.a_size)]
+    return (points, tuple(pairs[a].tolist())), (histogram(cols[:, a]), tuple(meets[a].tolist()))
 
 
 def sum_counts(f, T):
@@ -361,3 +361,14 @@ def sum_counts(f, T):
     _, blocks, cols = seed_pass(f, T, full=True)
     return (((0,) * f.s_size + (f.x_size,), tuple(pair_pass(f, T)["agree"].tolist())),
             (histogram(cols), tuple(blocks.tolist())))
+
+
+def held_counts(f, T, a=None):
+    """``member_counts`` of member a, or ``sum_counts`` if a is None, when f's memo
+    already holds the passes they read (a regular pair pass and a seed pass; a
+    seed pass with every bin), else None: it never starts a pass."""
+    if f._seeds is None:
+        return None
+    if a is None:
+        return sum_counts(f, T) if f._seeds[1] is not None else None
+    return member_counts(f, T, a) if "diagonal" in f._pairs else None

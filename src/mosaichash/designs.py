@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._count import gram_counts, incidence, member_counts, present, sum_counts
+from ._count import gram_counts, held_counts, incidence, member_counts, present, sum_counts
 from .errors import (
     BadLabeling,
     NotAMosaic,
@@ -21,8 +21,8 @@ from .families import (
     FunctionTable,
     HashFamily,
     _label_index,
+    _object_fields,
     decode_label,
-    json_fields,
 )
 from .verify import _render, classify, seed_lower_bounds
 
@@ -31,9 +31,13 @@ DEFAULT_NODE_BUDGET = 10**6
 
 class IncidenceStructure:
     """0/1 incidence matrix, a read-only int8 array; rows are points, columns are block
-    indices.  Its counts record, incidence list and first path are kept from first read."""
+    indices.  Its counts record, incidence list and first path are kept from first read.
+    A structure of a family's mosaic links to the family, whose passes it reads."""
 
     _path = ()  # (rows, cols, trace hashes) at each depth of the first path read so far
+    _original = None  # the structure this one is the dual of: its records, swapped, are ours
+    _family = None  # (f, T, a): member a of the mosaic of f's table T, or its sum if a is None
+    _runs = None  # k if each run of k blocks is a parallel class: a sum's seed classes
 
     def __init__(self, matrix, points=None, block_indices=None):
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
@@ -56,10 +60,27 @@ class IncidenceStructure:
         d.matrix, d.points, d.block_indices = matrix, tuple(points), tuple(block_indices)
         return d
 
-    def __reduce__(self):  # memos stay behind: a trace hash holds only in the process that made it
+    def __reduce__(self):  # memos and links stay behind: a trace hash holds only in its process
         return type(self)._of, (self.matrix, self.points, self.block_indices)
 
-    _counts = functools.cached_property(lambda self: gram_counts(self.matrix))
+    @functools.cached_property
+    def _counts(self):
+        """Both Gram halves (``gram_counts``), or a dual's original's, swapped: either
+        is counted once, whichever side is read first."""
+        if self._original is not None:
+            return self._original._counts[::-1]
+        return gram_counts(self.matrix)
+
+    def _record(self):
+        """The record ``analyze_structure`` reads: ``held_counts`` when the family's
+        passes hold it (a dual's: its original's, swapped), else ``_counts``.  A held
+        record marks which counts occur, not how often, so it never becomes
+        ``_counts``, whose histograms ``is_isomorphic`` compares."""
+        if self._original is not None:
+            return self._original._record()[::-1]
+        held = None if self._family is None else held_counts(*self._family)
+        return self._counts if held is None else held
+
     _incidence = functools.cached_property(lambda self: np.nonzero(self.matrix))
 
     def _step(self, depth):
@@ -83,19 +104,27 @@ class IncidenceStructure:
         return self.matrix.shape[1]
 
     def dual(self) -> "IncidenceStructure":
-        """The transpose, carrying this structure's counts record, if read, swapped."""
+        """The transpose, linked to this structure, whose records it reads swapped;
+        this one holds no link back, so no cycle is made."""
         d = IncidenceStructure._of(self.matrix.T, self.block_indices, self.points)
-        if "_counts" in vars(self):
-            d._counts = self._counts[::-1]
+        d._original = self
         return d
 
+    def _doc(self) -> dict:
+        return {"points": self.points, "block_indices": self.block_indices,
+                "rows": self.matrix.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps({"points": self.points, "block_indices": self.block_indices,
-                           "rows": self.matrix.tolist()})
+        return json.dumps(self._doc())
 
     @classmethod
     def from_json(cls, text: str) -> "IncidenceStructure":
-        rows, points, blocks = json_fields(text, "rows", "points", "block_indices")
+        return cls._of_doc(json.loads(text))
+
+    @classmethod
+    def _of_doc(cls, doc) -> "IncidenceStructure":
+        """The structure of a parsed ``to_json`` document; DomainError for any other shape."""
+        rows, points, blocks = _object_fields(doc, "rows", "points", "block_indices")
         rows = rows or np.zeros((0, len(blocks)), dtype=np.int8)  # no rows: no row length to read
         return cls(rows, [decode_label(p) for p in points], [decode_label(s) for s in blocks])
 
@@ -105,10 +134,13 @@ class Mosaic:
     held as one member-index table: ``_table[x, s]`` is the index in a_labels of
     the member holding (x, s), a read-only integer array.  Members, duals and
     sums are views of it; members are its level sets, built on first read, or
-    a dual's the duals of its original's members.
+    a dual's the duals of its original's members.  A family's mosaic keeps the
+    family, and its members and sum read the family's passes while they hold
+    their records (``IncidenceStructure._record``).
     """
 
     _original = None  # the mosaic this one is the dual of
+    _family = None  # the family whose table this mosaic's is, from mosaic_from_function
 
     def __init__(self, members, a_labels=None):
         members = list(members)
@@ -143,27 +175,36 @@ class Mosaic:
         m.a_labels, m._table = tuple(a_labels), table
         return m
 
+    def __reduce__(self):  # the family and the members stay behind: a family may not pickle
+        return type(self)._of, (self.points, self.block_indices, self.a_labels, self._table)
+
     @functools.cached_property
     def members(self):
         if self._original is not None:
             return [d.dual() for d in self._original.members]
-        return [IncidenceStructure._of((self._table == a).view(np.int8), self.points,
-                                       self.block_indices)
-                for a in range(len(self.a_labels))]
+        members = [IncidenceStructure._of((self._table == a).view(np.int8), self.points,
+                                          self.block_indices)
+                   for a in range(len(self.a_labels))]
+        if self._family is not None:
+            for a, d in enumerate(members):
+                d._family = self._family, self._table, a
+        return members
 
     def to_json(self) -> str:
         return json.dumps({"a_labels": self.a_labels,
-                           "members": [json.loads(d.to_json()) for d in self.members]})
+                           "members": [d._doc() for d in self.members]})
 
     @classmethod
     def from_json(cls, text: str) -> "Mosaic":
-        members, a_labels = json_fields(text, "members", "a_labels")
-        members = [IncidenceStructure.from_json(json.dumps(d)) for d in members]
+        members, a_labels = _object_fields(json.loads(text), "members", "a_labels")
+        members = [IncidenceStructure._of_doc(d) for d in members]
         return cls(members, [decode_label(a) for a in a_labels])
 
 
 def mosaic_from_function(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Mosaic:
-    return Mosaic._of(f.x_labels, f.s_labels, f.a_labels, f.to_table(budget).array)
+    m = Mosaic._of(f.x_labels, f.s_labels, f.a_labels, f.to_table(budget).array)
+    m._family = f
+    return m
 
 
 def function_from_mosaic(m: Mosaic, name="mosaic") -> HashFamily:
@@ -177,9 +218,15 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
-    """Block index set S x A; x incident with (s, a) iff x is in block s of member a."""
+    """Block index set S x A; x incident with (s, a) iff x is in block s of member a.
+    The blocks of one seed, a run of |A|, partition the points: the sum carries
+    these seed classes, and a family's mosaic's sum links to the family."""
     labels = [(s, a) for s in m.block_indices for a in m.a_labels]
-    return IncidenceStructure._of(incidence(m._table, len(m.a_labels), np.int8), m.points, labels)
+    d = IncidenceStructure._of(incidence(m._table, len(m.a_labels), np.int8), m.points, labels)
+    d._runs = len(m.a_labels)
+    if m._family is not None:
+        d._family = m._family, m._table, None
+    return d
 
 
 @dataclass
@@ -218,8 +265,10 @@ def _design_params(points, blocks) -> DesignParams:
 
 def analyze_structure(d: IncidenceStructure) -> DesignParams:
     """Detect BIBD / quasi-symmetric / symmetric structure by exhaustive counting:
-    the pair counts m m^T and block intersections m^T m of d's counts record."""
-    return _design_params(*d._counts)
+    the pair counts m m^T and block intersections m^T m of d's counts record, or,
+    for a member, dual member or sum of a family's mosaic, the record the family's
+    passes already hold (``IncidenceStructure._record``)."""
+    return _design_params(*d._record())
 
 
 @dataclass
@@ -249,26 +298,22 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     recursion limit.  Every partial class tried is a node; past node_budget
     nodes it raises SearchBudgetExceeded stating the nodes used and the budget.
 
-    After the empty check comes the first leaf: with r the incidences of row 0,
-    each run of b/r consecutive blocks is a parallel class (every sum's are) iff
-    there are v*r incidences, the h-th of row x in run h.  The search would take
-    the runs in order, one node per block, so they are returned without it; only
-    if not are unequal row sums, then r = 0 or r not dividing b, answered.
+    After the empty check comes the first leaf: runs of consecutive blocks that
+    are parallel classes, a sum's seed classes as it carries them, else read off
+    the matrix (``_first_leaf``).  The search would take the runs in order, one
+    node per block, so they are returned without it; only if there are none are
+    unequal row sums, then r = 0 or r not dividing b, answered.
     """
     m = d.matrix
     v, b = m.shape
     if v == 0 or b == 0:
         return NotResolvable("empty structure")
-    r, at = np.count_nonzero(m[0]), np.flatnonzero(m.view(bool))  # at: x*b + j, each incidence
-    if r and b % r == 0 and len(at) == v * r:
-        class_size = b // r  # the h-th of row x in run h: 0 <= at - x*b - h*class_size < class_size
-        start = np.arange(0, v * b, b)[:, None] + np.arange(0, b, class_size)
-        if ((at.reshape(v, r) - start).view(np.uint64) < class_size).all():
-            if b > node_budget:
-                raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
-                                           f"over its node_budget of {node_budget}")
-            return Resolution(tuple(tuple(range(h, h + class_size))
-                                    for h in range(0, b, class_size)))
+    class_size = d._runs or _first_leaf(m)
+    if class_size:
+        if b > node_budget:
+            raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
+                                       f"over its node_budget of {node_budget}")
+        return Resolution(tuple(tuple(range(h, h + class_size)) for h in range(0, b, class_size)))
     row_sums = m.sum(axis=1, dtype=np.int32)
     if not (row_sums == row_sums[0]).all():
         return NotResolvable("replication number is not constant")
@@ -323,6 +368,20 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
         n_used -= 1
         stack.pop()
     return NotResolvable("exhaustive search found no resolution")
+
+
+def _first_leaf(m):
+    """b/r if each run of b/r consecutive blocks of a nonempty m is a parallel class,
+    r the incidences of row 0, else None: iff there are v*r incidences, the h-th of
+    row x in run h."""
+    v, b = m.shape
+    r, at = np.count_nonzero(m[0]), np.flatnonzero(m.view(bool))  # at: x*b + j, each incidence
+    if r and b % r == 0 and len(at) == v * r:
+        class_size = b // r  # the h-th of row x in run h: 0 <= at - x*b - h*class_size < class_size
+        start = np.arange(0, v * b, b)[:, None] + np.arange(0, b, class_size)
+        if ((at.reshape(v, r) - start).view(np.uint64) < class_size).all():
+            return class_size
+    return None
 
 
 def mosaic_from_resolution(d: IncidenceStructure, res: Resolution, class_indexing):
@@ -516,7 +575,7 @@ def check_structure_theorems(f: HashFamily, budget=DEFAULT_TABLE_BUDGET) -> Theo
 
     sums = sum_counts(f, T) if rep.ou else None
     if rep.ocfu or variance:
-        records = member_counts(f, T)
+        records = [member_counts(f, T, a) for a in range(A)]
         report.members = [_design_params(*c) for c in records]
 
     if rep.ocfu:

@@ -69,7 +69,11 @@ def _label_index(labels, error, message, domain) -> dict:
 
 def json_fields(text: str, *keys) -> list:
     """The arrays under keys in a JSON object document; DomainError for any other shape."""
-    obj = json.loads(text)
+    return _object_fields(json.loads(text), *keys)
+
+
+def _object_fields(obj, *keys) -> list:
+    """``json_fields`` of a document already parsed."""
     if not isinstance(obj, dict):
         raise DomainError(f"expected a JSON object, got a {type(obj).__name__}")
     missing = [k for k in keys if not isinstance(obj.get(k), list)]

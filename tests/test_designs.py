@@ -27,12 +27,14 @@ from mosaichash import (
     mosaic_from_function,
     mosaic_from_resolution,
     sum_mosaic,
+    toeplitz,
     transversal,
 )
 from mosaichash import _count
 from mosaichash._count import gram_counts, member_counts, pair_pass, seed_classes, sum_counts
-from mosaichash.designs import _design_params, _refine, _split
+from mosaichash.designs import DEFAULT_NODE_BUDGET, _design_params, _refine, _split
 from mosaichash.errors import BadLabeling, DomainError, NotAMosaic, SearchBudgetExceeded
+from mosaichash.families import decode_label
 from oracles import (
     oracle_design_params,
     oracle_equitable_refinement,
@@ -1011,6 +1013,11 @@ def _level_set_params(f, a):
     return _design_params(points, blocks), _design_params(blocks, points)
 
 
+def _member_records(f):
+    T = f.to_table().array
+    return [member_counts(f, T, a) for a in range(f.a_size)]
+
+
 def _value_moving_table(rng):
     """A planted table whose one automorphism takes each value a to a + 1."""
     na = rng.choice([2, 3])
@@ -1087,7 +1094,7 @@ def test_member_records_match_plain_counts_of_each_level_set(monkeypatch, kernel
         families.append(_value_moving_table(rng))
     for f in families:
         got = [(_design_params(p, b), _design_params(b, p))
-               for p, b in member_counts(f, f.to_table().array)]
+               for p, b in _member_records(f)]
         assert got == [_level_set_params(f, a) for a in range(f.a_size)], f.name
         members = check_structure_theorems(f).members
         assert members is None or members == [p for p, _ in got]
@@ -1125,13 +1132,13 @@ def test_generators_reassigned_after_classify_leave_the_members_unchanged(monkey
     makers += [lambda n=n: _value_moving_table(random.Random(n)) for n in range(6)]
     for make in makers:
         f = make()
-        want = check_structure_theorems(f).members, member_counts(f, f.to_table().array)
+        want = check_structure_theorems(f).members, _member_records(f)
         false = (np.arange(f.x_size), np.arange(f.s_size), np.roll(np.arange(f.a_size), 1))
         for generators in ((), (false,)):
             f = make()
             classify(f)
             f.automorphisms = generators
-            got = check_structure_theorems(f).members, member_counts(f, f.to_table().array)
+            got = check_structure_theorems(f).members, _member_records(f)
             assert got == want, f.name
 
 
@@ -1162,10 +1169,10 @@ def test_a_seed_pass_for_the_members_alone_is_counted_again_once_for_the_sum(mon
                         lambda *args: calls.append(args[2]) or real(*args))
     f = affine(3, 2)
     T = f.to_table().array
-    records = member_counts(f, T)
+    records = _member_records(f)
     for _ in range(2):
         sum_counts(f, T)
-        assert member_counts(f, T) == records
+        assert _member_records(f) == records
     assert calls == [False, True]
 
 
@@ -1234,22 +1241,26 @@ def test_mosaic_views_read_the_table_and_build_no_members():
     assert m.members is m.members  # built once
 
 
-def test_a_dual_carries_its_original_record_swapped():
-    """Read before the dual is taken, the record goes with it; read after, the
-    dual counts its own; either way it is the transposed copy's record."""
+def test_a_dual_carries_its_original_record_swapped(monkeypatch):
+    """A dual reads its original's record, swapped: the original's two Gram
+    halves are counted once, whether the original or the dual is read first,
+    and the dual's record is the transposed copy's."""
+    real, calls = _count.gram_half, []
+    monkeypatch.setattr(_count, "gram_half", lambda m: calls.append(m.shape) or real(m))
     rng = random.Random(34)
     for v, b in [(5, 7), (1, 4), (6, 1), (9, 9)]:
         m = _random_01(rng, v, b)
         want = gram_counts(m.T.copy())
-        before = IncidenceStructure(m)
-        before._counts
-        dual = before.dual()
-        assert "_counts" in vars(dual) and dual._counts == want
-        assert dual.dual()._counts == before._counts
-        after = IncidenceStructure(m)
-        dual = after.dual()
-        after._counts
-        assert "_counts" not in vars(dual) and dual._counts == want
+        for dual_first in (False, True):
+            original = IncidenceStructure(m)
+            dual = original.dual()
+            calls.clear()
+            for d in (dual, original) if dual_first else (original, dual):
+                d._counts
+            assert calls == [(v, b), (b, v)]  # the original's halves, once
+            assert dual._counts == want and original._counts == want[::-1]
+            assert dual.dual()._counts == original._counts and len(calls) == 2
+            assert "_original" not in vars(original) and dual._original is original
 
 
 @pytest.mark.parametrize("make", [
@@ -1258,7 +1269,7 @@ def test_a_dual_carries_its_original_record_swapped():
 ])
 def test_dual_mosaic_members_are_duals_of_the_members(make):
     """The dual's members are the transposes of the original's, its level sets
-    of _table.T, and their records, carried from the original's, are those of
+    of _table.T, and their records, read from the original's, are those of
     fresh copies."""
     m = mosaic_from_function(make())
     records = [analyze_structure(d) for d in m.members]
@@ -1268,7 +1279,8 @@ def test_dual_mosaic_members_are_duals_of_the_members(make):
         assert np.shares_memory(d.matrix, m.members[a].matrix)
         assert d.matrix.tolist() == (table == a).astype(np.int8).tolist()
         assert (d.points, d.block_indices) == (m.block_indices, m.points)
-        assert "_counts" in vars(d) and d._counts == IncidenceStructure(d.matrix.copy())._counts
+        assert d._original is m.members[a]
+        assert d._counts == IncidenceStructure(d.matrix.copy())._counts
     assert records == [analyze_structure(d.dual()) for d in dual.members]
     assert "_original" not in vars(m) and dual._original is m
 
@@ -1297,3 +1309,183 @@ def test_mosaic_and_sum_of_a_family_with_no_points_read_back_from_json():
     assert again.matrix.shape == (0, 6) and again.to_json() == total.to_json()
     d = IncidenceStructure.from_json('{"rows": [], "points": [], "block_indices": [0, 1, 2]}')
     assert d.matrix.shape == (0, 3) and d.block_indices == (0, 1, 2)
+
+
+def _one_seed():
+    return FunctionTable(range(4), ["s"], range(2), [[0], [1], [1], [0]]).to_family("one seed")
+
+
+def _one_value():
+    return FunctionTable(range(3), range(4), ["a"], [[0] * 4] * 3).to_family("one value")
+
+
+def _one_point():
+    return FunctionTable(["x"], range(4), range(2), [[0, 1, 1, 0]]).to_family("one point")
+
+
+NAMED_SMALL = [
+    ("affine(2,2)", lambda: affine(2, 2)), ("affine(3,2)", lambda: affine(3, 2)),
+    ("affine(2,3)", lambda: affine(2, 3)), ("dual_affine(2,2)", lambda: dual_affine(2, 2)),
+    ("dual_affine(3,2)", lambda: dual_affine(3, 2)), ("transversal(3)", lambda: transversal(3)),
+    ("transversal(4,inf)", lambda: transversal(4, include_infinity=True)),
+    ("toeplitz(2,1,2)", lambda: toeplitz(2, 1, 2)), ("toeplitz(2,2,3)", lambda: toeplitz(2, 2, 3)),
+    ("field_multiply(2,3,1)", lambda: field_multiply(2, 3, 1)),
+    ("field_multiply(2,3,1,nonzero)", lambda: field_multiply(2, 3, 1, exclude_zero=True)),
+]
+MOSAIC_CORPUS = [
+    *NAMED_SMALL,
+    *[(f"table {name}", lambda make=make: make().to_table().to_family("table"))
+      for name, make in NAMED_SMALL],
+    *[(f"regular {n}", lambda n=n: random_regular_table(
+        random.Random(n), 3 + n % 5, (2 + n % 3) * (1 + n % 2), 2 + n % 3)) for n in range(6)],
+    *[(f"irregular {n}", lambda n=n: random_table(random.Random(n), 2 + n % 6, 1 + n % 5, 2 + n % 2))
+      for n in range(6)],
+    ("one seed", _one_seed), ("one value", _one_value), ("one point", _one_point),
+]
+
+
+def _hold(f, passes):
+    """f's memo holding nothing, a seed pass for the members alone, or one with every bin."""
+    T = f.to_table().array
+    if passes != "none":
+        _count.seed_pass(f, T, full=passes == "sum")
+    return T
+
+
+def _refuse(*args):
+    raise AssertionError("counted a Gram half")
+
+
+@pytest.mark.parametrize("make", [make for _, make in MOSAIC_CORPUS],
+                         ids=[name for name, _ in MOSAIC_CORPUS])
+def test_mosaic_structures_read_the_held_passes_or_count_as_bare_copies(monkeypatch, make):
+    """Members, dual members and the sum of a family's mosaic give the DesignParams
+    of bare copies, with nothing held, a seed pass for the members alone and one
+    with every bin.  A record the passes hold is read with gram_half refusing to
+    run and is never kept as _counts; the members' full records, which
+    is_isomorphic compares, stay those of fresh copies."""
+    f = make()
+    for passes in ("none", "members", "sum"):
+        T = _hold(f, passes)
+        m = mosaic_from_function(f)
+        members, duals, total = m.members, dual_mosaic(m).members, sum_mosaic(m)
+        structures = [*members, *duals, total]
+        want = [analyze_structure(IncidenceStructure(d.matrix.copy())) for d in structures]
+        regular = passes != "none" and "diagonal" in pair_pass(f, T)
+        held = [regular] * (2 * len(members)) + [passes == "sum"]
+        with monkeypatch.context() as patch:
+            patch.setattr(_count, "gram_half", _refuse)
+            got = [analyze_structure(d) if h else None for d, h in zip(structures, held)]
+        got = [g or analyze_structure(d) for g, d in zip(got, structures)]
+        assert got == want, passes
+        assert all("_counts" not in vars(d) for d, h in zip(structures, held) if h)
+        for d in (*members, *duals):
+            assert d._counts == IncidenceStructure(d.matrix.copy())._counts
+        rng = random.Random(f.x_size)
+        for d in members[:2]:
+            assert is_isomorphic(d, IncidenceStructure(_permuted(rng, d.matrix)))
+
+
+@pytest.mark.parametrize("make", [lambda: affine(2, 3), lambda: affine(3, 2), lambda: affine(4, 2)],
+                         ids=["affine(2,3)", "affine(3,2)", "affine(4,2)"])
+@pytest.mark.parametrize("table_backed", [False, True])
+def test_members_read_from_held_passes_still_reject_switched_copies_at_no_node(make, table_backed):
+    f = make()
+    if table_backed:
+        f = f.to_table().to_family("table")
+    assert check_structure_theorems(f).ok
+    rng = random.Random(f.x_size)
+    for d in mosaic_from_function(f).members:
+        analyze_structure(d)
+        assert is_isomorphic(d, IncidenceStructure(_permuted(rng, d.matrix)))
+        copy = IncidenceStructure(_switched(rng, _permuted(rng, d.matrix)))
+        assert not is_isomorphic(d, copy, node_budget=0)
+
+
+def _resolve(d, budget):
+    try:
+        got = find_resolution(d, node_budget=budget)
+    except SearchBudgetExceeded as e:
+        return "budget", str(e)
+    return got if isinstance(got, Resolution) else got.reason
+
+
+@pytest.mark.parametrize("make", [make for _, make in MOSAIC_CORPUS] + [
+    lambda: FunctionTable(range(3), [], range(2), [[], [], []]).to_family("no seeds"),
+    lambda: FunctionTable([], range(3), range(2), []).to_family("no points"),
+], ids=[name for name, _ in MOSAIC_CORPUS] + ["no seeds", "no points"])
+def test_a_sum_resolves_by_its_seed_classes_as_a_bare_copy_does(monkeypatch, make):
+    """The sum's carried seed classes give the bare copy's answer, the budget
+    message at node_budget = b - 1 and the empty structure included, and no scan
+    of its matrix; a dual of the sum carries no classes.  No pass is counted on
+    an empty seed set, which classify rejects."""
+    f = make()
+    for passes in ("none", "sum") if f.s_size else ("none",):
+        _hold(f, passes)
+        total = sum_mosaic(mosaic_from_function(f))
+        bare = IncidenceStructure(total.matrix.copy(), total.points, total.block_indices)
+        budgets = (DEFAULT_NODE_BUDGET, total.b, total.b - 1)
+        want = [_resolve(bare, budget) for budget in budgets]
+        assert want[-1] == ("empty structure" if total.matrix.size == 0 else
+                            ("budget", f"resolution search used {total.b} nodes, "
+                                       f"over its node_budget of {total.b - 1}"))
+        with monkeypatch.context() as patch:
+            patch.setattr(mosaichash.designs, "_first_leaf", _refuse)
+            assert [_resolve(total, budget) for budget in budgets] == want
+        assert total.dual()._runs is None
+
+
+def _old_mosaic_json(m):
+    """Mosaic.to_json as each member's own document parsed back."""
+    return json.dumps({"a_labels": m.a_labels, "members": [json.loads(d.to_json()) for d in m.members]})
+
+
+def _labelled_table(rng):
+    """A random table whose labels are unicode strings, tuples, floats and ints."""
+    nx, ns, na = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+    rows = [[rng.randrange(na) for _ in range(ns)] for _ in range(nx)]
+    return FunctionTable([f"xé{i}" for i in range(nx)], [(s, "s→") for s in range(ns)],
+                         [a + 0.5 if a % 2 else a for a in range(na)], rows).to_family("labels")
+
+
+def test_mosaic_json_is_byte_identical_to_each_member_document_parsed_back():
+    """to_json is byte-identical to parsing each member's own document back, and
+    from_json reads back the same mosaic as reading each member's text, on the
+    named kinds, their duals, and random tables with unicode, tuple and float labels."""
+    rng = random.Random(53)
+    mosaics = [mosaic_from_function(make()) for _, make in NAMED_SMALL]
+    mosaics += [mosaic_from_function(_labelled_table(rng)) for _ in range(20)]
+    mosaics += [dual_mosaic(m) for m in mosaics[:5]]
+    for m in mosaics:
+        text = m.to_json()
+        assert text == _old_mosaic_json(m)
+        back = Mosaic.from_json(text)
+        members, a_labels = json.loads(text)["members"], json.loads(text)["a_labels"]
+        old = Mosaic([IncidenceStructure.from_json(json.dumps(d)) for d in members],
+                     [decode_label(a) for a in a_labels])
+        assert back.to_json() == old.to_json() == text
+        assert (back.points, back.block_indices, back.a_labels) == (m.points, m.block_indices,
+                                                                    m.a_labels)
+
+
+@pytest.mark.parametrize("member", [
+    5, "abc", None, [1], {"rows": 5}, {"rows": [[1]], "points": [0]},
+    {"rows": [[1]], "points": [{"a": 1}], "block_indices": [0]},
+], ids=repr)
+def test_a_malformed_mosaic_member_raises_the_message_its_own_document_does(member):
+    with pytest.raises(DomainError) as own:
+        IncidenceStructure.from_json(json.dumps(member))
+    with pytest.raises(DomainError) as whole:
+        Mosaic.from_json(json.dumps({"members": [member], "a_labels": [0]}))
+    assert str(whole.value) == str(own.value)
+
+
+def test_a_pickled_mosaic_leaves_its_family_behind():
+    """A family's formula need not pickle; the mosaic's table and labels do, and
+    its copy's members, dual and sum are the original's."""
+    m = mosaic_from_function(affine(3, 2))
+    m.members
+    for mos in (m, dual_mosaic(m)):
+        copy = pickle.loads(pickle.dumps(mos))
+        assert copy._family is None and copy.to_json() == mos.to_json()
+        assert sum_mosaic(copy).to_json() == sum_mosaic(mos).to_json()

@@ -143,7 +143,8 @@ def test_designs_reads_counts_records_not_the_pair_pass():
     labels; designs takes finished records from it."""
     path = pathlib.Path(mosaichash.__file__).parent / "designs.py"
     names = {name for module, name in imports(path) if module == "_count"}
-    assert names == {"gram_counts", "incidence", "member_counts", "sum_counts", "present"}
+    assert names == {"gram_counts", "held_counts", "incidence", "member_counts", "sum_counts",
+                     "present"}
 
 
 def test_one_module_holds_every_counting_kernel():
