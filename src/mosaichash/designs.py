@@ -38,6 +38,8 @@ class IncidenceStructure:
     _original = None  # the structure this one is the dual of: its records, swapped, are ours
     _family = None  # (f, T, a): member a of the mosaic of f's table T, or its sum if a is None
     _runs = None  # k if each run of k blocks is a parallel class: a sum's seed classes
+    _shape = None  # a view's (v, b), known before its matrix is built
+    _build = None  # a view's matrix on call (a dual's: None, its original's transposed)
 
     def __init__(self, matrix, points=None, block_indices=None):
         m = np.array(matrix)  # checked before the cast, which would wrap or fail on 300
@@ -60,8 +62,23 @@ class IncidenceStructure:
         d.matrix, d.points, d.block_indices = matrix, tuple(points), tuple(block_indices)
         return d
 
+    @classmethod
+    def _view(cls, shape, points, build, **attrs) -> "IncidenceStructure":
+        """A view, attrs set: its ``matrix`` (and a sum's ``block_indices``) is built when read."""
+        d = cls.__new__(cls)
+        vars(d).update(attrs, _shape=shape, points=points, _build=build)
+        return d
+
     def __reduce__(self):  # memos and links stay behind: a trace hash holds only in its process
         return type(self)._of, (self.matrix, self.points, self.block_indices)
+
+    @functools.cached_property
+    def matrix(self):  # a view's, read-only int8: __init__ and _of set any other's
+        m = (self._original.matrix.T if self._build is None else self._build()).view(np.int8)
+        m.flags.writeable = False
+        return m
+
+    block_indices = functools.cached_property(lambda self: tuple(itertools.product(*self._product)))
 
     @functools.cached_property
     def _counts(self):
@@ -97,18 +114,17 @@ class IncidenceStructure:
 
     @property
     def v(self):
-        return self.matrix.shape[0]
+        return (self._shape or self.matrix.shape)[0]
 
     @property
     def b(self):
-        return self.matrix.shape[1]
+        return (self._shape or self.matrix.shape)[1]
 
     def dual(self) -> "IncidenceStructure":
-        """The transpose, linked to this structure, whose records it reads swapped;
-        this one holds no link back, so no cycle is made."""
-        d = IncidenceStructure._of(self.matrix.T, self.block_indices, self.points)
-        d._original = self
-        return d
+        """The transpose, linked to this structure, whose records and matrix it reads
+        swapped; this one holds no link back, so no cycle is made."""
+        return IncidenceStructure._view((self.b, self.v), self.block_indices, None,
+                                        block_indices=self.points, _original=self)
 
     def _doc(self) -> dict:
         return {"points": self.points, "block_indices": self.block_indices,
@@ -133,8 +149,8 @@ class Mosaic:
     """Family of incidence structures whose matrices partition the all-ones matrix,
     held as one member-index table: ``_table[x, s]`` is the index in a_labels of
     the member holding (x, s), a read-only integer array.  Members, duals and
-    sums are views of it; members are its level sets, built on first read, or
-    a dual's the duals of its original's members.  A family's mosaic keeps the
+    sums are views of it, whose matrices are built on first read: a member's is a
+    level set, a dual mosaic's members are its original's duals.  A family's mosaic keeps the
     family, and its members and sum read the family's passes while they hold
     their records (``IncidenceStructure._record``).
     """
@@ -182,13 +198,12 @@ class Mosaic:
     def members(self):
         if self._original is not None:
             return [d.dual() for d in self._original.members]
-        members = [IncidenceStructure._of((self._table == a).view(np.int8), self.points,
-                                          self.block_indices)
-                   for a in range(len(self.a_labels))]
-        if self._family is not None:
-            for a, d in enumerate(members):
-                d._family = self._family, self._table, a
-        return members
+        f = self._family
+        return [IncidenceStructure._view(self._table.shape, self.points,
+                                         functools.partial(np.equal, self._table, a),
+                                         block_indices=self.block_indices,
+                                         _family=None if f is None else (f, self._table, a))
+                for a in range(len(self.a_labels))]
 
     def to_json(self) -> str:
         return json.dumps({"a_labels": self.a_labels,
@@ -218,15 +233,14 @@ def dual_mosaic(m: Mosaic) -> Mosaic:
 
 
 def sum_mosaic(m: Mosaic) -> IncidenceStructure:
-    """Block index set S x A; x incident with (s, a) iff x is in block s of member a.
-    The blocks of one seed, a run of |A|, partition the points: the sum carries
-    these seed classes, and a family's mosaic's sum links to the family."""
-    labels = [(s, a) for s in m.block_indices for a in m.a_labels]
-    d = IncidenceStructure._of(incidence(m._table, len(m.a_labels), np.int8), m.points, labels)
-    d._runs = len(m.a_labels)
-    if m._family is not None:
-        d._family = m._family, m._table, None
-    return d
+    """Block index set S x A; x incident with (s, a) iff x is in block s of member a,
+    labels and matrix built on first read.  A seed's blocks, a run of |A|, partition
+    the points: the sum carries these seed classes; a family's mosaic's sum links to the family."""
+    na, f = len(m.a_labels), m._family
+    return IncidenceStructure._view(
+        (len(m.points), len(m.block_indices) * na), m.points,
+        functools.partial(incidence, m._table, na, np.int8), _runs=na,
+        _product=(m.block_indices, m.a_labels), _family=None if f is None else (f, m._table, None))
 
 
 @dataclass
@@ -298,22 +312,22 @@ def find_resolution(d: IncidenceStructure, node_budget=DEFAULT_NODE_BUDGET):
     recursion limit.  Every partial class tried is a node; past node_budget
     nodes it raises SearchBudgetExceeded stating the nodes used and the budget.
 
-    After the empty check comes the first leaf: runs of consecutive blocks that
-    are parallel classes, a sum's seed classes as it carries them, else read off
-    the matrix (``_first_leaf``).  The search would take the runs in order, one
-    node per block, so they are returned without it; only if there are none are
-    unequal row sums, then r = 0 or r not dividing b, answered.
+    After the empty check, on the shape, comes the first leaf: runs of consecutive
+    blocks that are parallel classes, a sum's seed classes as it carries them (its
+    matrix is not built), else read off the matrix (``_first_leaf``).  The search would
+    take the runs in order, one node per block, so they are returned without it;
+    only if there are none are unequal row sums, then r = 0 or r not dividing b, answered.
     """
-    m = d.matrix
-    v, b = m.shape
+    v, b = d.v, d.b
     if v == 0 or b == 0:
         return NotResolvable("empty structure")
-    class_size = d._runs or _first_leaf(m)
+    class_size = d._runs or _first_leaf(d.matrix)
     if class_size:
         if b > node_budget:
             raise SearchBudgetExceeded(f"resolution search used {node_budget + 1} nodes, "
                                        f"over its node_budget of {node_budget}")
-        return Resolution(tuple(tuple(range(h, h + class_size)) for h in range(0, b, class_size)))
+        return Resolution(tuple(zip(*(range(i, b, class_size) for i in range(class_size)))))
+    m = d.matrix
     row_sums = m.sum(axis=1, dtype=np.int32)
     if not (row_sums == row_sums[0]).all():
         return NotResolvable("replication number is not constant")

@@ -1489,3 +1489,79 @@ def test_a_pickled_mosaic_leaves_its_family_behind():
         copy = pickle.loads(pickle.dumps(mos))
         assert copy._family is None and copy.to_json() == mos.to_json()
         assert sum_mosaic(copy).to_json() == sum_mosaic(mos).to_json()
+
+
+def _views_and_eager_copies(f):
+    """Each member, dual member and the sum of f's mosaic and of its dual mosaic,
+    fresh, paired with an eager structure of the same level set, transpose or
+    incidence, built here by plain loops over f's table."""
+    rows = f.to_table().array.tolist()
+    cols = [list(col) for col in zip(*rows)]
+    m = mosaic_from_function(f)
+    pairs = []
+    for mos, table in ((m, rows), (dual_mosaic(m), cols)):
+        level = [[[int(v == a) for v in row] for row in table] for a in range(f.a_size)]
+        for a, d in enumerate(mos.members):
+            eager = IncidenceStructure(np.array(level[a], dtype=np.int8), mos.points,
+                                       mos.block_indices)
+            pairs += [(d, eager), (d.dual(), IncidenceStructure(eager.matrix.T, eager.block_indices,
+                                                                eager.points))]
+        incidence = [[int(v == a) for v in row for a in range(f.a_size)] for row in table]
+        labels = [(s, a) for s in mos.block_indices for a in mos.a_labels]
+        pairs.append((sum_mosaic(mos), IncidenceStructure(incidence, mos.points, labels)))
+    return pairs
+
+
+@pytest.mark.parametrize("make", [make for _, make in MOSAIC_CORPUS],
+                         ids=[name for name, _ in MOSAIC_CORPUS])
+def test_mosaic_views_are_the_eager_structures_they_stand_for(make):
+    """A view's shape is read without its matrix; once read, its matrix, labels,
+    JSON, pickle and isomorphism class are the eager structure's."""
+    for view, eager in _views_and_eager_copies(make()):
+        assert (view.v, view.b) == (eager.v, eager.b) and "matrix" not in vars(view)
+        assert view.matrix.dtype == np.int8 and not view.matrix.flags.writeable
+        assert np.array_equal(view.matrix, eager.matrix)
+        assert (view.points, view.block_indices) == (eager.points, eager.block_indices)
+        assert view.to_json() == eager.to_json()
+        assert pickle.loads(pickle.dumps(view)).to_json() == eager.to_json()
+        assert is_isomorphic(view, eager)
+
+
+@pytest.mark.parametrize("make", [make for _, make in MOSAIC_CORPUS] + [
+    lambda: FunctionTable(range(3), [], range(2), [[], [], []]).to_family("no seeds"),
+    lambda: FunctionTable([], range(3), range(2), []).to_family("no points"),
+], ids=[name for name, _ in MOSAIC_CORPUS] + ["no seeds", "no points"])
+def test_a_sum_resolves_without_building_its_matrix_or_block_labels(make):
+    """The seed classes, the budget message at node_budget = b - 1 and the
+    empty structure's answer all come from the sum's shape and runs."""
+    f = make()
+    X, S, A = f.x_size, f.s_size, f.a_size
+    total = sum_mosaic(mosaic_from_function(f))
+    got = [_resolve(total, budget) for budget in (DEFAULT_NODE_BUDGET, S * A)]
+    if X and S:
+        want = Resolution(tuple(tuple(range(h, h + A)) for h in range(0, S * A, A)))
+        assert got == [want, want]
+        assert _resolve(sum_mosaic(mosaic_from_function(f)), S * A - 1) == (
+            "budget", f"resolution search used {S * A} nodes, over its node_budget of {S * A - 1}")
+    else:
+        assert got == ["empty structure"] * 2
+    assert "matrix" not in vars(total) and "block_indices" not in vars(total)
+
+
+@pytest.mark.parametrize("make", [make for _, make in MOSAIC_CORPUS],
+                         ids=[name for name, _ in MOSAIC_CORPUS])
+def test_held_records_are_read_without_building_a_matrix(make):
+    """With the pair pass and a seed pass with every bin held, analyze_structure
+    of a regular family's members and their duals, and of any family's sum, reads
+    the held record: no matrix is built, nor the sum's block labels."""
+    f = make()
+    T = _hold(f, "sum")
+    m = mosaic_from_function(f)
+    total = sum_mosaic(m)
+    regular = "diagonal" in pair_pass(f, T)
+    held = [total, *m.members, *dual_mosaic(m).members] if regular else [total]
+    for d in held:
+        analyze_structure(d)
+        assert "matrix" not in vars(d), d
+    assert "block_indices" not in vars(total)
+    assert all("matrix" not in vars(d) for d in m.members)  # a dual read its original's record
